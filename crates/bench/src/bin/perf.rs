@@ -14,9 +14,8 @@
 //! (pooled contexts reused, unrolling frames extended in place vs.
 //! rebuilt, learnt clauses carried across query batches) for every run.
 //! After the report is written, every stage's parallel speedup is
-//! asserted to stay at or above 1.0x (modulo timer noise): the pooled
-//! engine's ticket sequencing must never make the parallel path slower
-//! than `--jobs 1`. On a host with a single hardware thread (the report
+//! asserted to stay at or above 1.0x (modulo timer noise): the context
+//! chains must never make the parallel path slower than `--jobs 1`. On a host with a single hardware thread (the report
 //! records `host_threads`) the wall-clock ratio measures scheduler
 //! overhead rather than the pool, so the speedup assert is skipped
 //! there and the bit-identical-results assert carries the regression
@@ -765,10 +764,10 @@ fn main() {
         "reduced parallel results diverged from the unreduced --jobs 1 \
          baseline in: {mismatches:?}"
     );
-    // With pooled per-(netlist, bound) contexts the parallel engine does
+    // With persistent per-slot contexts the parallel engine does
     // strictly less work than the sequential reduction-off baseline, so a
-    // stage dipping below 1.0x means the pool regressed into rebuilding
-    // (or ticket sequencing serialized more than job order requires).
+    // stage dipping below 1.0x means the contexts regressed into
+    // rebuilding (or the chains serialized more than job order requires).
     // The 3% grace absorbs timer noise on stages whose two legs run the
     // identical workload (sat_micro). The assert only holds where the
     // workers can actually overlap: on a single-hardware-thread host the

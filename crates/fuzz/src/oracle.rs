@@ -8,7 +8,7 @@
 //! fixpoint enumeration, reductions against the unreduced baseline, the
 //! IFT taint plane against two-run low-equivalence simulation, the
 //! textual frontend (emit → parse → lower) against the in-memory IR, the
-//! persistent-solver pool (assumption-based incremental queries over
+//! persistent solver context (assumption-based incremental queries over
 //! an extendable unrolling) against fresh one-shot solvers, and the
 //! cone-fingerprint-keyed verdict cache (warm re-verification after a
 //! random in-place edit) against a fully fresh re-run.
@@ -16,10 +16,7 @@
 use crate::dpll::{self, DpllResult};
 use crate::gen::BuiltDesign;
 use crate::SeededBug;
-use mc::{
-    Checker, CoiSlice, InitMode, McConfig, Outcome, PoolKey, SolverPool, Trace, UndeterminedReason,
-    Unrolling,
-};
+use mc::{Checker, CoiSlice, InitMode, McConfig, Outcome, Trace, UndeterminedReason, Unrolling};
 use netlist::{mask, BinOp, Netlist, Op, SignalId, UnOp};
 use sim::Simulator;
 use std::collections::BTreeMap;
@@ -682,9 +679,9 @@ fn oracle_ift(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
     CaseResult::Agree("ift-sound".into())
 }
 
-/// (g) Incremental pool vs. fresh solvers: a fleet of cover queries (the
+/// (g) Incremental context vs. fresh solvers: a fleet of cover queries (the
 /// design's cover plus up to seven other 1-bit signals) is answered twice
-/// — once through one persistent pooled context that first solves the
+/// — once through one persistent context that first solves the
 /// whole fleet at a shallow bound and is then grown in place to the full
 /// bound (exercising `begin_batch`, `ensure_bound`, the cover-activation
 /// cache flush, and learnt-clause carry-over), and once through a fresh
@@ -718,23 +715,20 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         .collect();
     // Pooled leg: one persistent context answers the whole fleet at the
     // shallow bound, then again at the full bound after an in-place
-    // extension. Tickets are handed out in query order.
-    let pool = SolverPool::new();
-    let key = PoolKey::reset(0x1ec5_0000 ^ d.netlist.len() as u64);
+    // extension, one accounting batch per query.
     let shallow = (opts.bound / 2).max(1);
-    let build = || Checker::new(&d.netlist, cfg(0));
-    let mut ticket = 0usize;
+    let mut ctx = Checker::new(&d.netlist, cfg(0));
     for &c in &fleet {
-        let mut ctx = pool.checkout(key, ticket, shallow, build);
-        ticket += 1;
+        ctx.begin_batch();
+        ctx.ensure_bound(shallow);
         let _ = ctx.check_cover(c, &[]);
     }
     let mut reused = true;
     let pooled: Vec<String> = fleet
         .iter()
         .map(|&c| {
-            let mut ctx = pool.checkout(key, ticket, opts.bound, build);
-            ticket += 1;
+            ctx.begin_batch();
+            ctx.ensure_bound(opts.bound);
             reused &= ctx.stats().ctx_reused > 0;
             incremental_verdict(d, c, &ctx.check_cover(c, &[]))
         })
@@ -756,7 +750,7 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         return CaseResult::Mismatch {
             expected: "pooled context reused across the fleet".into(),
             actual: "context was rebuilt".into(),
-            detail: "a full-bound checkout reported ctx_reused == 0".into(),
+            detail: "a full-bound batch reported ctx_reused == 0".into(),
         };
     }
     let reachable = pooled.iter().filter(|v| v.as_str() == "reachable").count();

@@ -78,11 +78,12 @@ impl Json {
     /// Parses one JSON value from `src` (which must contain nothing else
     /// but whitespace around it). Numbers without `.`/`e` that fit a `u64`
     /// parse as [`Json::Int`]; everything else numeric parses as
-    /// [`Json::Num`].
+    /// [`Json::Num`]. Arrays and objects may nest [`MAX_DEPTH`] deep;
+    /// deeper input is an error, not a stack overflow.
     pub fn parse(src: &str) -> Result<Json, ParseError> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError {
@@ -167,6 +168,10 @@ impl Json {
     }
 }
 
+/// How deep [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, and the daemon parses untrusted lines.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: byte offset plus a static description.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -200,7 +205,8 @@ fn expect_lit(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parses one value that may still open `depth` nested arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(ParseError {
@@ -208,6 +214,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             what: "unexpected end of input",
         });
     };
+    if matches!(b, b'[' | b'{') && depth == 0 {
+        return Err(ParseError {
+            pos: *pos,
+            what: "arrays/objects nested too deep",
+        });
+    }
     match b {
         b'n' => expect_lit(bytes, pos, "null").map(|()| Json::Null),
         b't' => expect_lit(bytes, pos, "true").map(|()| Json::Bool(true)),
@@ -222,7 +234,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -258,7 +270,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                     });
                 }
                 *pos += 1;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(bytes, pos, depth - 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -445,27 +457,70 @@ pub mod jsonl {
     use super::{Json, ParseError};
     use std::io::{BufRead, Write};
 
-    /// Writes `value` as one compact line and flushes — on a socket this
-    /// is what makes the event visible to the peer now, not at buffer
-    /// pressure.
+    /// Writes `value` as one compact line in a single write and flushes —
+    /// on a socket this is what makes the event visible to the peer now,
+    /// not at buffer pressure. One write matters: a newline sent on its
+    /// own would sit in Nagle's buffer until the peer's delayed ACK.
     pub fn write_line(out: &mut impl Write, value: &Json) -> std::io::Result<()> {
-        out.write_all(value.render_compact().as_bytes())?;
-        out.write_all(b"\n")?;
+        let mut line = value.render_compact();
+        line.push('\n');
+        out.write_all(line.as_bytes())?;
         out.flush()
     }
 
     /// Reads the next non-blank line and parses it. `Ok(None)` at EOF.
+    /// A line longer than `max_len` bytes is consumed through its newline
+    /// without being buffered, and read as a parse error; so is a line
+    /// that is not UTF-8.
     pub fn read_line(
         input: &mut impl BufRead,
+        max_len: usize,
     ) -> std::io::Result<Option<Result<Json, ParseError>>> {
-        let mut line = String::new();
         loop {
-            line.clear();
-            if input.read_line(&mut line)? == 0 {
+            let mut line = Vec::new();
+            let mut too_long = false;
+            let mut at_eof = true;
+            loop {
+                let buf = match input.fill_buf() {
+                    Ok(buf) => buf,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
+                };
+                if buf.is_empty() {
+                    break;
+                }
+                at_eof = false;
+                let (chunk, ends) = match buf.iter().position(|&b| b == b'\n') {
+                    Some(i) => (&buf[..i], true),
+                    None => (buf, false),
+                };
+                too_long |= line.len() + chunk.len() > max_len;
+                if !too_long {
+                    line.extend_from_slice(chunk);
+                }
+                let used = chunk.len() + usize::from(ends);
+                input.consume(used);
+                if ends {
+                    break;
+                }
+            }
+            if at_eof {
                 return Ok(None);
             }
-            if !line.trim().is_empty() {
-                return Ok(Some(Json::parse(line.trim())));
+            if too_long {
+                return Ok(Some(Err(ParseError {
+                    pos: max_len,
+                    what: "line longer than the length cap",
+                })));
+            }
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return Ok(Some(Err(ParseError {
+                    pos: 0,
+                    what: "line is not utf-8",
+                })));
+            };
+            if !text.trim().is_empty() {
+                return Ok(Some(Json::parse(text.trim())));
             }
         }
     }
@@ -547,14 +602,73 @@ mod tests {
         wire.extend_from_slice(b"\n   \n"); // blank keep-alives
         jsonl::write_line(&mut wire, &b).unwrap();
         let mut rd = std::io::BufReader::new(wire.as_slice());
-        assert_eq!(jsonl::read_line(&mut rd).unwrap().unwrap().unwrap(), a);
-        assert_eq!(jsonl::read_line(&mut rd).unwrap().unwrap().unwrap(), b);
-        assert!(jsonl::read_line(&mut rd).unwrap().is_none(), "EOF is None");
+        assert_eq!(jsonl::read_line(&mut rd, 64).unwrap().unwrap().unwrap(), a);
+        assert_eq!(jsonl::read_line(&mut rd, 64).unwrap().unwrap().unwrap(), b);
+        assert!(
+            jsonl::read_line(&mut rd, 64).unwrap().is_none(),
+            "EOF is None"
+        );
         let mut torn = std::io::BufReader::new(&b"{\"k\":"[..]);
         assert!(
-            jsonl::read_line(&mut torn).unwrap().unwrap().is_err(),
+            jsonl::read_line(&mut torn, 64).unwrap().unwrap().is_err(),
             "torn line must surface as a parse error, not EOF"
         );
+    }
+
+    #[test]
+    fn jsonl_lines_go_out_in_one_write() {
+        struct Writes(Vec<Vec<u8>>);
+        impl std::io::Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        super::jsonl::write_line(&mut w, &Json::obj([("ev", Json::str("done"))])).unwrap();
+        assert_eq!(w.0, vec![b"{\"ev\":\"done\"}\n".to_vec()]);
+    }
+
+    #[test]
+    fn jsonl_skips_over_long_and_non_utf8_lines() {
+        use super::jsonl;
+        let mut wire = format!("[{}]\n", "1,".repeat(40) + "1").into_bytes();
+        wire.extend_from_slice(b"\"\xff\"\n{\"ok\":true}\n");
+        let mut rd = std::io::BufReader::with_capacity(8, wire.as_slice());
+        let err = jsonl::read_line(&mut rd, 64).unwrap().unwrap().unwrap_err();
+        assert_eq!(err.what, "line longer than the length cap");
+        let err = jsonl::read_line(&mut rd, 64).unwrap().unwrap().unwrap_err();
+        assert_eq!(err.what, "line is not utf-8");
+        assert_eq!(
+            jsonl::read_line(&mut rd, 64).unwrap().unwrap().unwrap(),
+            Json::obj([("ok", Json::Bool(true))]),
+            "the reader resynchronises on the next line"
+        );
+        let exact = "1".repeat(64) + "\n";
+        let mut rd = std::io::BufReader::new(exact.as_bytes());
+        assert!(
+            jsonl::read_line(&mut rd, 64).unwrap().unwrap().is_ok(),
+            "a line of exactly the cap is accepted"
+        );
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(super::MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(super::MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (err.pos, err.what),
+            (super::MAX_DEPTH, "arrays/objects nested too deep")
+        );
+        let objects =
+            "{\"a\":".repeat(super::MAX_DEPTH + 1) + "1" + &"}".repeat(super::MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Far past the cap: an error, not a stack overflow.
+        assert!(Json::parse(&nested(1 << 20)).is_err());
     }
 
     #[test]

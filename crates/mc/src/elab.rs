@@ -10,6 +10,18 @@
 
 use netlist::analysis::topo_order;
 use netlist::{Netlist, SignalId};
+use std::cell::Cell;
+
+thread_local! {
+    static ELABORATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many [`Elab`]s the calling thread has built so far. Every solver
+/// context starts with one, so a single-threaded run that leaves this
+/// count unchanged built no context.
+pub fn elaborations_on_this_thread() -> u64 {
+    ELABORATIONS.with(Cell::get)
+}
 
 /// The elaboration of one netlist: validation performed, topological order
 /// computed. Immutable and cheap to share across threads behind an `Arc`.
@@ -27,6 +39,7 @@ impl Elab {
     /// `Unrolling::new`).
     pub fn new(nl: &Netlist) -> Self {
         nl.validate().expect("elaborating an invalid netlist");
+        ELABORATIONS.with(|n| n.set(n.get() + 1));
         Self {
             len: nl.len(),
             order: topo_order(nl).expect("validated netlist is acyclic"),

@@ -725,7 +725,7 @@ impl<'a> Checker<'a> {
             return false;
         }
         // The induction context is persistent: the `InitMode::Free` twin of
-        // this checker's pool key, sharing its elaboration and slice. Every
+        // this checker's unrolling, sharing its elaboration and slice. Every
         // induction query is pure assumptions (no per-query clauses), so
         // learnt clauses — consequences of the transition relation alone —
         // stay sound across queries, and the solver's conflicts and
@@ -964,5 +964,42 @@ mod tests {
             sim_vals.iter().any(|r| r[0] == 1),
             "replayed witness fires the cover"
         );
+    }
+
+    #[test]
+    fn contexts_persist_and_extend_across_batches() {
+        let nl = counter_with_flag();
+        let at5 = nl.find("at5").unwrap();
+        let mut ctx = Checker::new(
+            &nl,
+            McConfig {
+                bound: 0,
+                ..Default::default()
+            },
+        );
+        ctx.begin_batch();
+        ctx.ensure_bound(8);
+        assert!(ctx.check_cover(at5, &[]).is_reachable());
+        let st = ctx.stats();
+        assert_eq!(st.ctx_reused, 0, "the first batch built the context");
+        assert_eq!(st.frames_extended, 8);
+        assert_eq!(st.frames_rebuilt, 0);
+        // Same bound: reused as-is, no frame growth.
+        ctx.begin_batch();
+        ctx.ensure_bound(8);
+        assert!(ctx
+            .check_cover(nl.find("never").unwrap(), &[])
+            .is_unreachable());
+        let st = ctx.stats();
+        assert_eq!(st.ctx_reused, 1);
+        assert_eq!(st.frames_extended, 0);
+        // Deeper bound: the same solver's unrolling grows in place.
+        ctx.begin_batch();
+        ctx.ensure_bound(12);
+        assert!(ctx.check_cover(at5, &[]).is_reachable());
+        let st = ctx.stats();
+        assert_eq!(st.ctx_reused, 1);
+        assert_eq!(st.frames_extended, 4);
+        assert_eq!(ctx.config().bound, 12);
     }
 }

@@ -37,18 +37,16 @@ pub mod coi;
 mod elab;
 mod engine;
 pub mod par;
-mod pool;
 pub mod supervise;
 mod trace;
 mod unroll;
 
 pub use cnf::GateBuilder;
 pub use coi::{CoiSlice, ConeFingerprint};
-pub use elab::Elab;
+pub use elab::{elaborations_on_this_thread, Elab};
 pub use engine::{CheckStats, Checker, McConfig, Outcome, UndeterminedReason};
-pub use par::{default_threads, resolve_threads, run_jobs};
-pub use pool::{Checkout, PoolKey, SolverPool};
+pub use par::{default_threads, resolve_threads, run_chains, run_jobs, Retries};
 pub use sat::{CancelReason, CancelToken};
-pub use supervise::{run_jobs_supervised, FaultKind, FaultPlan, JobFailure, JobStore, ServeFault};
+pub use supervise::{FaultKind, FaultPlan, JobFailure, JobStore, ServeFault};
 pub use trace::Trace;
 pub use unroll::{InitMode, Unrolling};

@@ -1,12 +1,11 @@
 //! Job supervision, deterministic fault injection, and the checkpoint
 //! store interface — the runtime half of DESIGN.md §8.
 //!
-//! [`run_jobs_supervised`] wraps every job of [`run_jobs`] in
-//! `catch_unwind`, so one panicking property sweep yields a per-job
-//! [`JobFailure`] merged deterministically into the results instead of
-//! tearing down the whole `std::thread::scope`. Drivers degrade a failed
-//! job to [`Outcome::Undetermined`] with
-//! [`UndeterminedReason::JobPanicked`].
+//! [`run_chains`] runs every job under `catch_unwind`, so one panicking
+//! property sweep yields a per-job [`JobFailure`] merged deterministically
+//! into the results instead of tearing down the whole
+//! `std::thread::scope`. Drivers degrade a failed job to
+//! [`Outcome::Undetermined`] with [`UndeterminedReason::JobPanicked`].
 //!
 //! [`FaultPlan`] deterministically schedules injected faults (panics,
 //! forced-Unknown queries, expired deadlines) from a seed and a rate, so a
@@ -16,11 +15,10 @@
 //! replay completed job verdicts; `synthlc::journal::Journal` implements
 //! it with an append-only, fsync'd, torn-tail-tolerant file.
 //!
-//! [`run_jobs`]: crate::par::run_jobs
+//! [`run_chains`]: crate::par::run_chains
 //! [`Outcome::Undetermined`]: crate::Outcome::Undetermined
 //! [`UndeterminedReason::JobPanicked`]: crate::UndeterminedReason::JobPanicked
 
-use crate::par::run_jobs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A panic caught by the supervisor while running one job.
@@ -54,29 +52,21 @@ fn payload_msg(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Like [`run_jobs`], but each job runs under `catch_unwind`: a panic in
-/// job `ix` becomes `Err(JobFailure)` at index `ix` while every other job
-/// completes normally. Result order and content are a pure function of
-/// the job list, independent of worker count — the same merge-by-job-id
-/// determinism contract as `run_jobs` itself.
-pub fn run_jobs_supervised<J, R, F>(
-    jobs: Vec<J>,
-    threads: usize,
-    f: F,
-) -> Vec<Result<R, JobFailure>>
-where
-    J: Send,
-    R: Send,
-    F: Fn(usize, J) -> R + Sync,
-{
-    run_jobs(jobs, threads, |ix, job| {
-        catch_unwind(AssertUnwindSafe(|| f(ix, job))).map_err(|payload| JobFailure {
-            job_id: ix,
-            payload_msg: payload_msg(payload.as_ref()),
-            backtrace_hint: format!(
-                "rerun with RUST_BACKTRACE=1 SYNTHLC_THREADS=1 to localise job {ix}"
-            ),
-        })
+/// Runs attempt `attempt` of job `job_id` under `catch_unwind`, turning a
+/// panic into the job's [`JobFailure`].
+pub(crate) fn catch_job<R>(
+    job_id: usize,
+    attempt: u32,
+    f: impl FnOnce() -> R,
+) -> Result<R, JobFailure> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| JobFailure {
+        job_id,
+        payload_msg: payload_msg(payload.as_ref()),
+        backtrace_hint: if attempt == 0 {
+            format!("rerun with RUST_BACKTRACE=1 SYNTHLC_THREADS=1 to localise job {job_id}")
+        } else {
+            format!("panicked again on retry attempt {attempt}")
+        },
     })
 }
 
@@ -239,12 +229,26 @@ pub trait JobStore: std::fmt::Debug + Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::{run_chains, Retries};
+
+    /// Runs context-free jobs through the chain runner, no retries.
+    fn supervised<R: Send>(
+        n: usize,
+        threads: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Vec<Result<R, JobFailure>> {
+        let retries = Retries {
+            max: 0,
+            cancel: None,
+            degraded: |_| false,
+        };
+        run_chains::<(), _, _>(&vec![None; n], threads, retries, |ix, _, _| f(ix)).0
+    }
 
     #[test]
     fn supervised_jobs_isolate_panics() {
-        let jobs: Vec<usize> = (0..16).collect();
         for threads in [1, 4] {
-            let out = run_jobs_supervised(jobs.clone(), threads, |_, j| {
+            let out = supervised(16, threads, |j| {
                 if j % 5 == 3 {
                     panic!("boom at {j}");
                 }
@@ -265,9 +269,8 @@ mod tests {
 
     #[test]
     fn supervised_results_match_across_thread_counts() {
-        let jobs: Vec<usize> = (0..32).collect();
         let run = |threads| {
-            run_jobs_supervised(jobs.clone(), threads, |_, j| {
+            supervised(32, threads, |j| {
                 if j == 7 || j == 20 {
                     panic!("injected");
                 }

@@ -72,7 +72,7 @@ pub struct IuvHarness {
     /// to pin the IUV's opcode.
     pub assumes: Vec<SignalId>,
     /// Per-opcode IUV-encoding assumes: one monitor per opcode the harness
-    /// was built for, so a single netlist (and hence one pooled solver
+    /// was built for, so a single netlist (and hence one shared solver
     /// context) serves every opcode's query fleet.
     pub op_assumes: Vec<(Opcode, SignalId)>,
     /// The IUV has been fetched (sticky, registered).
@@ -108,7 +108,7 @@ pub fn build_harness(design: &Design, cfg: &HarnessConfig) -> IuvHarness {
 /// logic is opcode-independent, and each opcode gets its own encoding
 /// assume in [`IuvHarness::op_assumes`]. Queries select an opcode by
 /// adding its assume to the opcode-independent [`IuvHarness::assumes`];
-/// this is what lets one pooled solver context absorb every opcode's
+/// this is what lets one shared solver context absorb every opcode's
 /// enumeration at a fetch slot.
 ///
 /// # Panics

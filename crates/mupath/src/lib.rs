@@ -16,7 +16,7 @@
 //!   decisions, HB edges),
 //! * [`dom_excl_relations`] — §V-B3 (dominates/exclusive cover templates),
 //! * [`enumerate_revisit_counts`] — §V-B6 (e.g. divider occupancy range),
-//! * [`synthesize_isa`] — the whole-ISA driver used by SynthLC.
+//! * [`synthesize_isa_with`] — the whole-ISA driver used by SynthLC.
 
 mod harness;
 mod synth;
@@ -90,14 +90,6 @@ impl EngineOptions {
     pub fn sequential() -> Self {
         Self {
             threads: 1,
-            ..Default::default()
-        }
-    }
-
-    /// A fixed worker count, no shared budget.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
             ..Default::default()
         }
     }
@@ -217,39 +209,24 @@ impl IsaSynthesis {
     }
 }
 
-/// Runs [`synthesize_instr`] for each requested instruction.
-pub fn synthesize_isa(design: &Design, ops: &[Opcode], cfg: &SynthConfig) -> IsaSynthesis {
-    synthesize_isa_with(design, ops, cfg, &EngineOptions::sequential())
-}
-
-/// Like [`synthesize_isa`], but fans the work out over worker threads.
-pub fn synthesize_isa_parallel(
-    design: &Design,
-    ops: &[Opcode],
-    cfg: &SynthConfig,
-    threads: usize,
-) -> IsaSynthesis {
-    synthesize_isa_with(design, ops, cfg, &EngineOptions::with_threads(threads))
-}
-
-/// The whole-ISA driver over the parallel property-evaluation engine.
+/// The whole-ISA driver over the parallel property-evaluation engine: runs
+/// [`synthesize_instr`]'s enumeration for each requested instruction.
 ///
-/// The job queue holds one job per (instruction, fetch slot), but jobs no
-/// longer own their solver: one multi-opcode harness is built per fetch
-/// slot (the monitor logic is opcode-independent), and a [`mc::SolverPool`]
-/// keyed by (design fingerprint ⊕ slot, [`mc::InitMode::Reset`]) owns one
-/// persistent checker per slot that every opcode's enumeration checks out
-/// in turn. Checkout is ticket-sequenced in job-id order, so the solver
-/// sees an identical query stream for every worker count and results merge
-/// byte-identically (the `tests/parallel_determinism.rs` bar); learnt
-/// clauses and the unrolled transition relation carry across the whole
-/// fleet.
+/// The job queue holds one job per (instruction, fetch slot), but jobs do
+/// not own their solver: one multi-opcode harness is built per fetch slot
+/// (the monitor logic is opcode-independent), and every opcode's
+/// enumeration on that slot shares one persistent checker. The slot's
+/// jobs form one context chain ([`mc::run_chains`]): they run in job
+/// order on one worker, so the solver sees an identical query stream for
+/// every worker count and results merge byte-identically (the
+/// `tests/parallel_determinism.rs` bar); learnt clauses and the unrolled
+/// transition relation carry across the whole fleet.
 ///
 /// Journal resume is *group-atomic* per slot: a slot's cached verdicts are
-/// only replayed when every opcode of that slot is cached. A partial
-/// replay would leave ticket gaps (cached jobs never check out) and make
-/// the pooled solver's clause state depend on which subset resumed —
-/// trading a little resume coverage for determinism.
+/// only replayed when every opcode of that slot is cached, and then the
+/// slot builds no checker at all. A partial replay would make the shared
+/// solver's clause state depend on which subset resumed — trading a
+/// little resume coverage for determinism.
 pub fn synthesize_isa_with(
     design: &Design,
     ops: &[Opcode],
@@ -268,7 +245,6 @@ pub fn synthesize_isa_with(
             retried_jobs: 0,
         };
     }
-    let fp = design_fingerprint(design);
     // One shared harness per fetch slot; all opcodes ride on it.
     let harnesses: Vec<IuvHarness> = cfg
         .slots
@@ -290,23 +266,14 @@ pub fn synthesize_isa_with(
     };
     // The slot-wide query cone: everything the enumeration consumes. The
     // canonical fingerprint of this cone (with the free registers, whose
-    // symbolic init is part of the query) keys both the journal records
-    // and the pooled-solver checkout, so an edit outside a slot's cone
-    // neither invalidates its cached verdicts nor perturbs its CNF.
+    // symbolic init is part of the query) keys the journal records, so an
+    // edit outside a slot's cone does not invalidate its cached verdicts.
     let slot_targets: Vec<Vec<netlist::SignalId>> =
         harnesses.iter().map(slot_query_universe).collect();
     let cone_fps: Vec<mc::ConeFingerprint> = harnesses
         .iter()
         .zip(&slot_targets)
         .map(|(h, t)| mc::ConeFingerprint::compute(&h.netlist, t, &free_regs))
-        .collect();
-    let keys: Vec<mc::PoolKey> = cfg
-        .slots
-        .iter()
-        .zip(&cone_fps)
-        .map(|(&slot, cfp)| {
-            mc::PoolKey::reset(fp ^ cfp.0 ^ (slot as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        })
         .collect();
     // Resolve journal hits on the coordinating thread so `resumed_jobs` is
     // counted before workers start. Atomic per slot group: either every
@@ -339,122 +306,84 @@ pub fn synthesize_isa_with(
             group
         })
         .collect();
-    let pool = mc::SolverPool::new();
     let jobs: Vec<(usize, usize)> = ops
         .iter()
         .enumerate()
         .flat_map(|(oi, _)| (0..cfg.slots.len()).map(move |si| (oi, si)))
         .collect();
-    // The per-job body, shared by the parallel batch (ticket = opcode
-    // index, attempt 0) and by sequential coordinator-thread retries
-    // (continuation tickets, attempt ≥ 1).
-    let run_slot = |ix: usize, oi: usize, si: usize, ticket: usize, attempt: u32| {
-        let fault = robust.faults.fault_for_attempt("mupath", ix, attempt);
-        let mut ctx = pool.checkout(keys[si], ticket, cfg.bound, || {
-            // Slice to the slot-wide query cone. Sound here even though
-            // the shape loop consumes witness data: every consumed signal
-            // (covers, assumes, signature bits, `visit_now` monitors) is
-            // a slice target, so the projection onto them is exact — and
-            // the sliced CNF is a pure function of the cone, which is
-            // what makes cone-keyed journal replays witness-identical to
-            // fresh solves after an out-of-cone edit (`DESIGN.md` §14).
-            let elab = Arc::new(mc::Elab::new(&harnesses[si].netlist));
-            let coi = Arc::new(mc::CoiSlice::compute(
-                &harnesses[si].netlist,
-                &slot_targets[si],
-            ));
-            let mut c = mc::Checker::with_coi(
-                &harnesses[si].netlist,
-                mc::McConfig {
-                    bound: 0,
-                    ..cfg.mc_config()
-                },
-                &free_regs,
-                elab,
-                Some(coi),
-            );
-            if let Some(p) = &opts.budget_pool {
-                c.set_budget_pool(Arc::clone(p));
-            }
-            if let Some(token) = &robust.cancel {
-                c.set_cancel_token(Arc::clone(token));
-            }
-            c
-        });
-        // Injected panics fire after checkout so the guard's drop releases
-        // the next ticket (discarding the checker; the slot's next opcode
-        // deterministically rebuilds it).
-        if fault == Some(FaultKind::Panic) {
-            panic!("injected fault: panic in mupath job {ix}");
-        }
-        match fault {
-            Some(FaultKind::ForceUnknown) => ctx.set_fault(UndeterminedReason::FaultInjected),
-            Some(FaultKind::DeadlineExpired) => ctx.set_fault(UndeterminedReason::Deadline),
-            _ => {}
-        }
-        let r = synth::enumerate_slot(&harnesses[si], ops[oi], &mut ctx, cfg);
-        drop(ctx);
-        // Only clean verdicts are journaled: degraded jobs must rerun on
-        // resume so an interrupted faulty run can still converge to the
-        // uninterrupted result.
-        if fault.is_none() && r.stats.degraded() == 0 {
-            if let (Some(j), Some(k)) = (robust.journal.as_deref(), keys_json[si][oi].as_deref()) {
-                j.put(k, &r.encode());
-            }
-        }
-        r
+    // A slot's uncached jobs chain on the slot's checker.
+    let chain_of: Vec<Option<usize>> = jobs
+        .iter()
+        .map(|&(_, si)| cached_groups[si].is_none().then_some(si))
+        .collect();
+    let retries = mc::Retries {
+        max: robust.retries,
+        cancel: robust.cancel.as_deref(),
+        degraded: |s: &synth::SlotSynthesis| s.stats.degraded() > 0,
     };
-    let mut results = mc::run_jobs_supervised(jobs.clone(), threads, |ix, (oi, si)| {
-        if let Some(group) = &cached_groups[si] {
-            return group[oi].clone();
-        }
-        // Tickets are dense per slot because cached groups (which never
-        // check out) are all-or-nothing: within a running group the ticket
-        // is simply the opcode index.
-        run_slot(ix, oi, si, oi, 0)
-    });
-    // Transient-failure recovery: rerun failed or degraded jobs
-    // sequentially, in job order, on this thread. Each rerun consumes the
-    // slot's next checkout ticket, so the pooled solver's query stream —
-    // and therefore the merged report — stays a pure function of the job
-    // list and the retry schedule, independent of worker count.
-    let mut retried_jobs = 0u64;
-    if robust.retries > 0 {
-        let mut next_ticket: Vec<usize> = cached_groups
-            .iter()
-            .map(|g| if g.is_some() { 0 } else { ops.len() })
-            .collect();
-        for (ix, &(oi, si)) in jobs.iter().enumerate() {
-            for attempt in 1..=robust.retries {
-                let needs_retry = match &results[ix] {
-                    Ok(s) => s.stats.degraded() > 0,
-                    Err(_) => true,
-                };
-                if !needs_retry {
-                    break;
-                }
-                // A tripped run-wide deadline can't be outrun by retrying.
-                if robust.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                    break;
-                }
-                retried_jobs += 1;
-                let ticket = next_ticket[si];
-                next_ticket[si] += 1;
-                results[ix] = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_slot(ix, oi, si, ticket, attempt)
-                }))
-                .map_err(|payload| mc::JobFailure {
-                    job_id: ix,
-                    payload_msg: payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into()),
-                    backtrace_hint: format!("panicked again on retry attempt {attempt}"),
-                });
+    let (results, retried_jobs) =
+        mc::run_chains(&chain_of, threads, retries, |ix, attempt, ctx| {
+            let (oi, si) = jobs[ix];
+            if let Some(group) = &cached_groups[si] {
+                return group[oi].clone();
             }
-        }
-    }
+            let fault = robust.faults.fault_for_attempt("mupath", ix, attempt);
+            let ctx = ctx.get_or_insert_with(|| {
+                // Slice to the slot-wide query cone. Sound here even though
+                // the shape loop consumes witness data: every consumed signal
+                // (covers, assumes, signature bits, `visit_now` monitors) is
+                // a slice target, so the projection onto them is exact — and
+                // the sliced CNF is a pure function of the cone, which is
+                // what makes cone-keyed journal replays witness-identical to
+                // fresh solves after an out-of-cone edit (`DESIGN.md` §14).
+                let elab = Arc::new(mc::Elab::new(&harnesses[si].netlist));
+                let coi = Arc::new(mc::CoiSlice::compute(
+                    &harnesses[si].netlist,
+                    &slot_targets[si],
+                ));
+                let mut c = mc::Checker::with_coi(
+                    &harnesses[si].netlist,
+                    mc::McConfig {
+                        bound: 0,
+                        ..cfg.mc_config()
+                    },
+                    &free_regs,
+                    elab,
+                    Some(coi),
+                );
+                if let Some(p) = &opts.budget_pool {
+                    c.set_budget_pool(Arc::clone(p));
+                }
+                if let Some(token) = &robust.cancel {
+                    c.set_cancel_token(Arc::clone(token));
+                }
+                c
+            });
+            ctx.begin_batch();
+            ctx.ensure_bound(cfg.bound);
+            // An injected panic discards the checker; the slot's next opcode
+            // deterministically rebuilds it.
+            if fault == Some(FaultKind::Panic) {
+                panic!("injected fault: panic in mupath job {ix}");
+            }
+            match fault {
+                Some(FaultKind::ForceUnknown) => ctx.set_fault(UndeterminedReason::FaultInjected),
+                Some(FaultKind::DeadlineExpired) => ctx.set_fault(UndeterminedReason::Deadline),
+                _ => {}
+            }
+            let r = synth::enumerate_slot(&harnesses[si], ops[oi], ctx, cfg);
+            // Only clean verdicts are journaled: degraded jobs must rerun on
+            // resume so an interrupted faulty run can still converge to the
+            // uninterrupted result.
+            if fault.is_none() && r.stats.degraded() == 0 {
+                if let (Some(j), Some(k)) =
+                    (robust.journal.as_deref(), keys_json[si][oi].as_deref())
+                {
+                    j.put(k, &r.encode());
+                }
+            }
+            r
+        });
     let mut degraded_jobs = 0u64;
     let mut results = results.into_iter();
     let mut instrs = Vec::new();

@@ -337,13 +337,13 @@ impl SlotSynthesis {
 }
 
 /// Enumerates the µPATH shapes of `opcode` through an already-built
-/// (usually pooled) checker over a multi-opcode harness. The opcode is
+/// (usually shared) checker over a multi-opcode harness. The opcode is
 /// selected purely by assumption — `harness.op_assume(opcode)` joins the
 /// opcode-independent assumes — and the per-shape blocking clauses are
 /// *scoped* under that same assume, so one persistent solver context can
 /// serve every opcode of a fetch slot without the blocks of one opcode
 /// leaking into another's enumeration. The returned stats are the
-/// checker's current batch account (zeroed at checkout).
+/// checker's current batch account (zeroed by `begin_batch`).
 pub(crate) fn enumerate_slot(
     harness: &IuvHarness,
     opcode: Opcode,
@@ -454,10 +454,10 @@ pub(crate) fn assemble_instr(
 }
 
 /// §V-B2–§V-B4: enumerate all µPATH shapes for one instruction. A
-/// convenience wrapper over the whole-ISA driver (and hence the pooled
+/// convenience wrapper over the whole-ISA driver (and hence its
 /// incremental backend) for a single-opcode fleet.
 pub fn synthesize_instr(design: &Design, opcode: Opcode, cfg: &SynthConfig) -> InstrSynthesis {
-    crate::synthesize_isa(design, &[opcode], cfg)
+    crate::synthesize_isa_with(design, &[opcode], cfg, &crate::EngineOptions::sequential())
         .instrs
         .into_iter()
         .next()

@@ -37,7 +37,8 @@ use uarch::Design;
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads; `0` selects [`mc::default_threads`].
+    /// Worker threads; `0` selects [`mc::default_threads`]. Each job runs
+    /// on `default_threads ÷ workers` engine threads (at least one).
     pub workers: usize,
     /// Bounded-queue capacity; submissions past it are shed.
     pub queue_cap: usize,
@@ -105,6 +106,8 @@ struct Counters {
 
 struct Inner {
     cfg: ServeConfig,
+    /// Engine threads each job runs on ([`job_threads`]).
+    job_threads: usize,
     store: Option<Arc<VerdictStore>>,
     budgets: ClientBudgets,
     state: Mutex<QueueState>,
@@ -132,6 +135,7 @@ impl Server {
         };
         let inner = Arc::new(Inner {
             budgets: ClientBudgets::new(cfg.client_budget),
+            job_threads: job_threads(mc::default_threads(), workers),
             cfg,
             store,
             state: Mutex::new(QueueState::default()),
@@ -278,6 +282,13 @@ impl Server {
     pub fn retried(&self) -> u64 {
         self.inner.counters.retried.load(Ordering::Relaxed)
     }
+}
+
+/// Engine threads per job: the cores divided among the workers, at least
+/// one. A default daemon (one worker per core) runs each job on one
+/// thread; a single-worker daemon gives its one job every core.
+fn job_threads(cores: usize, workers: usize) -> usize {
+    (cores / workers).max(1)
 }
 
 fn worker_loop(inner: &Inner) {
@@ -576,7 +587,7 @@ fn execute(
                 max_shapes: 64,
             };
             let opts = EngineOptions {
-                threads: 1,
+                threads: inner.job_threads,
                 budget_pool: Some(budget_pool),
                 robust,
             };
@@ -635,7 +646,7 @@ fn execute(
                 ],
                 bound: prep.bound,
                 conflict_budget: Some(prep.budget),
-                threads: 1,
+                threads: inner.job_threads,
                 slot_base: 0,
                 max_sources: Some(3),
                 coi: true,
@@ -723,6 +734,14 @@ fn default_context(design: &Design) -> ContextMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn jobs_split_the_cores_among_the_workers() {
+        assert_eq!(job_threads(2, 1), 2, "one worker gets every core");
+        assert_eq!(job_threads(2, 2), 1, "one worker per core: one thread each");
+        assert_eq!(job_threads(8, 3), 2);
+        assert_eq!(job_threads(2, 4), 1, "never below one thread");
+    }
 
     #[test]
     fn fuzz_store_key_covers_every_verdict_relevant_knob() {

@@ -25,6 +25,11 @@ use std::time::Duration;
 
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
+/// The longest protocol line either side reads: 1 MiB, about 30× the
+/// largest shipped `.nl` design sent inline. A longer line is answered
+/// with an `error` event and skipped without being buffered.
+pub const MAX_LINE: usize = 1 << 20;
+
 #[cfg(unix)]
 fn install_signal_handlers() {
     extern "C" fn on_signal(_sig: i32) {
@@ -72,6 +77,9 @@ pub fn serve_tcp(
         conns.retain(|(_, h)| !h.is_finished());
         match listener.accept() {
             Ok((sock, _)) => {
+                // Each event goes out as soon as it is written, rather
+                // than waiting on the client's ACK of the previous one.
+                let _ = sock.set_nodelay(true);
                 let server = Arc::clone(&server);
                 let stop = Arc::clone(&stop);
                 let read_half = sock.try_clone();
@@ -129,7 +137,7 @@ fn handle_conn(server: &Server, stop: &AtomicBool, sock: TcpStream) {
             }
         })
         .expect("spawn connection forwarder");
-    while let Ok(Some(line)) = jsonl::read_line(&mut reader) {
+    while let Ok(Some(line)) = jsonl::read_line(&mut reader, MAX_LINE) {
         let parsed = line.map_err(|e| format!("malformed request line: {e:?}"));
         let (id, req) = match &parsed {
             Ok(j) => (
@@ -186,7 +194,7 @@ pub fn run_client(addr: &str, requests: &[Request]) -> std::io::Result<u8> {
     }
     let mut exit = 0u8;
     while expected > 0 {
-        match jsonl::read_line(&mut reader)? {
+        match jsonl::read_line(&mut reader, MAX_LINE)? {
             None => {
                 eprintln!("error: daemon closed the connection early");
                 return Ok(1);

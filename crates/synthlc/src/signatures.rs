@@ -335,10 +335,10 @@ impl StaticPrune {
 /// Runs the IFT queries of one (transponder, slot arrangement, transmitter
 /// typing) job. The harness is shared immutably across every job of its
 /// slot arrangement; the checker — unrolling + SAT solver over the
-/// pairing's merged decision-cover netlist — is checked out of the run's
-/// [`mc::SolverPool`] by the caller and shared (sequenced by ticket) across
-/// *every* unit of the pairing, so learnt clauses carry between
-/// transponders and typings. All per-unit state lives in the assumptions.
+/// pairing's merged decision-cover netlist — is the pairing's context
+/// chain's ([`mc::run_chains`]), shared in job order across *every* unit
+/// of the pairing, so learnt clauses carry between transponders and
+/// typings. All per-unit state lives in the assumptions.
 #[allow(clippy::too_many_arguments)]
 fn ift_kind_job(
     p: Opcode,
@@ -503,23 +503,22 @@ pub fn synthesize_leakage(
     );
 
     // Phase 2b: one merged decision-cover netlist per arrangement, holding
-    // *every* transponder's covers side by side, elaborated once. All of a
-    // pairing's units — every (transponder, typing) — then share one
-    // pooled solver context over it.
+    // *every* transponder's covers side by side. All of a pairing's units
+    // — every (transponder, typing) — share one solver context over it.
     struct CoverNet {
         netlist: netlist::Netlist,
         /// Cover signals per work index (same order as `work`).
         covers: Vec<Vec<netlist::SignalId>>,
-        elab: Arc<Elab>,
-        coi: Option<Arc<mc::CoiSlice>>,
+        /// Every signal a query can reference: all transponders' covers
+        /// plus the harness's full assume universe (harness signal ids are
+        /// preserved by the cover-netlist extension). The COI slice keeps
+        /// exactly these.
+        targets: Vec<netlist::SignalId>,
         /// Canonical cone fingerprint per work index: the cone of that
         /// transponder's covers plus the assume universe, with the free
         /// registers. Keys the per-unit journal records, so a design edit
         /// only invalidates the transponders whose cones it touches.
         unit_fps: Vec<mc::ConeFingerprint>,
-        /// The whole pairing's merged cone fingerprint (every
-        /// transponder's covers at once): keys the pooled solver.
-        pool_fp: mc::ConeFingerprint,
     }
     let free: Vec<netlist::SignalId> = design
         .annotations
@@ -533,18 +532,9 @@ pub fn synthesize_leakage(
         mc::run_jobs((0..pairings.len()).collect(), threads, |_, pi| {
             let works: Vec<&[Decision]> = work.iter().map(|w| w.decisions.as_slice()).collect();
             let (netlist, covers) = harnesses[pi].decision_covers_multi(&works);
-            let elab = Arc::new(Elab::new(&netlist));
-            // The slice must keep every signal a query can reference: all
-            // transponders' covers plus the full assume universe of the
-            // harness (harness signal ids are preserved by the cover-netlist
-            // extension).
             let assume_universe = harnesses[pi].assume_signal_universe();
-            let mut all_targets: Vec<netlist::SignalId> =
-                covers.iter().flatten().copied().collect();
-            all_targets.extend(assume_universe.iter().copied());
-            let coi = cfg
-                .coi
-                .then(|| Arc::new(mc::CoiSlice::compute(&netlist, &all_targets)));
+            let mut targets: Vec<netlist::SignalId> = covers.iter().flatten().copied().collect();
+            targets.extend(assume_universe.iter().copied());
             let unit_fps: Vec<mc::ConeFingerprint> = covers
                 .iter()
                 .map(|cs| {
@@ -553,20 +543,17 @@ pub fn synthesize_leakage(
                     mc::ConeFingerprint::compute(&netlist, &targets, free)
                 })
                 .collect();
-            let pool_fp = mc::ConeFingerprint::compute(&netlist, &all_targets, free);
             CoverNet {
                 netlist,
                 covers,
-                elab,
-                coi,
+                targets,
                 unit_fps,
-                pool_fp,
             }
         })
     };
 
     // Phase 2c: the query jobs — one per (transponder, arrangement,
-    // typing), all of an arrangement sharing its pooled checker.
+    // typing), all of an arrangement sharing its checker.
     let units: Vec<(usize, usize, TxKind)> = (0..work.len())
         .flat_map(|wi| {
             pairings
@@ -575,31 +562,18 @@ pub fn synthesize_leakage(
                 .flat_map(move |(pi, (_, kinds))| kinds.iter().map(move |&k| (wi, pi, k)))
         })
         .collect();
-    let prune = cfg.static_prune.then(|| StaticPrune::build(design));
-    let fp = mupath::design_fingerprint(design);
-    // One pool key per arrangement — mixed with the arrangement's merged
-    // cone fingerprint, so the pooled unrolling is keyed by the logic it
-    // actually encodes. The unit's checkout ticket is its rank among the
-    // arrangement's *running* (non-replayed) units in job order, so the
-    // pooled solver sees an identical query stream for every worker count.
-    let keys: Vec<mc::PoolKey> = pairings
-        .iter()
-        .enumerate()
-        .map(|(pi, &((sp, st), _))| {
-            mc::PoolKey::reset(
-                fnv(format!("{fp:016x}:{sp}:{st}").as_bytes()) ^ cover_nets[pi].pool_fp.0,
-            )
-        })
-        .collect();
+    // Built on the first miss that needs it: a fully replayed run never
+    // computes it.
+    let prune = std::sync::OnceLock::new();
     // Resolve journal hits on the coordinating thread (counting them).
     // Replay is *per unit*: each unit's record is keyed by its own cone
     // fingerprint, so after a local design edit only the units whose
-    // cones the edit touched re-solve. The misses of a pairing take
-    // dense checkout tickets in job order — the shared solver's query
-    // stream is a pure function of the miss set, independent of worker
-    // count. (Verdicts are per-unit pure; only solver-history counters
-    // can differ between a partially replayed run and a cold one, and
-    // those never enter the verdict report.)
+    // cones the edit touched re-solve. The misses of a pairing form its
+    // context chain, run in job order — the shared solver's query stream
+    // is a pure function of the miss set, independent of worker count.
+    // (Verdicts are per-unit pure; only solver-history counters can differ
+    // between a partially replayed run and a cold one, and those never
+    // enter the verdict report.)
     let unit_keys: Vec<Option<String>> = units
         .iter()
         .map(|&(wi, pi, kind)| {
@@ -634,39 +608,24 @@ pub fn synthesize_leakage(
             Some(rec)
         })
         .collect();
-    let tickets: Vec<usize> = {
-        let mut next = vec![0usize; pairings.len()];
-        units
-            .iter()
-            .enumerate()
-            .map(|(ui, &(_, pi, _))| {
-                if cached[ui].is_some() {
-                    usize::MAX // replayed: never checks out
-                } else {
-                    let t = next[pi];
-                    next[pi] += 1;
-                    t
-                }
-            })
-            .collect()
+    let chain_of: Vec<Option<usize>> = units
+        .iter()
+        .zip(&cached)
+        .map(|(&(_, pi, _), rec)| rec.is_none().then_some(pi))
+        .collect();
+    let retries = mc::Retries {
+        max: cfg.robust.retries,
+        cancel: cfg.robust.cancel.as_deref(),
+        degraded: |r: &IftUnitRecord| r.1.degraded() > 0,
     };
-    let miss_count: Vec<usize> = {
-        let mut n = vec![0usize; pairings.len()];
-        for (ui, &(_, pi, _)) in units.iter().enumerate() {
-            if cached[ui].is_none() {
-                n[pi] += 1;
-            }
+    let (supervised, retried) = mc::run_chains(&chain_of, threads, retries, |ix, attempt, ctx| {
+        if let Some(rec) = &cached[ix] {
+            return rec.clone();
         }
-        n
-    };
-    let pool = mc::SolverPool::new();
-    // The per-unit body, shared by the parallel batch (ticket =
-    // `tickets[ix]`, attempt 0) and by sequential coordinator-thread
-    // retries (continuation tickets, attempt ≥ 1).
-    let run_unit = |ix: usize, wi: usize, pi: usize, kind: TxKind, ticket: usize, attempt: u32| {
+        let (wi, pi, kind) = units[ix];
         let fault = cfg.robust.faults.fault_for_attempt("ift", ix, attempt);
         let cn = &cover_nets[pi];
-        let mut ctx = pool.checkout(keys[pi], ticket, cfg.bound, || {
+        let ctx = ctx.get_or_insert_with(|| {
             let mut c = Checker::with_coi(
                 &cn.netlist,
                 McConfig {
@@ -674,8 +633,9 @@ pub fn synthesize_leakage(
                     ..cfg.mc_config()
                 },
                 &free,
-                Arc::clone(&cn.elab),
-                cn.coi.clone(),
+                Arc::new(Elab::new(&cn.netlist)),
+                cfg.coi
+                    .then(|| Arc::new(mc::CoiSlice::compute(&cn.netlist, &cn.targets))),
             );
             if let Some(p) = &cfg.budget_pool {
                 c.set_budget_pool(Arc::clone(p));
@@ -685,9 +645,10 @@ pub fn synthesize_leakage(
             }
             c
         });
-        // Injected panics fire after checkout so the guard's drop releases
-        // the next ticket (discarding the checker; the pairing's next unit
-        // deterministically rebuilds it).
+        ctx.begin_batch();
+        ctx.ensure_bound(cfg.bound);
+        // An injected panic discards the checker; the pairing's next unit
+        // deterministically rebuilds it.
         if fault == Some(FaultKind::Panic) {
             panic!("injected fault: panic in ift job {ix}");
         }
@@ -697,17 +658,19 @@ pub fn synthesize_leakage(
             _ => {}
         }
         let w = &work[wi];
+        let prune = cfg
+            .static_prune
+            .then(|| prune.get_or_init(|| StaticPrune::build(design)));
         let r = ift_kind_job(
             w.p,
             &w.decisions,
             kind,
             &harnesses[pi],
             &cn.covers[wi],
-            &mut ctx,
-            prune.as_ref(),
+            ctx,
+            prune,
             cfg,
         );
-        drop(ctx);
         // Only clean verdicts are journaled (degraded jobs rerun on
         // resume), so a resumed run converges to the uninterrupted result.
         if fault.is_none() && r.1.degraded() == 0 {
@@ -716,51 +679,8 @@ pub fn synthesize_leakage(
             }
         }
         r
-    };
-    let mut supervised = mc::run_jobs_supervised(units.clone(), threads, |ix, (wi, pi, kind)| {
-        if let Some(rec) = &cached[ix] {
-            return rec.clone();
-        }
-        run_unit(ix, wi, pi, kind, tickets[ix], 0)
     });
-    // Transient-failure recovery, mirroring the µPATH phase: rerun failed
-    // or degraded units sequentially in job order, each consuming its
-    // pairing's next checkout ticket, so the merged report stays
-    // worker-count independent.
-    if cfg.robust.retries > 0 {
-        // Continuation tickets start after the pairing's running units
-        // (replayed units never consumed a ticket).
-        let mut next_ticket: Vec<usize> = miss_count.clone();
-        for (ix, &(wi, pi, kind)) in units.iter().enumerate() {
-            for attempt in 1..=cfg.robust.retries {
-                let needs_retry = match &supervised[ix] {
-                    Ok((_, st)) => st.degraded() > 0,
-                    Err(_) => true,
-                };
-                if !needs_retry {
-                    break;
-                }
-                if cfg.robust.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                    break;
-                }
-                retried_jobs += 1;
-                let ticket = next_ticket[pi];
-                next_ticket[pi] += 1;
-                supervised[ix] = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_unit(ix, wi, pi, kind, ticket, attempt)
-                }))
-                .map_err(|payload| mc::JobFailure {
-                    job_id: ix,
-                    payload_msg: payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into()),
-                    backtrace_hint: format!("panicked again on retry attempt {attempt}"),
-                });
-            }
-        }
-    }
+    retried_jobs += retried;
     let results: Vec<(Vec<Tag>, CheckStats)> = supervised
         .into_iter()
         .map(|r| match r {

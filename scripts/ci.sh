@@ -24,6 +24,20 @@ cargo test -q "${OFFLINE[@]}" --workspace
 echo "== lint-designs (static-analysis suite, warnings fatal) =="
 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- lint all --deny-warnings
 
+echo "== leak-golden (byte-identical report at --jobs 1 and 2) =="
+# The blessed `leak minicache lw` report: signatures, the solver-counter
+# line and the contract table, no timings. Each solver context must see
+# the same query stream at every worker count, so both runs must match
+# the golden byte for byte.
+for JOBS in 1 2; do
+  if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+    leak minicache lw --jobs "$JOBS" | diff -u tests/golden/leak_minicache_lw.txt -; then
+    echo "leak-golden: --jobs $JOBS drifted from tests/golden/leak_minicache_lw.txt" >&2
+    exit 1
+  fi
+done
+echo "leak-golden OK (--jobs 1 and 2 match the golden)"
+
 echo "== fault-smoke (inject a fault, journal, resume clean) =="
 # Seed 2 at rate 0.5 deterministically faults one of tinycore add's two
 # µPATH jobs and leaves the other clean: the run must degrade (exit 2),
@@ -131,7 +145,7 @@ for SEED in 1 20260806; do
 done
 # A dedicated deeper sweep of the incremental oracle alone: 256 designs'
 # property fleets through one persistent pooled solver vs. fresh
-# per-query solvers (pool checkout, in-place bound extension, witness
+# per-query solvers (batch restarts, in-place bound extension, witness
 # replay on every reachable leg).
 if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   fuzz --seed 11 --cases 256 --oracles incremental --deadline-secs 30 >/dev/null; then

@@ -315,6 +315,37 @@ fn minicache_leak_replays_untouched_cones_after_a_data_edit() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A replay with every cone on file builds no solver context: no netlist
+/// is elaborated, so no frame is built or extended. Contexts are built by
+/// the first cache miss of their chain (DESIGN.md §12), and one thread
+/// runs everything, so the calling thread's elaboration count sees all.
+#[test]
+fn fully_journaled_leak_replay_builds_no_context() {
+    let design = uarch::cache::build_cache();
+    let path = tmp_journal("no-context");
+    let _ = std::fs::remove_file(&path);
+    let mut cfg = minicache_lw_cfg();
+    cfg.threads = 1;
+    cfg.robust.journal = Some(Arc::new(Journal::create(&path).unwrap()) as Arc<dyn JobStore>);
+    let before = mc::elaborations_on_this_thread();
+    let cold = synthesize_leakage(&design, &[isa::Opcode::Lw], &cfg);
+    assert!(
+        mc::elaborations_on_this_thread() > before,
+        "the cold run builds its contexts"
+    );
+    cfg.robust.journal = Some(Arc::new(Journal::resume(&path).unwrap()) as Arc<dyn JobStore>);
+    let before = mc::elaborations_on_this_thread();
+    let warm = synthesize_leakage(&design, &[isa::Opcode::Lw], &cfg);
+    assert_eq!((warm.resumed_jobs, warm.cone_misses), (cold.cone_misses, 0));
+    assert_eq!(
+        mc::elaborations_on_this_thread(),
+        before,
+        "a fully journaled replay elaborates nothing"
+    );
+    assert_eq!(leak_fingerprint(&warm), leak_fingerprint(&cold));
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// Journal schema migration: records written by the pre-cone-cache
 /// format (`"v":1`, whole-design keys) must read back as cache misses —
 /// the affected cones re-solve and the run converges — never as

@@ -20,7 +20,7 @@ use jsonio::{jsonl, Json};
 use mc::{FaultPlan, ServeFault};
 use serve::{Op, Request, ServeConfig, Server, Submit, VerdictStore};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -462,6 +462,73 @@ fn killed_daemon_resumes_byte_identically_from_its_journal() {
     let mut child = d2.child;
     let status = child.wait().expect("daemon exits after shutdown");
     assert!(status.success(), "graceful drain exits 0, got {status:?}");
+    std::fs::remove_file(journal).ok();
+}
+
+/// Reads event lines, past `accepted` and `progress`, until the next
+/// terminal one and returns it.
+fn next_terminal(reader: &mut impl BufRead) -> Json {
+    loop {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).expect("daemon stays up") > 0,
+            "daemon closed the connection"
+        );
+        let ev = Json::parse(line.trim_end()).expect("well-formed event line");
+        if !matches!(
+            ev.field("ev").and_then(Json::as_str),
+            Some("accepted" | "progress")
+        ) {
+            return ev;
+        }
+    }
+}
+
+#[test]
+fn hostile_lines_get_error_events_and_the_connection_survives() {
+    let journal = tmp_path("hostile-lines");
+    std::fs::remove_file(&journal).ok();
+    let d = spawn_daemon("--journal", &journal);
+    let sock = TcpStream::connect(&d.addr).expect("connect to daemon");
+    sock.set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut w = sock.try_clone().unwrap();
+    let mut r = BufReader::new(sock);
+    let source = "module m { input clk: 1; }";
+    // Nesting deep enough to overflow a recursive parser's stack, which
+    // would abort the whole daemon: it must be a plain parse error.
+    let deep = "[".repeat(200_000) + "\n";
+    // A well-formed request whose line exceeds the cap.
+    let long = check_req(
+        "long",
+        &format!("{source}{}", " ".repeat(serve::net::MAX_LINE)),
+    );
+    for (hostile, what) in [
+        (deep, "nested too deep"),
+        (long.encode().render_compact() + "\n", "length cap"),
+    ] {
+        w.write_all(hostile.as_bytes()).unwrap();
+        let ev = next_terminal(&mut r);
+        assert_eq!(
+            ev.field("ev").and_then(Json::as_str),
+            Some("error"),
+            "{ev:?}"
+        );
+        let msg = ev.field("msg").and_then(Json::as_str).unwrap_or("");
+        assert!(msg.contains(what), "error names the cap: {msg}");
+        // The same connection still serves the next request.
+        jsonl::write_line(&mut w, &check_req("next", source).encode()).unwrap();
+        let done = next_terminal(&mut r);
+        assert_eq!(
+            done.field("ev").and_then(Json::as_str),
+            Some("done"),
+            "{done:?}"
+        );
+    }
+    let bye = client_roundtrip(&d.addr, &[Request::new(Op::Shutdown)]);
+    assert!(bye.values().next().unwrap().contains("bye"));
+    let mut child = d.child;
+    assert!(child.wait().expect("daemon exits").success());
     std::fs::remove_file(journal).ok();
 }
 

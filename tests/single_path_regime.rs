@@ -3,7 +3,7 @@
 //! transponders — the predecessor tool's single-execution-path assumption
 //! holds, and RTL2MµPATH degenerates to it gracefully.
 
-use mupath::{synthesize_isa, ContextMode, SynthConfig};
+use mupath::{synthesize_isa_with, ContextMode, EngineOptions, SynthConfig};
 use uarch::build_tiny;
 
 #[test]
@@ -16,7 +16,12 @@ fn tinycore_has_one_mupath_per_instruction() {
         conflict_budget: Some(1_000_000),
         max_shapes: 16,
     };
-    let result = synthesize_isa(&design, &design.isa.clone(), &cfg);
+    let result = synthesize_isa_with(
+        &design,
+        &design.isa.clone(),
+        &cfg,
+        &EngineOptions::sequential(),
+    );
     for instr in &result.instrs {
         assert!(instr.complete, "{}: synthesis incomplete", instr.opcode);
         assert_eq!(
