@@ -705,11 +705,14 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         try_induction: false,
         ..Default::default()
     };
+    // Every checker shares one elaboration of the design.
+    let elab = Arc::new(mc::Elab::new(&d.netlist));
+    let checker = |bound| Checker::with_elab(&d.netlist, cfg(bound), &[], Arc::clone(&elab));
     // Reference leg: a fresh solver per query at the full bound.
     let fresh: Vec<String> = fleet
         .iter()
         .map(|&c| {
-            let mut chk = Checker::new(&d.netlist, cfg(opts.bound));
+            let mut chk = checker(opts.bound);
             incremental_verdict(d, c, &chk.check_cover(c, &[]))
         })
         .collect();
@@ -717,7 +720,7 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
     // shallow bound, then again at the full bound after an in-place
     // extension, one accounting batch per query.
     let shallow = (opts.bound / 2).max(1);
-    let mut ctx = Checker::new(&d.netlist, cfg(0));
+    let mut ctx = checker(0);
     for &c in &fleet {
         ctx.begin_batch();
         ctx.ensure_bound(shallow);
@@ -784,11 +787,12 @@ fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         ..Default::default()
     };
     // Cold run: populate the cache, one record per canonical cone.
+    let elab = Arc::new(mc::Elab::new(&d.netlist));
     let cold: Vec<(u64, Outcome)> = fleet
         .iter()
         .map(|&c| {
             let fp = netlist::cone::fingerprint(&d.netlist, &[c], &[]);
-            let mut chk = Checker::new(&d.netlist, cfg);
+            let mut chk = Checker::with_elab(&d.netlist, cfg, &[], Arc::clone(&elab));
             (fp, chk.check_cover(c, &[]))
         })
         .collect();
@@ -807,6 +811,7 @@ fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
     let Some(edited) = random_inplace_edit(&d.netlist, &mut rng) else {
         return CaseResult::Skipped("no-edit-site");
     };
+    let edited_elab = Arc::new(mc::Elab::new(&edited));
     let stale = opts.seeded_bug == Some(SeededBug::ConeStaleReplay);
     let mut hits = 0u64;
     let mut misses = 0u64;
@@ -834,11 +839,11 @@ fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
             }
             None => {
                 misses += 1;
-                let mut chk = Checker::new(&edited, cfg);
+                let mut chk = Checker::with_elab(&edited, cfg, &[], Arc::clone(&edited_elab));
                 incremental_verdict_on(&edited, c, &chk.check_cover(c, &[]))
             }
         };
-        let mut fresh_chk = Checker::new(&edited, cfg);
+        let mut fresh_chk = Checker::with_elab(&edited, cfg, &[], Arc::clone(&edited_elab));
         let fresh = incremental_verdict_on(&edited, c, &fresh_chk.check_cover(c, &[]));
         if warm != fresh {
             return CaseResult::Mismatch {

@@ -127,8 +127,10 @@ impl GateBuilder {
             _ if a == b => self.constant(false),
             _ if a == !b => self.constant(true),
             _ => {
-                // Normalise polarity: xor(a,b) = !xor(!a,b) etc.; cache on
-                // positive forms.
+                // Cached on the operands as given, with no polarity
+                // normalisation: xor(!a, b) misses xor(a, b)'s entry and
+                // mints a fresh gate. Normalising would change the clause
+                // stream that tests/golden/clause_streams.txt pins.
                 let key = (OP_XOR, a.min(b), a.max(b));
                 if let Some(&o) = self.cache.get(&key) {
                     return o;
@@ -187,22 +189,6 @@ impl GateBuilder {
         (0..width)
             .map(|i| self.constant((value >> i) & 1 == 1))
             .collect()
-    }
-
-    /// A fresh (unconstrained) word.
-    pub fn word_fresh(&mut self, width: u8) -> Vec<Lit> {
-        (0..width).map(|_| self.fresh()).collect()
-    }
-
-    /// Bitwise map of a binary gate over two equal-width words.
-    pub fn word_bitwise(
-        &mut self,
-        a: &[Lit],
-        b: &[Lit],
-        f: fn(&mut Self, Lit, Lit) -> Lit,
-    ) -> Vec<Lit> {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(&x, &y)| f(self, x, y)).collect()
     }
 
     /// Ripple-carry adder (truncating). Returns the sum word.
@@ -352,15 +338,6 @@ impl GateBuilder {
             cur = cur.into_iter().map(|l| self.mux(over, zero, l)).collect();
         }
         cur
-    }
-
-    /// Word-level mux.
-    pub fn word_mux(&mut self, sel: Lit, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| self.mux(sel, x, y))
-            .collect()
     }
 }
 

@@ -65,8 +65,9 @@ impl CoiSlice {
     /// Computes the transitive fan-in slice of `targets`.
     ///
     /// Every signal a cover or assume of a query references must be listed
-    /// in `targets`; reading an unlisted signal's literals from a sliced
-    /// unrolling panics (empty literal vector).
+    /// in `targets`: a sliced unrolling holds no literals for a signal
+    /// outside the cone, so `Unrolling::lits` returns an empty slice for it
+    /// and `Unrolling::lit` panics naming it.
     pub fn compute(nl: &Netlist, targets: &[SignalId]) -> Self {
         let mut keep = vec![false; nl.len()];
         let mut stack: Vec<SignalId> = targets.to_vec();

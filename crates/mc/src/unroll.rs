@@ -27,8 +27,13 @@ pub struct Unrolling<'a> {
     /// Optional cone-of-influence slice: out-of-cone nodes get no literals.
     coi: Option<Arc<CoiSlice>>,
     gate: GateBuilder,
-    /// `frames[t][sig.index()]` = LSB-first literals of the signal at cycle t.
-    frames: Vec<Vec<Vec<sat::Lit>>>,
+    /// Per-signal bit offsets into every frame, fixed when frame 0 is
+    /// built: signal `i` occupies `offsets[i]..offsets[i + 1]`, an empty
+    /// range when the slice drops it.
+    offsets: Vec<u32>,
+    /// `frames[t]` = every kept signal's LSB-first literals at cycle `t`,
+    /// laid out flat at `offsets`.
+    frames: Vec<Vec<sat::Lit>>,
 }
 
 impl<'a> Unrolling<'a> {
@@ -59,15 +64,18 @@ impl<'a> Unrolling<'a> {
             free_regs: HashSet::new(),
             coi: None,
             gate: GateBuilder::new(),
+            offsets: Vec::new(),
             frames: Vec::new(),
         }
     }
 
     /// Restricts the unrolling to a cone-of-influence slice: nodes outside
-    /// the slice are skipped entirely (no literals, no clauses). Reading an
-    /// out-of-cone signal's literals afterwards panics, so the slice must
-    /// cover every cover/assume signal the caller will reference. Must be
-    /// called before any frame is built.
+    /// the slice are skipped entirely (no literals, no clauses). An
+    /// out-of-cone signal's [`Unrolling::lits`] are empty, so
+    /// [`Unrolling::model_value`] reads it as 0, and [`Unrolling::lit`]
+    /// panics naming it; the slice must cover every cover/assume signal
+    /// the caller will reference. Must be called before any frame is
+    /// built.
     ///
     /// # Panics
     /// Panics if frames have already been built or the slice belongs to a
@@ -117,20 +125,33 @@ impl<'a> Unrolling<'a> {
         &mut self.gate
     }
 
-    /// The literals of `sig` at `frame` (LSB first).
+    /// The literals of `sig` at `frame` (LSB first); empty when a
+    /// cone-of-influence slice drops `sig`.
     ///
     /// # Panics
     /// Panics if the frame has not been built.
     pub fn lits(&self, frame: usize, sig: SignalId) -> &[sat::Lit] {
-        &self.frames[frame][sig.index()]
+        let i = sig.index();
+        &self.frames[frame][self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// The single literal of a 1-bit signal at `frame`.
     ///
     /// # Panics
-    /// Panics if the signal is wider than one bit.
+    /// Panics if the signal is wider than one bit, or if the
+    /// cone-of-influence slice drops it.
     pub fn lit(&self, frame: usize, sig: SignalId) -> sat::Lit {
         let ls = self.lits(frame, sig);
+        if ls.is_empty() {
+            let coi = self.coi.as_ref().expect("only a slice drops signals");
+            panic!(
+                "signal `{}` is outside the cone-of-influence slice {} ({} of {} nodes kept)",
+                self.nl.display_name(sig),
+                coi.fingerprint,
+                coi.kept_nodes,
+                coi.total_nodes
+            );
+        }
         assert_eq!(ls.len(), 1, "signal is not 1 bit");
         ls[0]
     }
@@ -142,87 +163,128 @@ impl<'a> Unrolling<'a> {
         }
     }
 
+    /// Bit-blasts one more frame. Operands are read in place and results
+    /// written straight into the frame; the gate calls (and so variables
+    /// and clauses) come in topological order, operand bits LSB first.
     fn build_frame(&mut self) {
         let t = self.frames.len();
-        let n = self.nl.len();
-        let mut cur: Vec<Vec<sat::Lit>> = vec![Vec::new(); n];
-        let elab = Arc::clone(&self.elab);
+        if t == 0 {
+            let mut end = 0u32;
+            self.offsets = std::iter::once(0)
+                .chain(self.nl.iter().map(|(id, node)| {
+                    if self.coi.as_ref().is_none_or(|c| c.keeps(id)) {
+                        end += node.width as u32;
+                    }
+                    end
+                }))
+                .collect();
+        }
+        let Self {
+            nl,
+            elab,
+            init,
+            free_regs,
+            gate,
+            offsets,
+            frames,
+            ..
+        } = self;
+        let at = |s: SignalId| offsets[s.index()] as usize;
+        let span = |s: SignalId| at(s)..offsets[s.index() + 1] as usize;
+        let mut cur = vec![gate.false_lit(); *offsets.last().expect("offsets built") as usize];
         for &id in elab.order() {
-            if self.coi.as_ref().is_some_and(|c| !c.keeps(id)) {
-                continue;
+            let out = span(id);
+            if out.is_empty() {
+                continue; // outside the cone-of-influence slice
             }
-            let node = self.nl.node(id);
-            let w = node.width;
-            let bits = match &node.op {
-                Op::Input => self.gate.word_fresh(w),
-                Op::Const(v) => self.gate.word_const(*v, w),
-                Op::Reg { next, init } => {
-                    if t == 0 {
-                        match self.init {
-                            InitMode::Reset if !self.free_regs.contains(&id) => {
-                                self.gate.word_const(*init, w)
-                            }
-                            _ => self.gate.word_fresh(w),
-                        }
+            let node = nl.node(id);
+            debug_assert_eq!(out.len(), node.width as usize);
+            let (o, w) = (out.start, out.len());
+            match &node.op {
+                Op::Input => cur[out].fill_with(|| gate.fresh()),
+                Op::Const(v) => fill_const(gate, &mut cur[out], *v),
+                Op::Reg { next, init: reset } => {
+                    if t > 0 {
+                        let nx = span(next.expect("validated netlist"));
+                        cur[out].copy_from_slice(&frames[t - 1][nx]);
+                    } else if *init == InitMode::Reset && !free_regs.contains(&id) {
+                        fill_const(gate, &mut cur[out], *reset);
                     } else {
-                        let nx = next.expect("validated netlist");
-                        self.frames[t - 1][nx.index()].clone()
+                        cur[out].fill_with(|| gate.fresh());
                     }
                 }
                 Op::Unary(op, a) => {
-                    let a = cur[a.index()].clone();
+                    let a = span(*a);
                     match op {
-                        UnOp::Not => a.iter().map(|&l| !l).collect(),
-                        UnOp::Neg => self.gate.word_neg(&a),
-                        UnOp::RedOr => vec![self.gate.or_many(&a)],
-                        UnOp::RedAnd => vec![self.gate.and_many(&a)],
-                        UnOp::RedXor => {
-                            let mut acc = self.gate.constant(false);
-                            for &l in &a {
-                                acc = self.gate.xor(acc, l);
+                        UnOp::Not => {
+                            for k in 0..w {
+                                cur[o + k] = !cur[a.start + k];
                             }
-                            vec![acc]
+                        }
+                        UnOp::Neg => {
+                            let bits = gate.word_neg(&cur[a]);
+                            cur[out].copy_from_slice(&bits);
+                        }
+                        UnOp::RedOr => cur[o] = gate.or_many(&cur[a]),
+                        UnOp::RedAnd => cur[o] = gate.and_many(&cur[a]),
+                        UnOp::RedXor => {
+                            let mut acc = gate.constant(false);
+                            for k in a {
+                                acc = gate.xor(acc, cur[k]);
+                            }
+                            cur[o] = acc;
                         }
                     }
                 }
                 Op::Binary(op, a, b) => {
-                    let a = cur[a.index()].clone();
-                    let b = cur[b.index()].clone();
+                    let (a, b) = (span(*a), span(*b));
                     match op {
-                        BinOp::And => self.gate.word_bitwise(&a, &b, GateBuilder::and),
-                        BinOp::Or => self.gate.word_bitwise(&a, &b, GateBuilder::or),
-                        BinOp::Xor => self.gate.word_bitwise(&a, &b, GateBuilder::xor),
-                        BinOp::Add => self.gate.word_add(&a, &b),
-                        BinOp::Sub => self.gate.word_sub(&a, &b),
-                        BinOp::Mul => self.gate.word_mul(&a, &b),
-                        BinOp::Eq => vec![self.gate.word_eq(&a, &b)],
-                        BinOp::Ne => {
-                            let e = self.gate.word_eq(&a, &b);
-                            vec![!e]
+                        BinOp::And | BinOp::Or | BinOp::Xor => {
+                            for k in 0..w {
+                                let (x, y) = (cur[a.start + k], cur[b.start + k]);
+                                cur[o + k] = match op {
+                                    BinOp::And => gate.and(x, y),
+                                    BinOp::Or => gate.or(x, y),
+                                    _ => gate.xor(x, y),
+                                };
+                            }
                         }
-                        BinOp::Ult => vec![self.gate.word_ult(&a, &b)],
-                        BinOp::Ule => vec![self.gate.word_ule(&a, &b)],
-                        BinOp::Shl => self.gate.word_shl(&a, &b),
-                        BinOp::Shr => self.gate.word_shr(&a, &b),
+                        BinOp::Eq => cur[o] = gate.word_eq(&cur[a], &cur[b]),
+                        BinOp::Ne => cur[o] = !gate.word_eq(&cur[a], &cur[b]),
+                        BinOp::Ult => cur[o] = gate.word_ult(&cur[a], &cur[b]),
+                        BinOp::Ule => cur[o] = gate.word_ule(&cur[a], &cur[b]),
+                        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Shl | BinOp::Shr => {
+                            let (x, y) = (&cur[a], &cur[b]);
+                            let bits = match op {
+                                BinOp::Add => gate.word_add(x, y),
+                                BinOp::Sub => gate.word_sub(x, y),
+                                BinOp::Mul => gate.word_mul(x, y),
+                                BinOp::Shl => gate.word_shl(x, y),
+                                _ => gate.word_shr(x, y),
+                            };
+                            cur[out].copy_from_slice(&bits);
+                        }
                     }
                 }
                 Op::Mux { sel, a, b } => {
-                    let s = cur[sel.index()][0];
-                    let a = cur[a.index()].clone();
-                    let b = cur[b.index()].clone();
-                    self.gate.word_mux(s, &a, &b)
+                    let (s, a, b) = (cur[at(*sel)], at(*a), at(*b));
+                    for k in 0..w {
+                        cur[o + k] = gate.mux(s, cur[a + k], cur[b + k]);
+                    }
                 }
-                Op::Slice { src, hi, lo } => cur[src.index()][*lo as usize..=*hi as usize].to_vec(),
+                Op::Slice { src, hi, lo } => {
+                    let src = at(*src);
+                    cur.copy_within(src + *lo as usize..=src + *hi as usize, o);
+                }
                 Op::Concat { hi, lo } => {
-                    let mut bits = cur[lo.index()].clone();
-                    bits.extend_from_slice(&cur[hi.index()]);
-                    bits
+                    let lo = span(*lo);
+                    let lw = lo.len();
+                    cur.copy_within(lo, o);
+                    cur.copy_within(span(*hi), o + lw);
                 }
-            };
-            debug_assert_eq!(bits.len(), w as usize);
-            cur[id.index()] = bits;
+            }
         }
-        self.frames.push(cur);
+        frames.push(cur);
     }
 
     /// Reads a signal's value at a frame out of the most recent SAT model.
@@ -230,12 +292,19 @@ impl<'a> Unrolling<'a> {
     pub fn model_value(&self, frame: usize, sig: SignalId) -> u64 {
         let solver = self.gate.solver_ref();
         let mut v = 0u64;
-        for (i, &l) in self.frames[frame][sig.index()].iter().enumerate() {
+        for (i, &l) in self.lits(frame, sig).iter().enumerate() {
             if solver.lit_model(l) == Some(true) {
                 v |= 1 << i;
             }
         }
         v
+    }
+}
+
+/// Writes the LSB-first literals of the constant `v` into `dst`.
+fn fill_const(gate: &GateBuilder, dst: &mut [sat::Lit], v: u64) {
+    for (k, l) in dst.iter_mut().enumerate() {
+        *l = gate.constant((v >> k) & 1 == 1);
     }
 }
 
@@ -280,6 +349,29 @@ mod tests {
         let lits0 = u.lits(0, c).to_vec();
         let eq = u.gate().word_eq(&lits0, &nine);
         assert_eq!(u.gate().solver().solve_assuming(&[eq]), SolveResult::Sat);
+    }
+
+    #[test]
+    #[should_panic(expected = "signal `b_out` is outside the cone-of-influence slice")]
+    fn lit_of_an_out_of_cone_signal_panics_naming_it() {
+        let mut b = Builder::new();
+        for name in ["a", "b"] {
+            let x = b.input(&format!("{name}_in"), 1);
+            let r = b.reg(&format!("{name}_out"), 1, 0);
+            b.set_next(r, x).unwrap();
+        }
+        let nl = b.finish().unwrap();
+        let (a, bo) = (nl.find("a_out").unwrap(), nl.find("b_out").unwrap());
+        let mut u = Unrolling::new(&nl, InitMode::Reset);
+        u.set_coi(Some(Arc::new(CoiSlice::compute(&nl, &[a]))));
+        u.extend_to(2);
+        assert!(
+            u.lits(1, bo).is_empty(),
+            "out-of-cone signals hold no literals"
+        );
+        assert_eq!(u.model_value(1, bo), 0, "and read as 0");
+        let _ = u.lit(1, a);
+        u.lit(1, bo);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::harness::{build_harness, ContextMode, HarnessConfig, IuvHarness};
 use isa::Opcode;
 use mc::{CheckStats, Checker, McConfig, Outcome, UndeterminedReason};
-use netlist::analysis::comb_connected;
+use netlist::analysis::next_state_sources;
 use netlist::{Builder, SignalId};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use uarch::Design;
@@ -485,13 +485,21 @@ fn hb_edge_candidates(design: &Design, harness: &IuvHarness) -> BTreeSet<(PlId, 
             s
         })
         .collect();
-    let nf = ann.ufsms.len();
-    let mut fsm_conn = vec![vec![false; nf]; nf];
-    for (i, row) in fsm_conn.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = comb_connected(&design.netlist, &fsm_regs[i], &fsm_regs[j]);
-        }
-    }
+    // Walk each destination µFSM's next-state cones once, then test every
+    // source µFSM against that source set.
+    let fsm_srcs: Vec<HashSet<SignalId>> = fsm_regs
+        .iter()
+        .map(|regs| next_state_sources(&design.netlist, regs.iter().copied()))
+        .collect();
+    let fsm_conn: Vec<Vec<bool>> = fsm_regs
+        .iter()
+        .map(|src| {
+            fsm_srcs
+                .iter()
+                .map(|dst| src.iter().any(|r| dst.contains(r)))
+                .collect()
+        })
+        .collect();
     let mut out = BTreeSet::new();
     for a in harness.pls.ids() {
         for bpl in harness.pls.ids() {

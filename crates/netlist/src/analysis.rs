@@ -9,7 +9,7 @@
 //! offending path instead of panicking.
 
 use crate::ir::{BinOp, Netlist, Op, SignalId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A combinational cycle, reported as the closed path of signals involved.
@@ -56,13 +56,14 @@ pub fn find_comb_cycle(nl: &Netlist) -> Option<CycleError> {
     }
     let n = nl.len();
     let mut marks = vec![Mark::White; n];
+    // Iterative DFS keeping the grey path on the explicit stack so a back
+    // edge yields the full cycle, not just one member.
+    let mut stack: Vec<(usize, usize)> = Vec::new();
     for start in 0..n {
         if marks[start] != Mark::White {
             continue;
         }
-        // Iterative DFS keeping the grey path on the explicit stack so a
-        // back edge yields the full cycle, not just one member.
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        stack.push((start, 0));
         marks[start] = Mark::Grey;
         while let Some(&mut (node_ix, ref mut child_ix)) = stack.last_mut() {
             let fanin = nl.node(SignalId(node_ix as u32)).op.comb_fanin();
@@ -107,25 +108,45 @@ pub fn find_comb_cycle(nl: &Netlist) -> Option<CycleError> {
 /// panicked, which turned a design bug into an opaque crash deep inside the
 /// model checker).
 pub fn topo_order(nl: &Netlist) -> Result<Vec<SignalId>, CycleError> {
+    // Kahn's algorithm over CSR fan-out arrays: `fanout[start[s]..start[s + 1]]`
+    // lists the consumers of `s` in node-id order (once per operand use),
+    // so the order — and with it every unrolling's variable numbering — is
+    // a pure function of the node table.
     let n = nl.len();
-    let mut indeg = vec![0usize; n];
-    let mut fanout: HashMap<usize, Vec<usize>> = HashMap::new();
+    let mut indeg = vec![0u32; n];
+    let mut start = vec![0u32; n + 1];
     for (id, node) in nl.iter() {
         for src in node.op.comb_fanin() {
             indeg[id.index()] += 1;
-            fanout.entry(src.index()).or_default().push(id.index());
+            start[src.index() + 1] += 1;
         }
     }
-    let mut queue: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(i) = queue.pop_front() {
-        order.push(SignalId(i as u32));
-        if let Some(outs) = fanout.get(&i) {
-            for &o in outs {
-                indeg[o] -= 1;
-                if indeg[o] == 0 {
-                    queue.push_back(o);
-                }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut fanout = vec![SignalId(0); start[n] as usize];
+    for (id, node) in nl.iter() {
+        for src in node.op.comb_fanin() {
+            fanout[fill[src.index()] as usize] = id;
+            fill[src.index()] += 1;
+        }
+    }
+    // `order` doubles as the FIFO: entries past `head` are still queued.
+    let mut order: Vec<SignalId> = Vec::with_capacity(n);
+    order.extend(
+        nl.iter()
+            .map(|(id, _)| id)
+            .filter(|id| indeg[id.index()] == 0),
+    );
+    let mut head = 0;
+    while head < order.len() {
+        let i = order[head].index();
+        head += 1;
+        for &o in &fanout[start[i] as usize..start[i + 1] as usize] {
+            indeg[o.index()] -= 1;
+            if indeg[o.index()] == 0 {
+                order.push(o);
             }
         }
     }
@@ -158,15 +179,11 @@ pub fn comb_cone_sources(nl: &Netlist, sig: SignalId) -> Result<HashSet<SignalId
     let mut stack: Vec<(SignalId, usize)> = vec![(sig, 0)];
     marks[sig.index()] = Mark::Grey;
     while let Some(&mut (s, ref mut child_ix)) = stack.last_mut() {
-        let node = nl.node(s);
-        let fanin = match &node.op {
-            Op::Reg { .. } | Op::Input => {
-                sources.insert(s);
-                vec![]
-            }
-            Op::Const(_) => vec![],
-            op => op.comb_fanin(),
-        };
+        let op = &nl.node(s).op;
+        if op.is_reg() || op.is_input() {
+            sources.insert(s);
+        }
+        let fanin = op.comb_fanin();
         if *child_ix < fanin.len() {
             let child = fanin[*child_ix];
             *child_ix += 1;
@@ -193,44 +210,38 @@ pub fn comb_cone_sources(nl: &Netlist, sig: SignalId) -> Result<HashSet<SignalId
     Ok(sources)
 }
 
-/// Returns the registers whose *next-state* logic combinationally depends on
-/// at least one register in `from`.
+/// The *sequential sources* (registers and primary inputs) feeding the
+/// next-state logic of any register in `regs`: the union of
+/// [`comb_cone_sources`] over their `next` signals, found in one walk with
+/// one visited set.
 ///
 /// This is the paper's notion of "PLs connected via pure combinational
-/// logic" lifted to register granularity: if any of µFSM *B*'s state
-/// registers' next-state cones contain any of µFSM *A*'s state registers,
-/// then an instruction's occupancy of *A* can causally influence its
-/// occupancy of *B* one cycle later — making (A, B) a candidate HB edge.
+/// logic" lifted to register granularity: if any of µFSM *A*'s state
+/// registers is a next-state source of µFSM *B*, then an instruction's
+/// occupancy of *A* can causally influence its occupancy of *B* one cycle
+/// later — making (A, B) a candidate HB edge.
 ///
 /// # Panics
-/// Panics on a combinational cycle; callers hold validated netlists.
-pub fn regs_feeding(nl: &Netlist, from: &HashSet<SignalId>) -> HashSet<SignalId> {
-    let mut out = HashSet::new();
-    for r in nl.regs() {
-        let next = nl.reg_next(r);
-        let cone = comb_cone_sources(nl, next).expect("validated netlist is acyclic");
-        if cone.iter().any(|s| from.contains(s)) {
-            out.insert(r);
-        }
-    }
-    out
-}
-
-/// Whether any register in `dst_regs` has a next-state cone containing any
-/// register in `src_regs` — i.e. `src` can influence `dst` within one cycle.
-///
-/// # Panics
-/// Panics on a combinational cycle; callers hold validated netlists.
-pub fn comb_connected(
+/// Panics if a listed signal is not a connected register. Callers hold
+/// validated netlists, so the walk needs no cycle check.
+pub fn next_state_sources(
     nl: &Netlist,
-    src_regs: &HashSet<SignalId>,
-    dst_regs: &HashSet<SignalId>,
-) -> bool {
-    dst_regs.iter().any(|&d| {
-        let next = nl.reg_next(d);
-        let cone = comb_cone_sources(nl, next).expect("validated netlist is acyclic");
-        cone.iter().any(|s| src_regs.contains(s))
-    })
+    regs: impl IntoIterator<Item = SignalId>,
+) -> HashSet<SignalId> {
+    let mut seen = vec![false; nl.len()];
+    let mut sources = HashSet::new();
+    let mut stack: Vec<SignalId> = regs.into_iter().map(|r| nl.reg_next(r)).collect();
+    while let Some(s) = stack.pop() {
+        if std::mem::replace(&mut seen[s.index()], true) {
+            continue;
+        }
+        let op = &nl.node(s).op;
+        if op.is_reg() || op.is_input() {
+            sources.insert(s);
+        }
+        stack.extend(op.comb_fanin());
+    }
+    sources
 }
 
 /// Evaluates every signal that is a *pure combinational constant*: a cone
@@ -487,10 +498,11 @@ mod tests {
     #[test]
     fn connectivity_is_directional() {
         let (nl, r1, r2) = two_stage();
-        let a: HashSet<_> = [r1].into_iter().collect();
-        let b: HashSet<_> = [r2].into_iter().collect();
-        assert!(comb_connected(&nl, &a, &b), "r1 feeds r2");
-        assert!(!comb_connected(&nl, &b, &a), "r2 does not feed r1");
+        assert!(next_state_sources(&nl, [r2]).contains(&r1), "r1 feeds r2");
+        assert!(
+            !next_state_sources(&nl, [r1]).contains(&r2),
+            "r2 does not feed r1"
+        );
     }
 
     #[test]

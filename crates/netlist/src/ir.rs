@@ -225,17 +225,65 @@ impl Op {
         matches!(self, Op::Input)
     }
 
-    /// Combinational fan-in signals of this node. Registers have *no*
-    /// combinational fan-in (their `next` input is sequential).
-    pub fn comb_fanin(&self) -> Vec<SignalId> {
+    /// Combinational fan-in signals of this node, in operand order.
+    /// Registers have *no* combinational fan-in (their `next` input is
+    /// sequential).
+    pub fn comb_fanin(&self) -> Fanin {
         match self {
-            Op::Input | Op::Const(_) | Op::Reg { .. } => vec![],
-            Op::Unary(_, a) => vec![*a],
-            Op::Binary(_, a, b) => vec![*a, *b],
-            Op::Mux { sel, a, b } => vec![*sel, *a, *b],
-            Op::Slice { src, .. } => vec![*src],
-            Op::Concat { hi, lo } => vec![*hi, *lo],
+            Op::Input | Op::Const(_) | Op::Reg { .. } => Fanin::of(&[]),
+            Op::Unary(_, a) => Fanin::of(&[*a]),
+            Op::Binary(_, a, b) => Fanin::of(&[*a, *b]),
+            Op::Mux { sel, a, b } => Fanin::of(&[*sel, *a, *b]),
+            Op::Slice { src, .. } => Fanin::of(&[*src]),
+            Op::Concat { hi, lo } => Fanin::of(&[*hi, *lo]),
         }
+    }
+}
+
+/// A node's combinational fan-in, stored inline: at most three operands
+/// (a mux), which also leaves room to [`Fanin::push`] a register's `next`
+/// edge. Derefs to `&[SignalId]`, so graph walks visit fan-in without a
+/// heap allocation per node.
+#[derive(Clone, Copy, Debug)]
+pub struct Fanin {
+    ids: [SignalId; 3],
+    len: u8,
+}
+
+impl Fanin {
+    fn of(ids: &[SignalId]) -> Self {
+        let mut f = Fanin {
+            ids: [SignalId(0); 3],
+            len: 0,
+        };
+        for &s in ids {
+            f.push(s);
+        }
+        f
+    }
+
+    /// Appends one signal.
+    ///
+    /// # Panics
+    /// Panics if three signals are already held.
+    pub fn push(&mut self, s: SignalId) {
+        self.ids[self.len as usize] = s;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Fanin {
+    type Target = [SignalId];
+    fn deref(&self) -> &[SignalId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Fanin {
+    type Item = SignalId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<SignalId, 3>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(self.len as usize)
     }
 }
 
@@ -628,11 +676,12 @@ impl Netlist {
             Black,
         }
         let mut marks = vec![Mark::White; n];
+        let mut stack: Vec<(usize, usize)> = Vec::new();
         for start in 0..n {
             if marks[start] != Mark::White {
                 continue;
             }
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+            stack.push((start, 0));
             marks[start] = Mark::Grey;
             while let Some(&mut (node_ix, ref mut child_ix)) = stack.last_mut() {
                 let fanin = self.nodes[node_ix].op.comb_fanin();

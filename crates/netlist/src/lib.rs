@@ -42,4 +42,4 @@ pub mod text;
 pub use analysis::CycleError;
 pub use build::{Builder, MemArray, Wire};
 pub use diag::{Diagnostic, Report, Severity, SourceFile, Span};
-pub use ir::{mask, BinOp, Netlist, NetlistError, Node, Op, SignalId, UnOp};
+pub use ir::{mask, BinOp, Fanin, Netlist, NetlistError, Node, Op, SignalId, UnOp};

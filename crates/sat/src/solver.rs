@@ -361,6 +361,10 @@ pub struct Solver {
     pool_watch: Option<Arc<BudgetPool>>,
     last_stop: Option<StopCause>,
     clause_log: Option<Vec<Vec<Lit>>>,
+    /// Reused by [`Solver::add_clause`]: the sorted, deduplicated input
+    /// and the simplified clause, so adding a clause allocates nothing.
+    add_sorted: Vec<Lit>,
+    add_out: Vec<Lit>,
 }
 
 impl Solver {
@@ -521,17 +525,29 @@ impl Solver {
         for l in lits {
             assert!(l.var().index() < self.num_vars(), "unallocated variable");
         }
+        let mut ls = std::mem::take(&mut self.add_sorted);
+        let mut out = std::mem::take(&mut self.add_out);
+        ls.clear();
+        ls.extend_from_slice(lits);
+        ls.sort_unstable();
+        ls.dedup();
+        let ok = self.add_sorted_clause(&ls, &mut out);
+        self.add_sorted = ls;
+        self.add_out = out;
+        ok
+    }
+
+    /// [`Solver::add_clause`] on a sorted, deduplicated clause, with `out`
+    /// as scratch for the simplified literals.
+    fn add_sorted_clause(&mut self, ls: &[Lit], out: &mut Vec<Lit>) -> bool {
         loop {
-            // Simplify: sort/dedupe, drop root-false literals, detect
-            // tautology / root satisfaction. Assignments above the root
-            // are transient, so they never drop or satisfy anything
-            // permanently — they only decide attachability below.
-            let mut ls: Vec<Lit> = lits.to_vec();
-            ls.sort_unstable();
-            ls.dedup();
-            let mut out = Vec::with_capacity(ls.len());
+            // Simplify: drop root-false literals, detect tautology / root
+            // satisfaction. Assignments above the root are transient, so
+            // they never drop or satisfy anything permanently — they only
+            // decide attachability below.
+            out.clear();
             let mut nonfalse = 0usize;
-            for &l in &ls {
+            for &l in ls {
                 if ls.binary_search(&!l).is_ok() {
                     return true; // tautology
                 }
@@ -565,7 +581,7 @@ impl Solver {
                     if out.len() == 2 {
                         self.attach_binary(out[0], out[1], false);
                     } else {
-                        self.attach_long(&out, false, 0);
+                        self.attach_long(out, false, 0);
                     }
                     self.num_original += 1;
                     return true;
@@ -594,7 +610,7 @@ impl Solver {
                     true
                 }
                 _ => {
-                    self.attach_long(&out, false, 0);
+                    self.attach_long(out, false, 0);
                     self.num_original += 1;
                     true
                 }

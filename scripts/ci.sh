@@ -282,4 +282,12 @@ if [ "$INC_EXIT" != 20 ]; then
 fi
 echo "sat-regression OK (corpus exit codes, one-solver incremental replay, knob-sweep invariance)"
 
+echo "== perfbench-smoke (benchmark builds and runs its tiny-size mode) =="
+# perfbench is its own package outside the workspace and calls layer
+# functions (Elab::new, CoiSlice::compute, Unrolling::extend_to, ...)
+# directly, so API drift in those layers only shows here. Its smoke test
+# runs every workload at tiny size, untraced and traced.
+cargo test -q --release "${OFFLINE[@]}" --manifest-path perfbench/Cargo.toml
+echo "perfbench-smoke OK"
+
 echo "CI OK"

@@ -18,7 +18,8 @@
 //!   fresh checker built at the deep bound.
 //!
 //! Property-checked over seeded fuzz-generated netlists plus the six
-//! in-tree designs.
+//! in-tree designs. Those six designs' clause streams are also pinned
+//! across builds by `tests/golden/clause_streams.txt`.
 
 use fuzz::{build, sample_genome, GenConfig};
 use mc::{Checker, InitMode, McConfig, Unrolling};
@@ -150,5 +151,91 @@ fn grown_checker_agrees_with_fresh_checker() {
     assert!(
         covered >= 5,
         "fuzz distribution degenerated: only {covered}/60 reachable covers"
+    );
+}
+
+/// FNV-1a over a clause stream: each clause contributes its length, then
+/// each literal's code, all as little-endian `u32`s.
+fn clause_stream_digest(clauses: &[Vec<sat::Lit>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u32| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for c in clauses {
+        eat(c.len() as u32);
+        for l in c {
+            eat(l.code() as u32);
+        }
+    }
+    h
+}
+
+/// One golden line: `label init vars clauses digest` for a six-frame
+/// unrolling, clause logging on from the first frame.
+fn clause_stream_line(label: &str, mut u: Unrolling<'_>, init: InitMode) -> String {
+    u.gate().solver().set_clause_log(true);
+    u.extend_to(6);
+    let vars = u.gate().num_vars();
+    let log = u.gate().solver_ref().logged_clauses();
+    format!(
+        "{label} {init:?} vars={vars} clauses={} fnv={:016x}",
+        log.len(),
+        clause_stream_digest(log)
+    )
+}
+
+/// The exact CNF the unroller emits for every in-tree design under both
+/// init modes, plus one cone-of-influence-sliced MiniCache unrolling, is
+/// pinned to `tests/golden/clause_streams.txt`. Variable numbering and
+/// clause order feed solver search, so a change to elaboration or
+/// bit-blasting that moves one clause moves every downstream counter;
+/// set-up optimisations must keep this file byte-identical. Regenerate
+/// only for an intentional encoding change:
+///
+/// ```text
+/// SYNTHLC_BLESS=1 cargo test --test unroll_stability
+/// ```
+#[test]
+fn clause_streams_match_goldens() {
+    let mut lines = Vec::new();
+    for (name, nl) in in_tree_netlists() {
+        for init in [InitMode::Reset, InitMode::Free] {
+            lines.push(clause_stream_line(name, Unrolling::new(&nl, init), init));
+        }
+    }
+    let cache = uarch::cache::build_cache();
+    let nl = &cache.netlist;
+    let target = nl.find("resp_fire_reg").expect("MiniCache response strobe");
+    let coi = std::sync::Arc::new(mc::CoiSlice::compute(nl, &[target]));
+    assert!(
+        coi.kept_nodes < coi.total_nodes,
+        "the slice must drop logic"
+    );
+    let mut sliced = Unrolling::new(nl, InitMode::Reset);
+    sliced.set_coi(Some(coi));
+    lines.push(clause_stream_line(
+        "minicache+coi(resp_fire_reg)",
+        sliced,
+        InitMode::Reset,
+    ));
+    let table = lines.join("\n") + "\n";
+
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/clause_streams.txt");
+    if std::env::var_os("SYNTHLC_BLESS").is_some_and(|v| v == "1") {
+        std::fs::write(&path, &table).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e}\n(run `SYNTHLC_BLESS=1 cargo test --test unroll_stability` to create)",
+            path.display()
+        )
+    });
+    assert_eq!(
+        table, golden,
+        "the unroller's clause stream drifted from tests/golden/clause_streams.txt"
     );
 }
