@@ -11,8 +11,9 @@
 //! `BENCH_perf.json` (schema `synthlc-perf-v7`), including the CDCL
 //! core's learnt-database observability (tier sizes, deletions,
 //! subsumption, LBD profile) and the incremental-solving reuse economy
-//! (pooled contexts reused, unrolling frames extended in place vs.
-//! rebuilt, learnt clauses carried across query batches) for every run.
+//! (warm context-chain checkers reused, unrolling frames extended in
+//! place vs. rebuilt, learnt clauses carried across query batches) for
+//! every run, all read from the run's `mc::CheckStats`.
 //! After the report is written, every stage's parallel speedup is
 //! asserted to stay at or above 1.0x (modulo timer noise): the context
 //! chains must never make the parallel path slower than `--jobs 1`. On a host with a single hardware thread (the report
@@ -46,8 +47,9 @@
 //! count (at least 4, to exercise the engine on small machines). Scope is
 //! controlled by `SYNTHLC_SCOPE` = `quick` (default) or `full`.
 
-use bench::json::Json;
 use bench::{leak_cfg, scope, Scope};
+use jsonio::Json;
+use mc::CheckStats;
 use mupath::{synthesize_isa_with, ContextMode, EngineOptions, IsaSynthesis, SynthConfig};
 use sat::BudgetPool;
 use std::fmt::Write as _;
@@ -60,16 +62,11 @@ use uarch::{build_core, CoreConfig};
 struct RunOutcome {
     fingerprint: String,
     seconds: f64,
-    properties: u64,
-    undetermined: u64,
     conflicts: u64,
     propagations: u64,
-    /// Signal bits in scope before / after cone-of-influence slicing,
-    /// summed over all checker instances (equal when COI is off).
-    coi_bits_before: u64,
-    coi_bits_after: u64,
-    /// SAT queries avoided by the static taint-reachability prune.
-    discharged_static: u64,
+    /// The run's property statistics, merged over both phases of a
+    /// leakage run.
+    stats: CheckStats,
     /// Jobs degraded to an undetermined stand-in (panic/fault/deadline);
     /// always 0 here — the perf pipeline runs with robustness off — but
     /// reported so the schema matches long-run CLI reports.
@@ -83,92 +80,27 @@ struct RunOutcome {
     /// Journaled jobs whose cone fingerprint had no usable record —
     /// the cone-cache *misses*; 0 when no journal is attached.
     cone_misses: u64,
-    /// Learnt-database observability of the CDCL core behind the run.
-    solver: SolverObs,
 }
 
-/// Solver learnt-DB observability surfaced per run (schema v5). Gauges
-/// (`learnt_live`, `binary_clauses`) are live end-of-run values summed
-/// over checkers; the rest are lifetime counters. The reuse block counts
-/// the incremental-solving economy: pooled contexts checked out again
-/// instead of rebuilt, unrolling frames grown in place vs. built from
-/// scratch, and learnt clauses alive at batch handoff.
-#[derive(Clone, Copy, Default)]
-struct SolverObs {
-    learnt_live: u64,
-    binary_clauses: u64,
-    clauses_deleted: u64,
-    subsumed: u64,
-    strengthened: u64,
-    lbd_sum: u64,
-    lbd_count: u64,
-    max_lbd: u32,
-    trail_reuses: u64,
-    reused_levels: u64,
-    contexts_reused: u64,
-    frames_extended: u64,
-    frames_rebuilt: u64,
-    learnts_carried: u64,
-}
-
-impl SolverObs {
-    fn from_check(stats: &mc::CheckStats) -> Self {
-        Self {
-            learnt_live: stats.sat_learnt_live(),
-            binary_clauses: stats.sat_binary_clauses,
-            clauses_deleted: stats.sat_clauses_deleted,
-            subsumed: stats.sat_subsumed,
-            strengthened: stats.sat_strengthened,
-            lbd_sum: stats.sat_lbd_sum,
-            lbd_count: stats.sat_lbd_count,
-            max_lbd: stats.sat_max_lbd,
-            trail_reuses: stats.sat_trail_reuses,
-            reused_levels: stats.sat_reused_levels,
-            contexts_reused: stats.ctx_reused,
-            frames_extended: stats.frames_extended,
-            frames_rebuilt: stats.frames_rebuilt,
-            learnts_carried: stats.learnts_carried,
-        }
-    }
-
-    fn add(&mut self, st: &sat::SolverStats) {
-        self.learnt_live += st.learnt_core + st.learnt_mid + st.learnt_local;
-        self.binary_clauses += st.binary_clauses;
-        self.clauses_deleted += st.clauses_deleted;
-        self.subsumed += st.subsumed;
-        self.strengthened += st.strengthened;
-        self.lbd_sum += st.lbd_sum;
-        self.lbd_count += st.lbd_count;
-        self.max_lbd = self.max_lbd.max(st.max_lbd);
-        self.trail_reuses += st.trail_reuses;
-        self.reused_levels += st.reused_levels;
-    }
-
-    fn avg_lbd(&self) -> f64 {
-        if self.lbd_count == 0 {
-            0.0
-        } else {
-            self.lbd_sum as f64 / self.lbd_count as f64
-        }
-    }
-
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("learnt_live".into(), Json::Int(self.learnt_live)),
-            ("binary_clauses".into(), Json::Int(self.binary_clauses)),
-            ("clauses_deleted".into(), Json::Int(self.clauses_deleted)),
-            ("subsumed".into(), Json::Int(self.subsumed)),
-            ("strengthened".into(), Json::Int(self.strengthened)),
-            ("avg_lbd".into(), Json::Num(self.avg_lbd())),
-            ("max_lbd".into(), Json::Int(self.max_lbd as u64)),
-            ("trail_reuses".into(), Json::Int(self.trail_reuses)),
-            ("reused_levels".into(), Json::Int(self.reused_levels)),
-            ("contexts_reused".into(), Json::Int(self.contexts_reused)),
-            ("frames_extended".into(), Json::Int(self.frames_extended)),
-            ("frames_rebuilt".into(), Json::Int(self.frames_rebuilt)),
-            ("learnts_carried".into(), Json::Int(self.learnts_carried)),
-        ])
-    }
+/// The v7 `solver` block: learnt-DB observability and the reuse economy.
+/// Gauges (`learnt_live`, `binary_clauses`) are live end-of-run values
+/// summed over checkers; the rest are lifetime counters.
+fn solver_json(s: &CheckStats) -> Json {
+    Json::obj([
+        ("learnt_live", Json::Int(s.sat_learnt_live())),
+        ("binary_clauses", Json::Int(s.sat_binary_clauses)),
+        ("clauses_deleted", Json::Int(s.sat_clauses_deleted)),
+        ("subsumed", Json::Int(s.sat_subsumed)),
+        ("strengthened", Json::Int(s.sat_strengthened)),
+        ("avg_lbd", Json::Num(s.sat_avg_lbd())),
+        ("max_lbd", Json::Int(s.sat_max_lbd as u64)),
+        ("trail_reuses", Json::Int(s.sat_trail_reuses)),
+        ("reused_levels", Json::Int(s.sat_reused_levels)),
+        ("contexts_reused", Json::Int(s.ctx_reused)),
+        ("frames_extended", Json::Int(s.frames_extended)),
+        ("frames_rebuilt", Json::Int(s.frames_rebuilt)),
+        ("learnts_carried", Json::Int(s.learnts_carried)),
+    ])
 }
 
 struct StageResult {
@@ -183,15 +115,6 @@ impl StageResult {
     }
     fn speedup(&self) -> f64 {
         self.seq.seconds / self.par.seconds.max(1e-9)
-    }
-    /// Fraction of signal bits kept by COI slicing in the reduced run
-    /// (1.0 when no checker used a slice).
-    fn coi_ratio(&self) -> f64 {
-        if self.par.coi_bits_before == 0 {
-            1.0
-        } else {
-            self.par.coi_bits_after as f64 / self.par.coi_bits_before as f64
-        }
     }
 }
 
@@ -287,18 +210,13 @@ fn run_mupath(
     RunOutcome {
         seconds: started.elapsed().as_secs_f64(),
         fingerprint: isa_fingerprint(&r),
-        properties: r.stats.properties,
-        undetermined: r.stats.undetermined,
         conflicts: pool.conflicts(),
         propagations: pool.propagations(),
-        coi_bits_before: r.stats.coi_bits_before,
-        coi_bits_after: r.stats.coi_bits_after,
-        discharged_static: r.stats.discharged_static,
+        stats: r.stats,
         degraded_jobs: r.degraded_jobs,
         resumed_jobs: r.resumed_jobs,
         retried_jobs: r.retried_jobs,
         cone_misses: r.cone_misses,
-        solver: SolverObs::from_check(&r.stats),
     }
 }
 
@@ -319,23 +237,18 @@ fn run_leakage(
     cfg.robust.journal = journal;
     let started = Instant::now();
     let r = synthesize_leakage(design, transponders, &cfg);
-    let mut merged = r.mupath_stats;
-    merged.absorb(&r.ift_stats);
+    let mut stats = r.mupath_stats;
+    stats.absorb(&r.ift_stats);
     RunOutcome {
         seconds: started.elapsed().as_secs_f64(),
         fingerprint: leak_fingerprint(&r),
-        properties: r.mupath_stats.properties + r.ift_stats.properties,
-        undetermined: r.mupath_stats.undetermined + r.ift_stats.undetermined,
         conflicts: pool.conflicts(),
         propagations: pool.propagations(),
-        coi_bits_before: r.mupath_stats.coi_bits_before + r.ift_stats.coi_bits_before,
-        coi_bits_after: r.mupath_stats.coi_bits_after + r.ift_stats.coi_bits_after,
-        discharged_static: r.mupath_stats.discharged_static + r.ift_stats.discharged_static,
+        stats,
         degraded_jobs: r.degraded_jobs,
         resumed_jobs: r.resumed_jobs,
         retried_jobs: r.retried_jobs,
         cone_misses: r.cone_misses,
-        solver: SolverObs::from_check(&merged),
     }
 }
 
@@ -420,10 +333,9 @@ fn unrolled_instance(design: &uarch::Design, bound: usize, max_queries: usize) -
 fn run_sat_micro(instances: &[SatMicro]) -> RunOutcome {
     let started = Instant::now();
     let mut fp = String::new();
-    let mut properties = 0u64;
     let mut conflicts = 0u64;
     let mut propagations = 0u64;
-    let mut obs = SolverObs::default();
+    let mut stats = CheckStats::default();
     for inst in instances {
         let mut s = sat::Solver::new();
         for _ in 0..inst.num_vars {
@@ -434,12 +346,12 @@ fn run_sat_micro(instances: &[SatMicro]) -> RunOutcome {
         }
         if inst.queries.is_empty() {
             let r = s.solve();
-            properties += 1;
+            stats.properties += 1;
             writeln!(fp, "{} {}", inst.name, r.answer()).unwrap();
         } else {
             for (i, &act) in inst.queries.iter().enumerate() {
                 let r = s.solve_assuming(&[act]);
-                properties += 1;
+                stats.properties += 1;
                 writeln!(fp, "{} q{i} {}", inst.name, r.answer()).unwrap();
             }
         }
@@ -458,42 +370,45 @@ fn run_sat_micro(instances: &[SatMicro]) -> RunOutcome {
         .unwrap();
         conflicts += st.conflicts;
         propagations += st.propagations;
-        obs.add(&st);
+        // Each fresh solver's whole run, folded as a checker would fold it;
+        // `absorb` then sums the gauges across solvers.
+        let mut run = CheckStats::default();
+        run.fold_solver(&sat::SolverStats::default(), &st);
+        run.set_gauges(&st);
+        stats.absorb(&run);
     }
     RunOutcome {
         seconds: started.elapsed().as_secs_f64(),
         fingerprint: fp,
-        properties,
-        undetermined: 0,
         conflicts,
         propagations,
-        coi_bits_before: 0,
-        coi_bits_after: 0,
-        discharged_static: 0,
+        stats,
         degraded_jobs: 0,
         resumed_jobs: 0,
         retried_jobs: 0,
         cone_misses: 0,
-        solver: obs,
     }
 }
 
 fn run_outcome_json(r: &RunOutcome) -> Json {
     Json::Obj(vec![
         ("seconds".into(), Json::Num(r.seconds)),
-        ("properties".into(), Json::Int(r.properties)),
-        ("undetermined".into(), Json::Int(r.undetermined)),
+        ("properties".into(), Json::Int(r.stats.properties)),
+        ("undetermined".into(), Json::Int(r.stats.undetermined)),
         ("conflicts".into(), Json::Int(r.conflicts)),
         ("propagations".into(), Json::Int(r.propagations)),
-        ("coi_bits_before".into(), Json::Int(r.coi_bits_before)),
-        ("coi_bits_after".into(), Json::Int(r.coi_bits_after)),
-        ("sat_calls_avoided".into(), Json::Int(r.discharged_static)),
+        ("coi_bits_before".into(), Json::Int(r.stats.coi_bits_before)),
+        ("coi_bits_after".into(), Json::Int(r.stats.coi_bits_after)),
+        (
+            "sat_calls_avoided".into(),
+            Json::Int(r.stats.discharged_static),
+        ),
         ("degraded_jobs".into(), Json::Int(r.degraded_jobs)),
         ("resumed_jobs".into(), Json::Int(r.resumed_jobs)),
         ("retried_jobs".into(), Json::Int(r.retried_jobs)),
         ("cone_hits".into(), Json::Int(r.resumed_jobs)),
         ("cone_misses".into(), Json::Int(r.cone_misses)),
-        ("solver".into(), r.solver.to_json()),
+        ("solver".into(), solver_json(&r.stats)),
     ])
 }
 
@@ -530,10 +445,10 @@ fn report_json(jobs: usize, scope: Scope, stages: &[StageResult]) -> Json {
                             ("sequential".into(), run_outcome_json(&s.seq)),
                             ("parallel".into(), run_outcome_json(&s.par)),
                             ("speedup".into(), Json::Num(s.speedup())),
-                            ("coi_ratio".into(), Json::Num(s.coi_ratio())),
+                            ("coi_ratio".into(), Json::Num(s.par.stats.coi_ratio())),
                             (
                                 "sat_calls_avoided".into(),
-                                Json::Int(s.par.discharged_static),
+                                Json::Int(s.par.stats.discharged_static),
                             ),
                             ("deterministic_match".into(), Json::Bool(s.matches())),
                         ])
@@ -642,9 +557,9 @@ fn main() {
             s.seq.seconds,
             s.par.seconds,
             s.speedup(),
-            s.par.properties,
-            s.coi_ratio() * 100.0,
-            s.par.discharged_static,
+            s.par.stats.properties,
+            s.par.stats.coi_ratio() * 100.0,
+            s.par.stats.discharged_static,
             s.matches()
         );
         stages.push(s);

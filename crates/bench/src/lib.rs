@@ -6,11 +6,6 @@
 //! outputs. Scope is controlled by `SYNTHLC_SCOPE` = `quick` (default) or
 //! `full`.
 
-/// Re-export: the JSON reader/writer moved to its own crate (`jsonio`) so
-/// lower layers (the `synthlc` journal) can use it without a dependency
-/// cycle; existing `bench::json::Json` call sites keep working.
-pub use jsonio as json;
-
 use isa::Opcode;
 use mupath::{ContextMode, SynthConfig};
 use synthlc::{LeakConfig, LeakageReport, Operand, TxKind, TypedTransmitter};

@@ -807,7 +807,8 @@ fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         .collect();
     // The edit is derived from the design text, so a case replays from
     // its genome alone.
-    let mut rng = prng::Rng::new(0xc04e_0000 ^ fnv1a(netlist::text::emit(&d.netlist).as_bytes()));
+    let text = netlist::text::emit(&d.netlist);
+    let mut rng = prng::Rng::new(0xc04e_0000 ^ netlist::Fnv::new().bytes(text.as_bytes()).finish());
     let Some(edited) = random_inplace_edit(&d.netlist, &mut rng) else {
         return CaseResult::Skipped("no-edit-site");
     };
@@ -997,15 +998,6 @@ fn random_inplace_edit(nl: &Netlist, rng: &mut prng::Rng) -> Option<Netlist> {
         }
     }
     None
-}
-
-/// FNV-1a over a byte string (edit-seed derivation).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Canonical fleet-member verdict: `Reachable` must replay (the firing

@@ -127,78 +127,98 @@ impl Default for McConfig {
     }
 }
 
-/// Aggregated per-checker property statistics (the §VII-B3 analogue).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CheckStats {
-    /// Properties evaluated.
-    pub properties: u64,
-    /// Reachable outcomes.
-    pub reachable: u64,
-    /// Unreachable outcomes.
-    pub unreachable: u64,
-    /// Undetermined outcomes.
-    pub undetermined: u64,
-    /// Total wall time in property evaluation.
-    pub total_time: Duration,
-    /// Longest single property evaluation.
-    pub max_time: Duration,
-    /// Signal bits in the netlist before cone-of-influence slicing.
-    pub coi_bits_before: u64,
-    /// Signal bits actually bit-blasted (equals `coi_bits_before` when no
-    /// slice is active).
-    pub coi_bits_after: u64,
-    /// Properties discharged statically (no SAT call) by taint-reachability
-    /// pruning; these are *also* counted in `properties`/`unreachable` so
-    /// outcome counts match a run without pruning.
-    pub discharged_static: u64,
-    /// Query batches served by a persistent pooled context that was already
-    /// warm (solver + unrolling carried over from an earlier batch).
-    pub ctx_reused: u64,
-    /// Unrolling frames grown *in place* on a persistent context
-    /// (`Checker::ensure_bound`) instead of being rebuilt from scratch.
-    pub frames_extended: u64,
-    /// Unrolling frames built from scratch by throwaway (non-pooled)
-    /// checkers at construction time.
-    pub frames_rebuilt: u64,
-    /// Live learnt clauses inherited from earlier batches when a pooled
-    /// context was checked out again (summed over all reuses).
-    pub learnts_carried: u64,
-    /// Undetermined outcomes caused by budget/bound exhaustion.
-    pub undet_budget: u64,
-    /// Undetermined outcomes caused by a deadline or cancellation.
-    pub undet_deadline: u64,
-    /// Undetermined outcomes caused by a caught job panic.
-    pub undet_panicked: u64,
-    /// Undetermined outcomes caused by an injected fault.
-    pub undet_fault: u64,
-    /// Live learnt clauses in the solver's core tier (LBD ≤ 2) at the
-    /// last query — a gauge, not a counter; `absorb` sums gauges across
-    /// workers so a merged record reads as fleet-wide live totals.
-    pub sat_learnt_core: u64,
-    /// Live learnt clauses in the mid tier at the last query (gauge).
-    pub sat_learnt_mid: u64,
-    /// Live learnt clauses in the local tier at the last query (gauge).
-    pub sat_learnt_local: u64,
-    /// Live binary clauses (original + learnt) at the last query (gauge).
-    pub sat_binary_clauses: u64,
-    /// Learnt clauses deleted by DB reduction or inprocessing (counter).
-    pub sat_clauses_deleted: u64,
-    /// Learnt clauses removed as subsumed during inprocessing (counter).
-    pub sat_subsumed: u64,
-    /// Literals removed by self-subsuming resolution (counter).
-    pub sat_strengthened: u64,
-    /// Adaptive restarts postponed by trail-size blocking (counter).
-    pub sat_blocked_restarts: u64,
-    /// Queries that reused retained assumption-trail levels (counter).
-    pub sat_trail_reuses: u64,
-    /// Total retained assumption levels reused across queries (counter).
-    pub sat_reused_levels: u64,
-    /// Sum of learnt-clause LBD at learn time (counter).
-    pub sat_lbd_sum: u64,
-    /// Learnt clauses contributing to `sat_lbd_sum` (counter).
-    pub sat_lbd_count: u64,
-    /// Largest LBD seen at learn time.
-    pub sat_max_lbd: u32,
+/// Declares [`CheckStats`] from one row per field —
+/// `name: Type = merge [, sat source] [, key "k"] => "doc";` — and
+/// generates the struct, [`CheckStats::absorb`], the solver fold, and the
+/// journal codec from it. Merge rules: `sum` (counters), `gauge` (live
+/// values: summed by `absorb`, overwritten by [`CheckStats::set_gauges`]),
+/// `max`. `sat` names the [`sat::SolverStats`] field a row is fed from;
+/// `key` marks a journaled row, and journaled rows encode in table order.
+macro_rules! check_stats {
+    ($($name:ident: $ty:ty = $merge:ident $(, sat $src:ident)? $(, key $key:literal)? => $doc:literal;)*) => {
+        /// Aggregated per-checker property statistics (the §VII-B3 analogue).
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct CheckStats {
+            $(#[doc = $doc] pub $name: $ty,)*
+        }
+
+        impl CheckStats {
+            /// Merges another stats record into this one.
+            pub fn absorb(&mut self, other: &CheckStats) {
+                $(check_stats!(@absorb $merge, self.$name, other.$name);)*
+            }
+
+            /// Folds a solver's statistics delta `prev → now` in: counters
+            /// add the delta, maxima take `now`'s value when larger. Live
+            /// gauges are left to [`CheckStats::set_gauges`].
+            pub fn fold_solver(&mut self, prev: &sat::SolverStats, now: &sat::SolverStats) {
+                $($(check_stats!(@fold $merge, self.$name, prev.$src, now.$src);)?)*
+            }
+
+            /// Overwrites the live-database gauges with the solver's current
+            /// values, so the record reads as "the solver now".
+            pub fn set_gauges(&mut self, live: &sat::SolverStats) {
+                $($(check_stats!(@gauge $merge, self.$name, live.$src);)?)*
+            }
+
+            /// Serializes the journaled counters for a journal record.
+            /// Durations are deliberately dropped — they are
+            /// nondeterministic, and resumed runs must reproduce the
+            /// uninterrupted run's report byte for byte.
+            pub fn encode(&self) -> jsonio::Json {
+                jsonio::Json::Obj(vec![$($(($key.into(), jsonio::Json::Int(self.$name)),)?)*])
+            }
+
+            /// Parses an [`encode`](Self::encode)d record (unjournaled
+            /// fields zero). `None` when any key is missing, so records
+            /// written before a key existed read as cache misses.
+            pub fn decode(j: &jsonio::Json) -> Option<CheckStats> {
+                let mut s = CheckStats::default();
+                $($(s.$name = j.field($key)?.as_u64()?;)?)*
+                Some(s)
+            }
+        }
+    };
+    (@absorb max, $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@absorb $sum_or_gauge:ident, $a:expr, $b:expr) => { $a += $b };
+    (@fold sum, $a:expr, $prev:expr, $now:expr) => { $a += $now - $prev };
+    (@fold max, $a:expr, $prev:expr, $now:expr) => { $a = $a.max($now) };
+    (@fold gauge, $a:expr, $prev:expr, $now:expr) => {};
+    (@gauge gauge, $a:expr, $live:expr) => { $a = $live };
+    (@gauge $other:ident, $a:expr, $live:expr) => {};
+}
+
+check_stats! {
+    properties: u64 = sum, key "p" => "Properties evaluated.";
+    reachable: u64 = sum, key "r" => "Reachable outcomes.";
+    unreachable: u64 = sum, key "u" => "Unreachable outcomes.";
+    undetermined: u64 = sum, key "ud" => "Undetermined outcomes.";
+    total_time: Duration = sum => "Total wall time in property evaluation.";
+    max_time: Duration = max => "Longest single property evaluation.";
+    coi_bits_before: u64 = sum, key "cb" => "Signal bits in the netlist before cone-of-influence slicing.";
+    coi_bits_after: u64 = sum, key "ca" => "Signal bits bit-blasted (equals `coi_bits_before` when no slice is active).";
+    discharged_static: u64 = sum, key "ds" => "Properties discharged statically (no SAT call), also counted in `properties`/`unreachable`.";
+    undet_budget: u64 = sum, key "udb" => "Undetermined outcomes caused by budget/bound exhaustion.";
+    undet_deadline: u64 = sum, key "udd" => "Undetermined outcomes caused by a deadline or cancellation.";
+    undet_panicked: u64 = sum, key "udp" => "Undetermined outcomes caused by a caught job panic.";
+    undet_fault: u64 = sum, key "udf" => "Undetermined outcomes caused by an injected fault.";
+    ctx_reused: u64 = sum, key "cr" => "Query batches run on a context-chain checker already warm from an earlier batch.";
+    frames_extended: u64 = sum, key "fe" => "Unrolling frames grown in place on a persistent checker (`Checker::ensure_bound`).";
+    frames_rebuilt: u64 = sum, key "fr" => "Unrolling frames built from scratch at checker construction.";
+    learnts_carried: u64 = sum, key "lc" => "Live learnt clauses a warm checker carried into a new batch (summed over batches).";
+    sat_learnt_core: u64 = gauge, sat learnt_core => "Live learnt clauses in the core tier (LBD ≤ 2) at the last query.";
+    sat_learnt_mid: u64 = gauge, sat learnt_mid => "Live learnt clauses in the mid tier at the last query.";
+    sat_learnt_local: u64 = gauge, sat learnt_local => "Live learnt clauses in the local tier at the last query.";
+    sat_binary_clauses: u64 = gauge, sat binary_clauses => "Live binary clauses (original + learnt) at the last query.";
+    sat_clauses_deleted: u64 = sum, sat clauses_deleted => "Learnt clauses deleted by DB reduction or inprocessing.";
+    sat_subsumed: u64 = sum, sat subsumed => "Learnt clauses removed as subsumed during inprocessing.";
+    sat_strengthened: u64 = sum, sat strengthened => "Literals removed by self-subsuming resolution.";
+    sat_blocked_restarts: u64 = sum, sat blocked_restarts => "Adaptive restarts postponed by trail-size blocking.";
+    sat_trail_reuses: u64 = sum, sat trail_reuses => "Queries that reused retained assumption-trail levels.";
+    sat_reused_levels: u64 = sum, sat reused_levels => "Total retained assumption levels reused across queries.";
+    sat_lbd_sum: u64 = sum, sat lbd_sum => "Sum of learnt-clause LBD at learn time.";
+    sat_lbd_count: u64 = sum, sat lbd_count => "Learnt clauses contributing to `sat_lbd_sum`.";
+    sat_max_lbd: u32 = max, sat max_lbd => "Largest LBD seen at learn time.";
 }
 
 impl CheckStats {
@@ -232,40 +252,6 @@ impl CheckStats {
     /// Live learnt clauses across all tiers at the last query (gauge).
     pub fn sat_learnt_live(&self) -> u64 {
         self.sat_learnt_core + self.sat_learnt_mid + self.sat_learnt_local
-    }
-
-    /// Merges another stats record into this one.
-    pub fn absorb(&mut self, other: &CheckStats) {
-        self.properties += other.properties;
-        self.reachable += other.reachable;
-        self.unreachable += other.unreachable;
-        self.undetermined += other.undetermined;
-        self.total_time += other.total_time;
-        self.max_time = self.max_time.max(other.max_time);
-        self.coi_bits_before += other.coi_bits_before;
-        self.coi_bits_after += other.coi_bits_after;
-        self.discharged_static += other.discharged_static;
-        self.ctx_reused += other.ctx_reused;
-        self.frames_extended += other.frames_extended;
-        self.frames_rebuilt += other.frames_rebuilt;
-        self.learnts_carried += other.learnts_carried;
-        self.undet_budget += other.undet_budget;
-        self.undet_deadline += other.undet_deadline;
-        self.undet_panicked += other.undet_panicked;
-        self.undet_fault += other.undet_fault;
-        self.sat_learnt_core += other.sat_learnt_core;
-        self.sat_learnt_mid += other.sat_learnt_mid;
-        self.sat_learnt_local += other.sat_learnt_local;
-        self.sat_binary_clauses += other.sat_binary_clauses;
-        self.sat_clauses_deleted += other.sat_clauses_deleted;
-        self.sat_subsumed += other.sat_subsumed;
-        self.sat_strengthened += other.sat_strengthened;
-        self.sat_blocked_restarts += other.sat_blocked_restarts;
-        self.sat_trail_reuses += other.sat_trail_reuses;
-        self.sat_reused_levels += other.sat_reused_levels;
-        self.sat_lbd_sum += other.sat_lbd_sum;
-        self.sat_lbd_count += other.sat_lbd_count;
-        self.sat_max_lbd = self.sat_max_lbd.max(other.sat_max_lbd);
     }
 
     /// Records one undetermined outcome of the given reason (counter
@@ -324,11 +310,11 @@ pub struct Checker<'a> {
     cancel: Option<Arc<CancelToken>>,
     /// When set, every subsequent query degrades to this reason without
     /// solving (the fault-injection harness's forced-Unknown mode). Cleared
-    /// by [`Checker::begin_batch`] so a fault injected into one pooled batch
-    /// cannot cascade into the next.
+    /// by [`Checker::begin_batch`] so a fault injected into one batch of a
+    /// context chain cannot cascade into the next.
     fault: Option<UndeterminedReason>,
-    /// Batches started via [`Checker::begin_batch`] (0 for checkers that
-    /// never pass through a pool).
+    /// Batches started via [`Checker::begin_batch`] (0 for single-use
+    /// checkers).
     batches: u64,
     /// Construction-time (coi_bits_before, coi_bits_after), re-seeded into
     /// the per-batch stats by [`Checker::begin_batch`].
@@ -399,9 +385,9 @@ impl<'a> Checker<'a> {
                 stats.coi_bits_after = total;
             }
         }
-        // Frames built here are a from-scratch bit-blast; pooled contexts
-        // are constructed at bound 0 and grown via `ensure_bound`, which
-        // counts into `frames_extended` instead.
+        // Frames built here are a from-scratch bit-blast; context-chain
+        // checkers are constructed at bound 0 and grown via `ensure_bound`,
+        // which counts into `frames_extended` instead.
         stats.frames_rebuilt = cfg.bound as u64;
         let coi_seed = (stats.coi_bits_before, stats.coi_bits_after);
         Self {
@@ -422,7 +408,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Starts a fresh accounting batch on a persistent (pooled) checker:
+    /// Starts a fresh accounting batch on a persistent (context-chain) checker:
     /// zeroes the per-batch [`CheckStats`], re-seeds the cone-of-influence
     /// gauge and the live solver-database gauges, clears any injected fault,
     /// and — from the second batch on — records the context reuse and the
@@ -447,10 +433,7 @@ impl<'a> Checker<'a> {
             stats.ctx_reused = 1;
             stats.learnts_carried = live.learnt_core + live.learnt_mid + live.learnt_local;
         }
-        stats.sat_learnt_core = live.learnt_core;
-        stats.sat_learnt_mid = live.learnt_mid;
-        stats.sat_learnt_local = live.learnt_local;
-        stats.sat_binary_clauses = live.binary_clauses;
+        stats.set_gauges(&live);
         self.stats = stats;
         self.fault = None;
     }
@@ -645,33 +628,26 @@ impl<'a> Checker<'a> {
         outcome
     }
 
-    /// Charges the main solver's statistics delta since the last charge
-    /// into the shared pool (when one is attached) and folds the same
-    /// delta into the learnt-DB observability counters.
+    /// Charges the main solver's statistics delta since the last charge;
+    /// the gauges then read as the live solver database.
     fn charge_pool(&mut self) {
         let now = self.unroll.gate().solver().stats();
+        self.charge(self.charged, now);
+        self.stats.set_gauges(&now);
+        self.charged = now;
+    }
+
+    /// Charges a solver's conflict/propagation delta `prev → now` into the
+    /// shared pool (when one is attached) and folds the whole delta into
+    /// the stats.
+    fn charge(&mut self, prev: sat::SolverStats, now: sat::SolverStats) {
         if let Some(pool) = &self.pool {
             pool.charge(
-                now.conflicts - self.charged.conflicts,
-                now.propagations - self.charged.propagations,
+                now.conflicts - prev.conflicts,
+                now.propagations - prev.propagations,
             );
         }
-        // Counters accumulate deltas; gauges are overwritten with the
-        // latest live values so `stats()` reads as "the solver now".
-        self.stats.sat_clauses_deleted += now.clauses_deleted - self.charged.clauses_deleted;
-        self.stats.sat_subsumed += now.subsumed - self.charged.subsumed;
-        self.stats.sat_strengthened += now.strengthened - self.charged.strengthened;
-        self.stats.sat_blocked_restarts += now.blocked_restarts - self.charged.blocked_restarts;
-        self.stats.sat_trail_reuses += now.trail_reuses - self.charged.trail_reuses;
-        self.stats.sat_reused_levels += now.reused_levels - self.charged.reused_levels;
-        self.stats.sat_lbd_sum += now.lbd_sum - self.charged.lbd_sum;
-        self.stats.sat_lbd_count += now.lbd_count - self.charged.lbd_count;
-        self.stats.sat_max_lbd = self.stats.sat_max_lbd.max(now.max_lbd);
-        self.stats.sat_learnt_core = now.learnt_core;
-        self.stats.sat_learnt_mid = now.learnt_mid;
-        self.stats.sat_learnt_local = now.learnt_local;
-        self.stats.sat_binary_clauses = now.binary_clauses;
-        self.charged = now;
+        self.stats.fold_solver(&prev, &now);
     }
 
     /// The SAT literal of a 1-bit signal at the final unrolled frame.
@@ -762,24 +738,9 @@ impl<'a> Checker<'a> {
             .set_conflict_budget(self.cfg.conflict_budget);
         let proved = ind.gate().solver().solve_assuming(&assumptions).is_unsat();
         let st = ind.gate().solver().stats();
-        let prev = self.ind_charged;
-        if let Some(pool) = &self.pool {
-            pool.charge(
-                st.conflicts - prev.conflicts,
-                st.propagations - prev.propagations,
-            );
-        }
-        // Fold the induction solver's counter deltas in, but leave the
-        // live-database gauges to the main solver.
-        self.stats.sat_clauses_deleted += st.clauses_deleted - prev.clauses_deleted;
-        self.stats.sat_subsumed += st.subsumed - prev.subsumed;
-        self.stats.sat_strengthened += st.strengthened - prev.strengthened;
-        self.stats.sat_blocked_restarts += st.blocked_restarts - prev.blocked_restarts;
-        self.stats.sat_trail_reuses += st.trail_reuses - prev.trail_reuses;
-        self.stats.sat_reused_levels += st.reused_levels - prev.reused_levels;
-        self.stats.sat_lbd_sum += st.lbd_sum - prev.lbd_sum;
-        self.stats.sat_lbd_count += st.lbd_count - prev.lbd_count;
-        self.stats.sat_max_lbd = self.stats.sat_max_lbd.max(st.max_lbd);
+        // The induction solver's deltas count; the live-database gauges
+        // stay the main solver's.
+        self.charge(self.ind_charged, st);
         self.ind_charged = st;
         proved
     }
@@ -943,6 +904,140 @@ mod tests {
         assert_eq!(merged.sat_lbd_count, 2 * st.sat_lbd_count);
         assert_eq!(merged.sat_learnt_live(), 2 * st.sat_learnt_live());
         assert_eq!(merged.sat_max_lbd, st.sat_max_lbd);
+        // Field by field, on records with a distinct value everywhere:
+        // every counter and gauge sums; max_time and sat_max_lbd take the
+        // larger value.
+        let (a, b) = (distinct_stats(0), distinct_stats(100));
+        let mut merged = a;
+        merged.absorb(&b);
+        let maxed = ["max_time", "sat_max_lbd"];
+        let (fa, fb, fm) = (fields(&a), fields(&b), fields(&merged));
+        assert_eq!(fa.len(), 30, "every CheckStats field is listed");
+        for (((name, x), (_, y)), (_, m)) in fa.iter().zip(&fb).zip(&fm) {
+            let want = if maxed.contains(name) {
+                *x.max(y)
+            } else {
+                x + y
+            };
+            assert_eq!(*m, want, "absorb merged `{name}` wrongly");
+        }
+    }
+
+    #[test]
+    fn journal_codec_is_pinned() {
+        // The encoding journals written before the field table produced;
+        // keys and their order must never move.
+        const PINNED: &str = "{\"p\":1,\"r\":2,\"u\":3,\"ud\":4,\"cb\":7,\"ca\":8,\"ds\":9,\"udb\":14,\
+                              \"udd\":15,\"udp\":16,\"udf\":17,\"cr\":10,\"fe\":11,\"fr\":12,\"lc\":13}";
+        let s = distinct_stats(0);
+        let enc = s.encode();
+        assert_eq!(enc.render_compact(), PINNED);
+        // Durations and solver counters are not journaled: they decode as 0.
+        let journaled = CheckStats {
+            properties: s.properties,
+            reachable: s.reachable,
+            unreachable: s.unreachable,
+            undetermined: s.undetermined,
+            coi_bits_before: s.coi_bits_before,
+            coi_bits_after: s.coi_bits_after,
+            discharged_static: s.discharged_static,
+            ctx_reused: s.ctx_reused,
+            frames_extended: s.frames_extended,
+            frames_rebuilt: s.frames_rebuilt,
+            learnts_carried: s.learnts_carried,
+            undet_budget: s.undet_budget,
+            undet_deadline: s.undet_deadline,
+            undet_panicked: s.undet_panicked,
+            undet_fault: s.undet_fault,
+            ..Default::default()
+        };
+        let back = CheckStats::decode(&jsonio::Json::parse(PINNED).unwrap()).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{journaled:?}"));
+        // A record missing any key (a pre-v5 record) is a miss, not zeros.
+        let jsonio::Json::Obj(keys) = enc else {
+            unreachable!("encode renders an object")
+        };
+        for skip in 0..keys.len() {
+            let mut partial = keys.clone();
+            let (key, _) = partial.remove(skip);
+            assert!(
+                CheckStats::decode(&jsonio::Json::Obj(partial)).is_none(),
+                "a record without `{key}` must not decode"
+            );
+        }
+    }
+
+    /// A record with a distinct value in every field, offset by `base`.
+    fn distinct_stats(base: u64) -> CheckStats {
+        let n = |i: u64| base + i;
+        CheckStats {
+            properties: n(1),
+            reachable: n(2),
+            unreachable: n(3),
+            undetermined: n(4),
+            total_time: Duration::from_nanos(n(5)),
+            max_time: Duration::from_nanos(n(6)),
+            coi_bits_before: n(7),
+            coi_bits_after: n(8),
+            discharged_static: n(9),
+            ctx_reused: n(10),
+            frames_extended: n(11),
+            frames_rebuilt: n(12),
+            learnts_carried: n(13),
+            undet_budget: n(14),
+            undet_deadline: n(15),
+            undet_panicked: n(16),
+            undet_fault: n(17),
+            sat_learnt_core: n(18),
+            sat_learnt_mid: n(19),
+            sat_learnt_local: n(20),
+            sat_binary_clauses: n(21),
+            sat_clauses_deleted: n(22),
+            sat_subsumed: n(23),
+            sat_strengthened: n(24),
+            sat_blocked_restarts: n(25),
+            sat_trail_reuses: n(26),
+            sat_reused_levels: n(27),
+            sat_lbd_sum: n(28),
+            sat_lbd_count: n(29),
+            sat_max_lbd: n(30) as u32,
+        }
+    }
+
+    /// Every field of a record by name, durations in nanoseconds.
+    fn fields(s: &CheckStats) -> Vec<(&'static str, u64)> {
+        vec![
+            ("properties", s.properties),
+            ("reachable", s.reachable),
+            ("unreachable", s.unreachable),
+            ("undetermined", s.undetermined),
+            ("total_time", s.total_time.as_nanos() as u64),
+            ("max_time", s.max_time.as_nanos() as u64),
+            ("coi_bits_before", s.coi_bits_before),
+            ("coi_bits_after", s.coi_bits_after),
+            ("discharged_static", s.discharged_static),
+            ("ctx_reused", s.ctx_reused),
+            ("frames_extended", s.frames_extended),
+            ("frames_rebuilt", s.frames_rebuilt),
+            ("learnts_carried", s.learnts_carried),
+            ("undet_budget", s.undet_budget),
+            ("undet_deadline", s.undet_deadline),
+            ("undet_panicked", s.undet_panicked),
+            ("undet_fault", s.undet_fault),
+            ("sat_learnt_core", s.sat_learnt_core),
+            ("sat_learnt_mid", s.sat_learnt_mid),
+            ("sat_learnt_local", s.sat_learnt_local),
+            ("sat_binary_clauses", s.sat_binary_clauses),
+            ("sat_clauses_deleted", s.sat_clauses_deleted),
+            ("sat_subsumed", s.sat_subsumed),
+            ("sat_strengthened", s.sat_strengthened),
+            ("sat_blocked_restarts", s.sat_blocked_restarts),
+            ("sat_trail_reuses", s.sat_trail_reuses),
+            ("sat_reused_levels", s.sat_reused_levels),
+            ("sat_lbd_sum", s.sat_lbd_sum),
+            ("sat_lbd_count", s.sat_lbd_count),
+            ("sat_max_lbd", s.sat_max_lbd as u64),
+        ]
     }
 
     #[test]

@@ -200,16 +200,13 @@ impl FaultPlan {
         if self.rate <= 0.0 {
             return None;
         }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in phase.as_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h = (h ^ ix as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = netlist::Fnv::new();
+        h.bytes(phase.as_bytes()).word(ix as u64);
         if attempt > 0 {
-            h = (h ^ 0xa5a5_0000u64 ^ attempt as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            h.word(0xa5a5_0000 ^ attempt as u64);
         }
         Some(prng::Rng::new(
-            h ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            h.finish() ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         ))
     }
 }

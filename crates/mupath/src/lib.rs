@@ -109,63 +109,11 @@ impl EngineOptions {
 /// journal written against one RTL revision can never replay onto another.
 /// FNV-1a over the canonical netlist text plus the design name.
 pub fn design_fingerprint(design: &Design) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let eat = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&mut h, design.name.as_bytes());
-    eat(&mut h, &[0]);
-    eat(&mut h, netlist::text::emit(&design.netlist).as_bytes());
-    h
-}
-
-/// Serializes [`CheckStats`] counters for a journal record. Durations are
-/// deliberately dropped — they are nondeterministic, and resumed runs must
-/// reproduce the uninterrupted run's report byte for byte.
-pub fn encode_check_stats(s: &CheckStats) -> jsonio::Json {
-    use jsonio::Json;
-    Json::Obj(vec![
-        ("p".into(), Json::Int(s.properties)),
-        ("r".into(), Json::Int(s.reachable)),
-        ("u".into(), Json::Int(s.unreachable)),
-        ("ud".into(), Json::Int(s.undetermined)),
-        ("cb".into(), Json::Int(s.coi_bits_before)),
-        ("ca".into(), Json::Int(s.coi_bits_after)),
-        ("ds".into(), Json::Int(s.discharged_static)),
-        ("udb".into(), Json::Int(s.undet_budget)),
-        ("udd".into(), Json::Int(s.undet_deadline)),
-        ("udp".into(), Json::Int(s.undet_panicked)),
-        ("udf".into(), Json::Int(s.undet_fault)),
-        ("cr".into(), Json::Int(s.ctx_reused)),
-        ("fe".into(), Json::Int(s.frames_extended)),
-        ("fr".into(), Json::Int(s.frames_rebuilt)),
-        ("lc".into(), Json::Int(s.learnts_carried)),
-    ])
-}
-
-/// Parses a journaled [`encode_check_stats`] record (durations zero).
-pub fn decode_check_stats(j: &jsonio::Json) -> Option<CheckStats> {
-    let mut s = CheckStats {
-        properties: j.field("p")?.as_u64()?,
-        reachable: j.field("r")?.as_u64()?,
-        unreachable: j.field("u")?.as_u64()?,
-        undetermined: j.field("ud")?.as_u64()?,
-        ..Default::default()
-    };
-    s.coi_bits_before = j.field("cb")?.as_u64()?;
-    s.coi_bits_after = j.field("ca")?.as_u64()?;
-    s.discharged_static = j.field("ds")?.as_u64()?;
-    s.undet_budget = j.field("udb")?.as_u64()?;
-    s.undet_deadline = j.field("udd")?.as_u64()?;
-    s.undet_panicked = j.field("udp")?.as_u64()?;
-    s.undet_fault = j.field("udf")?.as_u64()?;
-    s.ctx_reused = j.field("cr")?.as_u64()?;
-    s.frames_extended = j.field("fe")?.as_u64()?;
-    s.frames_rebuilt = j.field("fr")?.as_u64()?;
-    s.learnts_carried = j.field("lc")?.as_u64()?;
-    Some(s)
+    netlist::Fnv::new()
+        .bytes(design.name.as_bytes())
+        .bytes(&[0])
+        .bytes(netlist::text::emit(&design.netlist).as_bytes())
+        .finish()
 }
 
 /// Whole-ISA synthesis results.

@@ -46,15 +46,21 @@ pub struct SynthConfig {
 }
 
 impl SynthConfig {
-    /// A configuration derived from the design's latency bound: slot 0 and
-    /// 1, no-control-flow context.
+    /// The front ends' defaults for a design (the CLI's `paths`/`leak` and
+    /// the daemon's jobs): slots 0 and 1; a no-control-flow context, or
+    /// any context for request-driven DUVs with their own type encoding;
+    /// a bound covering fetch-to-drain latency (capped at 16) plus 8.
     pub fn for_design(design: &Design) -> Self {
         Self {
             slots: vec![0, 1],
-            context: ContextMode::NoControlFlow,
-            bound: design.max_latency + 8,
-            conflict_budget: Some(4_000_000),
-            max_shapes: 128,
+            context: if design.type_values.is_empty() {
+                ContextMode::NoControlFlow
+            } else {
+                ContextMode::Any
+            },
+            bound: design.max_latency.min(16) + 8,
+            conflict_budget: Some(2_000_000),
+            max_shapes: 64,
         }
     }
 
@@ -294,7 +300,7 @@ impl SlotSynthesis {
             ("v".into(), Json::Int(2)),
             ("complete".into(), Json::Bool(self.complete)),
             ("shapes".into(), Json::Arr(shapes)),
-            ("stats".into(), crate::encode_check_stats(&self.stats)),
+            ("stats".into(), self.stats.encode()),
         ])
         .render_compact()
     }
@@ -331,7 +337,7 @@ impl SlotSynthesis {
         Some(Self {
             shapes,
             complete,
-            stats: crate::decode_check_stats(j.field("stats")?)?,
+            stats: CheckStats::decode(j.field("stats")?)?,
         })
     }
 }

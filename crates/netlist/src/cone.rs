@@ -23,22 +23,47 @@ use crate::ir::{BinOp, Netlist, Node, Op, SignalId, UnOp};
 /// Canonical-id marker for "no signal" (an unwired register next).
 const NONE_ID: u64 = u64::MAX;
 
-/// Incremental FNV-1a (the repo-wide content hash).
-struct Fnv(u64);
+/// Incremental FNV-1a-64, the workspace's one content hash: cone and
+/// design fingerprints, journal checksums and key digests, and the fault
+/// streams all go through it. Not collision-resistant; keys built on it
+/// are cache keys, not security boundaries.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv(u64);
 
-impl Fnv {
-    fn new() -> Self {
+impl Default for Fnv {
+    fn default() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+impl Fnv {
+    /// A hasher at the FNV-1a offset basis.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
+    /// The byte step, once per byte of `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.word(b as u64);
         }
+        self
+    }
+
+    /// `v` as its eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// The whole-word step: XOR all 64 bits of `w` in, then multiply once.
+    pub fn word(&mut self, w: u64) -> &mut Self {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        self
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -140,13 +165,15 @@ pub fn fingerprint(nl: &Netlist, targets: &[SignalId], frees: &[SignalId]) -> u6
     for &s in &order {
         let node = nl.node(s);
         let (tag, sub) = op_tag(&node.op);
-        h.byte(tag);
-        h.byte(sub);
-        h.byte(node.width);
+        h.bytes(&[tag, sub, node.width]);
         match &node.op {
             Op::Input => {}
-            Op::Const(v) => h.u64(*v),
-            Op::Unary(_, a) => h.u64(cid(*a)),
+            Op::Const(v) => {
+                h.u64(*v);
+            }
+            Op::Unary(_, a) => {
+                h.u64(cid(*a));
+            }
             Op::Binary(_, a, b) => {
                 h.u64(cid(*a));
                 h.u64(cid(*b));
@@ -158,18 +185,14 @@ pub fn fingerprint(nl: &Netlist, targets: &[SignalId], frees: &[SignalId]) -> u6
             }
             Op::Slice { src, hi, lo } => {
                 h.u64(cid(*src));
-                h.byte(*hi);
-                h.byte(*lo);
+                h.bytes(&[*hi, *lo]);
             }
             Op::Concat { hi, lo } => {
                 h.u64(cid(*hi));
                 h.u64(cid(*lo));
             }
             Op::Reg { next, init } => {
-                match next {
-                    Some(nx) => h.u64(cid(*nx)),
-                    None => h.u64(NONE_ID),
-                }
+                h.u64(next.map_or(NONE_ID, cid));
                 // A free register's init is symbolic: hashing it would
                 // split cache keys on a constant the query ignores.
                 if frees.contains(&s) {
@@ -197,7 +220,7 @@ pub fn fingerprint(nl: &Netlist, targets: &[SignalId], frees: &[SignalId]) -> u6
     for f in free_ids {
         h.u64(f);
     }
-    h.0
+    h.finish()
 }
 
 /// A cone extracted into its own canonically renumbered netlist.
@@ -285,6 +308,22 @@ mod tests {
         let out_b = b.xor(bb, y);
         let nl = b.finish().expect("valid");
         (nl, out_a.id, out_b.id)
+    }
+
+    #[test]
+    fn fnv_matches_the_published_fnv1a_64_vectors() {
+        let hash = |s: &str| Fnv::new().bytes(s.as_bytes()).finish();
+        assert_eq!(hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash("foobar"), 0x8594_4171_f739_67e8);
+        // The u64 step is the byte step over little-endian bytes, and the
+        // word step on a byte value is the byte step.
+        let v = 0x0123_4567_89ab_cdefu64;
+        assert_eq!(
+            Fnv::new().u64(v).finish(),
+            Fnv::new().bytes(&v.to_le_bytes()).finish()
+        );
+        assert_eq!(Fnv::new().word(0x61).finish(), hash("a"));
     }
 
     #[test]

@@ -41,5 +41,6 @@ pub mod text;
 
 pub use analysis::CycleError;
 pub use build::{Builder, MemArray, Wire};
+pub use cone::Fnv;
 pub use diag::{Diagnostic, Report, Severity, SourceFile, Span};
 pub use ir::{mask, BinOp, Fanin, Netlist, NetlistError, Node, Op, SignalId, UnOp};

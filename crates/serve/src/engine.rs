@@ -12,18 +12,17 @@
 //! invariant of the batch drivers carries over: no fault, injected or
 //! real, can flip a clean verdict, only widen it.
 //!
-//! Clean verdicts are stored in the content-addressed [`VerdictStore`],
-//! so identical (design fingerprint, knobs) jobs are answered from cache
-//! without re-solving, and a restarted daemon replays the journal and
-//! answers byte for byte identically.
+//! Clean verdicts are stored in the content-addressed verdict store — a
+//! [`Journal`] whose keys are pure functions of (job kind, design
+//! fingerprint, verdict-relevant knobs), never of deadlines, fault plans
+//! or retry budgets, which can only widen verdicts. Identical jobs are
+//! answered from cache without re-solving, and a restarted daemon replays
+//! the journal (torn tail dropped) and answers byte for byte identically.
 
 use crate::proto::{ev_done, ev_error, ev_progress, Op, Request};
-use crate::store::{fnv, VerdictStore};
 use jsonio::Json;
-use mc::{CancelToken, FaultPlan, ServeFault};
-use mupath::{
-    design_fingerprint, synthesize_isa_with, ContextMode, EngineOptions, RobustOptions, SynthConfig,
-};
+use mc::{CancelToken, FaultPlan, JobStore, ServeFault};
+use mupath::{design_fingerprint, synthesize_isa_with, EngineOptions, RobustOptions, SynthConfig};
 use sat::ClientBudgets;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use synthlc::{synthesize_leakage, LeakConfig, TxKind};
+use synthlc::{synthesize_leakage, Journal, LeakConfig};
 use uarch::Design;
 
 /// Daemon configuration.
@@ -100,6 +99,7 @@ struct Counters {
     degraded: AtomicU64,
     shed: AtomicU64,
     panics_caught: AtomicU64,
+    torn_writes: AtomicU64,
     cone_hits: AtomicU64,
     cone_misses: AtomicU64,
 }
@@ -108,7 +108,7 @@ struct Inner {
     cfg: ServeConfig,
     /// Engine threads each job runs on ([`job_threads`]).
     job_threads: usize,
-    store: Option<Arc<VerdictStore>>,
+    store: Option<Arc<Journal>>,
     budgets: ClientBudgets,
     state: Mutex<QueueState>,
     work_cv: Condvar,
@@ -127,7 +127,7 @@ pub struct Server {
 
 impl Server {
     /// Starts the worker pool.
-    pub fn start(cfg: ServeConfig, store: Option<Arc<VerdictStore>>) -> Server {
+    pub fn start(cfg: ServeConfig, store: Option<Arc<Journal>>) -> Server {
         let workers = if cfg.workers == 0 {
             mc::default_threads()
         } else {
@@ -246,7 +246,10 @@ impl Server {
         if let Some(store) = &self.inner.store {
             fields.push(("cache_hits".into(), Json::Int(store.hits())));
             fields.push(("cache_size".into(), Json::Int(store.len() as u64)));
-            fields.push(("torn_writes".into(), Json::Int(store.torn_writes())));
+            fields.push((
+                "torn_writes".into(),
+                Json::Int(c.torn_writes.load(Ordering::Relaxed)),
+            ));
             fields.push((
                 "cone_hits".into(),
                 Json::Int(c.cone_hits.load(Ordering::Relaxed)),
@@ -320,10 +323,10 @@ fn worker_loop(inner: &Inner) {
 /// Everything about a job resolved before the attempt loop: design,
 /// opcode, effective knobs, and the verdict-store key.
 struct Prep {
-    design: Option<Design>,
-    opcode: Option<isa::Opcode>,
+    /// Paths/Leak: the loaded design, the opcode, and the µPATH knobs.
+    job: Option<(Design, isa::Opcode, SynthConfig)>,
+    /// Fuzz: the effective BMC bound.
     bound: usize,
-    budget: u64,
     key: Option<String>,
 }
 
@@ -331,38 +334,36 @@ fn prepare(req: &Request) -> Result<Prep, String> {
     match req.op {
         Op::Paths | Op::Leak => {
             let spec = req.design.as_deref().expect("validated by Request::parse");
-            let design = load_design(spec)?;
+            let (design, _) = uarch::load_design(spec).map_err(|e| e.message)?;
             let iname = req.instr.as_deref().expect("validated by Request::parse");
             let opcode = design
-                .isa
-                .iter()
-                .copied()
-                .find(|o| o.mnemonic().eq_ignore_ascii_case(iname))
+                .opcode(iname)
                 .ok_or_else(|| format!("`{iname}` is not implemented by {}", design.name))?;
-            let bound = req.bound.unwrap_or(design.max_latency.min(16) + 8);
-            let budget = req.budget.unwrap_or(2_000_000);
+            let mut synth = SynthConfig::for_design(&design);
+            synth.bound = req.bound.unwrap_or(synth.bound);
+            synth.conflict_budget = req.budget.or(synth.conflict_budget);
             let fp = design_fingerprint(&design);
             let key = format!(
-                "serve:{}:{fp:016x}:{:?}:{bound}:{budget}",
+                "serve:{}:{fp:016x}:{opcode:?}:{}:{}",
                 req.op.label(),
-                opcode
+                synth.bound,
+                synth.conflict_budget.unwrap_or_default()
             );
             Ok(Prep {
-                design: Some(design),
-                opcode: Some(opcode),
-                bound,
-                budget,
+                job: Some((design, opcode, synth)),
+                bound: 0,
                 key: Some(key),
             })
         }
         Op::Check => {
             let source = req.source.as_deref().expect("validated by Request::parse");
             Ok(Prep {
-                design: None,
-                opcode: None,
+                job: None,
                 bound: 0,
-                budget: 0,
-                key: Some(format!("serve:check:{:016x}", fnv(source.as_bytes()))),
+                key: Some(format!(
+                    "serve:check:{:016x}",
+                    netlist::Fnv::new().bytes(source.as_bytes()).finish()
+                )),
             })
         }
         Op::Fuzz => {
@@ -373,10 +374,8 @@ fn prepare(req: &Request) -> Result<Prep, String> {
                 .bound
                 .unwrap_or_else(|| fuzz::FuzzConfig::default().bound);
             Ok(Prep {
-                design: None,
-                opcode: None,
+                job: None,
                 bound,
-                budget: 0,
                 key: Some(format!("serve:fuzz:{}:{}:{bound}", req.seed, req.cases)),
             })
         }
@@ -385,28 +384,6 @@ fn prepare(req: &Request) -> Result<Prep, String> {
             req.op.label()
         )),
     }
-}
-
-fn design_by_name(name: &str) -> Option<Design> {
-    Some(match name {
-        "minicva6" => uarch::build_core(&uarch::CoreConfig::default()),
-        "minicva6-mul" => uarch::build_core(&uarch::CoreConfig::cva6_mul()),
-        "minicva6-op" => uarch::build_core(&uarch::CoreConfig::cva6_op()),
-        "hardened" => uarch::build_core(&uarch::CoreConfig::hardened()),
-        "tinycore" => uarch::build_tiny(),
-        "minicache" => uarch::cache::build_cache(),
-        _ => return None,
-    })
-}
-
-fn load_design(spec: &str) -> Result<Design, String> {
-    if !spec.ends_with(".nl") && !std::path::Path::new(spec).is_file() {
-        return design_by_name(spec)
-            .ok_or_else(|| format!("unknown design `{spec}` (not a built-in, not a file)"));
-    }
-    let src = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
-    let (design, result) = uarch::frontend::parse_design(&src, spec);
-    design.ok_or_else(|| format!("{spec}: {}", result.report.summary()))
 }
 
 fn process(inner: &Inner, job: &Job) {
@@ -488,6 +465,7 @@ fn process(inner: &Inner, job: &Job) {
                             let _ = job
                                 .tx
                                 .send(ev_progress(&req.id, "injected fault: torn journal write"));
+                            inner.counters.torn_writes.fetch_add(1, Ordering::Relaxed);
                             store.put_torn(key, &payload.render_compact());
                         } else {
                             store.put(key, &payload.render_compact());
@@ -571,27 +549,19 @@ fn execute(
         journal: inner
             .store
             .as_ref()
-            .map(|s| Arc::clone(s) as Arc<dyn mc::JobStore>),
+            .map(|s| Arc::clone(s) as Arc<dyn JobStore>),
         retries: 0,
     };
     let budget_pool = inner.budgets.pool_for(&req.client);
     match req.op {
         Op::Paths => {
-            let design = prep.design.as_ref().expect("prepared");
-            let op = prep.opcode.expect("prepared");
-            let cfg = SynthConfig {
-                slots: vec![0, 1],
-                context: default_context(design),
-                bound: prep.bound,
-                conflict_budget: Some(prep.budget),
-                max_shapes: 64,
-            };
+            let (design, op, cfg) = prep.job.as_ref().expect("prepared");
             let opts = EngineOptions {
                 threads: inner.job_threads,
                 budget_pool: Some(budget_pool),
                 robust,
             };
-            let isa_synth = synthesize_isa_with(design, &[op], &cfg, &opts);
+            let isa_synth = synthesize_isa_with(design, &[*op], cfg, &opts);
             let r = &isa_synth.instrs[0];
             let degraded = isa_synth.degraded_jobs > 0 || isa_synth.stats.degraded() > 0;
             let payload = Json::obj([
@@ -611,50 +581,14 @@ fn execute(
             Ok((payload, degraded, cones))
         }
         Op::Leak => {
-            let design = prep.design.as_ref().expect("prepared");
-            let op = prep.opcode.expect("prepared");
+            let (design, op, synth) = prep.job.as_ref().expect("prepared");
             let cfg = LeakConfig {
-                mupath: SynthConfig {
-                    slots: vec![0, 1],
-                    context: default_context(design),
-                    bound: prep.bound,
-                    conflict_budget: Some(prep.budget),
-                    max_shapes: 64,
-                },
-                transmitters: design
-                    .isa
-                    .iter()
-                    .copied()
-                    .filter(|t| {
-                        matches!(
-                            t,
-                            isa::Opcode::Add
-                                | isa::Opcode::Mul
-                                | isa::Opcode::Div
-                                | isa::Opcode::Lw
-                                | isa::Opcode::Sw
-                                | isa::Opcode::Beq
-                                | isa::Opcode::Jalr
-                        )
-                    })
-                    .collect(),
-                kinds: vec![
-                    TxKind::Intrinsic,
-                    TxKind::DynamicOlder,
-                    TxKind::DynamicYounger,
-                    TxKind::Static,
-                ],
-                bound: prep.bound,
-                conflict_budget: Some(prep.budget),
                 threads: inner.job_threads,
-                slot_base: 0,
-                max_sources: Some(3),
-                coi: true,
-                static_prune: true,
                 budget_pool: Some(budget_pool),
                 robust,
+                ..LeakConfig::for_design(design, synth.clone())
             };
-            let report = synthesize_leakage(design, &[op], &cfg);
+            let report = synthesize_leakage(design, &[*op], &cfg);
             let mut stats = report.mupath_stats;
             stats.absorb(&report.ift_stats);
             let degraded = report.degraded_jobs > 0 || stats.degraded() > 0;
@@ -668,7 +602,7 @@ fn execute(
                 ("design", Json::str(&design.name)),
                 ("instr", Json::str(op.mnemonic())),
                 ("signatures", Json::Arr(signatures)),
-                ("transponder", Json::Bool(report.transponders.contains(&op))),
+                ("transponder", Json::Bool(report.transponders.contains(op))),
                 ("properties", Json::Int(stats.properties)),
                 ("undetermined", Json::Int(stats.undetermined)),
                 ("exit", Json::Int(if degraded { 2 } else { 0 })),
@@ -720,14 +654,6 @@ fn execute(
             Ok((payload, degraded, None))
         }
         Op::Stats | Op::Shutdown => Err("not a queued op".into()),
-    }
-}
-
-fn default_context(design: &Design) -> ContextMode {
-    if design.type_values.is_empty() {
-        ContextMode::NoControlFlow
-    } else {
-        ContextMode::Any
     }
 }
 

@@ -10,7 +10,7 @@
 //!                                      ▼                    │ watchdog deadline
 //!                                 `overloaded`              │ seeded-backoff retries
 //!                                                           ▼
-//!                                         verdict store (checkpoint journal)
+//!                                         verdict store (synthlc::Journal)
 //! ```
 //!
 //! Robustness contract, inherited from the batch drivers and extended to
@@ -31,13 +31,14 @@ pub mod engine;
 pub mod knobs;
 pub mod net;
 pub mod proto;
-pub mod store;
 
 pub use engine::{ServeConfig, Server, Submit};
 pub use knobs::{parse_deadline_secs, parse_fault_rate};
 pub use net::{run_client, serve_tcp};
 pub use proto::{Op, Request};
-pub use store::VerdictStore;
+/// The daemon's verdict store is the batch drivers' checkpoint journal;
+/// the old name stays for existing callers.
+pub use synthlc::Journal as VerdictStore;
 
 /// The fault seed pinned by the `scripts/ci.sh` serve-smoke stage: at
 /// rate 0.5 it plans a worker panic for the very first job's first

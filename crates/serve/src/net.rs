@@ -14,7 +14,6 @@
 
 use crate::engine::{ServeConfig, Server, Submit};
 use crate::proto::{ev_error, ev_overloaded, Op, Request};
-use crate::store::VerdictStore;
 use jsonio::{jsonl, Json};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -22,6 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use synthlc::Journal;
 
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
@@ -51,11 +51,7 @@ fn install_signal_handlers() {}
 /// Runs the daemon on `127.0.0.1:port` (`0` picks a free port). Prints
 /// `listening on 127.0.0.1:PORT` once ready — scripts parse that line.
 /// Returns the process exit code (0 after a graceful drain).
-pub fn serve_tcp(
-    cfg: ServeConfig,
-    store: Option<Arc<VerdictStore>>,
-    port: u16,
-) -> std::io::Result<u8> {
+pub fn serve_tcp(cfg: ServeConfig, store: Option<Arc<Journal>>, port: u16) -> std::io::Result<u8> {
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     let addr = listener.local_addr()?;
     println!("listening on {addr}");

@@ -104,10 +104,9 @@ impl Journal {
     }
 
     /// Appends raw bytes at the journal's write position without admitting
-    /// any record — the chaos-injection hook behind the serve daemon's
-    /// torn-write fault. The bytes model a kill mid-append; the next
-    /// [`Journal::resume`] must treat them as a torn tail and drop them
-    /// together with everything written after.
+    /// any record — a torn tail for recovery tests to plant. The next
+    /// [`Journal::resume`] must drop the bytes together with everything
+    /// written after.
     pub fn append_raw(&self, bytes: &[u8]) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let _ = inner
@@ -115,6 +114,28 @@ impl Journal {
             .write_all(bytes)
             .and_then(|()| inner.file.sync_data());
     }
+
+    /// The serve daemon's torn-write fault: appends the first half of the
+    /// exact line [`JobStore::put`] would write for `record` — the on-disk
+    /// shape a kill mid-append leaves behind. The record is not admitted
+    /// (it never durably completed).
+    pub fn put_torn(&self, key: &str, record: &str) {
+        let line = render_record(key, record);
+        self.append_raw(&line.as_bytes()[..line.len() / 2]);
+    }
+}
+
+/// Renders one journal line, newline included: `{"k": <key>, "r":
+/// <record>, "c": <checksum>}`.
+fn render_record(key: &str, record: &str) -> String {
+    let mut line = jsonio::Json::Obj(vec![
+        ("k".into(), jsonio::Json::str(key)),
+        ("r".into(), jsonio::Json::str(record)),
+        ("c".into(), jsonio::Json::Int(record_checksum(key, record))),
+    ])
+    .render_compact();
+    line.push('\n');
+    line
 }
 
 /// One journal line: `{"k": <key>, "r": <record>, "c": <checksum>}` with
@@ -137,11 +158,11 @@ fn parse_record(line: &str) -> Option<(String, String)> {
 /// FNV-1a over `key NUL record` — the integrity tag appended to every
 /// journal line.
 fn record_checksum(key: &str, record: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key.as_bytes().iter().chain(&[0u8]).chain(record.as_bytes()) {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    netlist::Fnv::new()
+        .bytes(key.as_bytes())
+        .bytes(&[0])
+        .bytes(record.as_bytes())
+        .finish()
 }
 
 impl JobStore for Journal {
@@ -159,15 +180,11 @@ impl JobStore for Journal {
         if inner.seen.contains_key(key) {
             return;
         }
-        let line = jsonio::Json::Obj(vec![
-            ("k".into(), jsonio::Json::str(key)),
-            ("r".into(), jsonio::Json::str(record)),
-            ("c".into(), jsonio::Json::Int(record_checksum(key, record))),
-        ])
-        .render_compact();
         // Append + flush + fsync before admitting the record to the map:
         // a verdict is only "completed" once it would survive a crash.
-        let ok = writeln!(inner.file, "{line}")
+        let ok = inner
+            .file
+            .write_all(render_record(key, record).as_bytes())
             .and_then(|()| inner.file.flush())
             .and_then(|()| inner.file.sync_data())
             .is_ok();
@@ -322,6 +339,38 @@ mod tests {
         let j = Journal::resume(&path).unwrap();
         assert_eq!(j.len(), 1, "a record failing its checksum must be dropped");
         assert_eq!(j.get("b"), None);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn torn_put_is_invisible_and_recovered_on_resume() {
+        let path = tmp("torn-put");
+        {
+            let j = Journal::create(&path).unwrap();
+            j.put("serve:a", "{\"exit\":0}");
+            j.put_torn("serve:b", "{\"exit\":0}");
+            assert_eq!(j.get("serve:b"), None, "a torn write never completed");
+            // A put after the tear appends a well-formed line again, but a
+            // reader must stop at the tear (append-only recovery drops the
+            // suffix from the first bad record on).
+            j.put("serve:c", "{\"exit\":0}");
+        }
+        let full = render_record("serve:b", "{\"exit\":0}");
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            on_disk.contains(&full[..full.len() / 2]) && !on_disk.contains(&full),
+            "the tear is the first half of the line `put` writes"
+        );
+        let j = Journal::resume(&path).unwrap();
+        assert_eq!(j.get("serve:a").as_deref(), Some("{\"exit\":0}"));
+        assert_eq!(j.get("serve:b"), None);
+        assert_eq!(j.get("serve:c"), None, "records after the tear are dropped");
+        assert_eq!(j.hits(), 1);
+        // After recovery truncated the tear, new verdicts persist again.
+        j.put("serve:d", "{\"exit\":2}");
+        drop(j);
+        let j2 = Journal::resume(&path).unwrap();
+        assert_eq!(j2.get("serve:d").as_deref(), Some("{\"exit\":2}"));
         std::fs::remove_file(path).unwrap();
     }
 

@@ -185,32 +185,32 @@ pub struct LeakConfig {
 }
 
 impl LeakConfig {
-    /// A default configuration for a design: representative transmitters,
-    /// all four typings.
-    pub fn for_design(design: &Design) -> Self {
+    /// The front ends' leakage audit of a design: one representative
+    /// transmitter per datapath class the design implements (add, mul,
+    /// div, lw, sw, beq, jalr), all four typings, the IFT phase at the
+    /// µPATH phase's bound and budget, the top 3 decision sources, and
+    /// both static reductions on.
+    pub fn for_design(design: &Design, mupath: SynthConfig) -> Self {
+        use Opcode::{Add, Beq, Div, Jalr, Lw, Mul, Sw};
         Self {
-            mupath: SynthConfig::for_design(design),
-            transmitters: vec![
-                Opcode::Add,
-                Opcode::Mul,
-                Opcode::Div,
-                Opcode::Lw,
-                Opcode::Sw,
-                Opcode::Beq,
-                Opcode::Jal,
-                Opcode::Jalr,
-            ],
+            transmitters: design
+                .isa
+                .iter()
+                .copied()
+                .filter(|t| matches!(t, Add | Mul | Div | Lw | Sw | Beq | Jalr))
+                .collect(),
             kinds: vec![
                 TxKind::Intrinsic,
                 TxKind::DynamicOlder,
                 TxKind::DynamicYounger,
                 TxKind::Static,
             ],
-            bound: design.max_latency + 10,
-            conflict_budget: Some(4_000_000),
+            bound: mupath.bound,
+            conflict_budget: mupath.conflict_budget,
+            mupath,
             threads: 0,
             slot_base: 0,
-            max_sources: None,
+            max_sources: Some(3),
             budget_pool: None,
             coi: true,
             static_prune: true,
@@ -791,15 +791,6 @@ pub fn synthesize_leakage(
     }
 }
 
-/// FNV-1a over a byte string.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The stable journal key of one IFT unit job: the unit's canonical cone
 /// fingerprint (its covers + the assume universe, with the free
 /// registers — so an edit outside that cone leaves the record valid),
@@ -813,7 +804,9 @@ fn ift_job_key(
     slots: (usize, usize),
     kind: TxKind,
 ) -> String {
-    let dhash = fnv(format!("{:?}|{decisions:?}", cfg.transmitters).as_bytes());
+    let dhash = netlist::Fnv::new()
+        .bytes(format!("{:?}|{decisions:?}", cfg.transmitters).as_bytes())
+        .finish();
     format!(
         "ift:{cone_fp}:{p:?}:{}:{}:{kind:?}:{}:{:?}:{}:{}:{dhash:016x}",
         slots.0, slots.1, cfg.bound, cfg.conflict_budget, cfg.coi, cfg.static_prune
@@ -850,7 +843,7 @@ fn encode_ift_record(tags: &[Tag], stats: &CheckStats) -> String {
         // (whole-design keys) decode as cache misses.
         ("v".into(), Json::Int(2)),
         ("tags".into(), Json::Arr(tags)),
-        ("stats".into(), mupath::encode_check_stats(stats)),
+        ("stats".into(), stats.encode()),
     ])
     .render_compact()
 }
@@ -893,7 +886,7 @@ fn decode_ift_record(s: &str) -> Option<(Vec<Tag>, CheckStats)> {
             primary: t[4].as_bool()?,
         });
     }
-    Some((tags, mupath::decode_check_stats(j.field("stats")?)?))
+    Some((tags, CheckStats::decode(j.field("stats")?)?))
 }
 
 #[cfg(test)]

@@ -12,6 +12,10 @@
 //!
 //! Every design comes with its [`netlist::annotate::Annotations`] (µFSMs,
 //! IFR, commit, operand registers — the Table II metadata).
+//!
+//! [`DESIGNS`] is the registry of built-in designs the front ends list,
+//! and [`load_design`] resolves a `<design>` argument — a registry name or
+//! a `.nl` file — for the CLI and the daemon alike.
 
 pub mod cache;
 mod config;
@@ -24,7 +28,59 @@ pub use config::{CoreConfig, DivPolicy, MulPolicy};
 pub use tiny::build_tiny;
 
 use netlist::annotate::Annotations;
+use netlist::text::CompileResult;
 use netlist::{Netlist, SignalId};
+
+/// A built-in design: its registry name and its builder.
+pub type Builtin = (&'static str, fn() -> Design);
+
+/// The built-in designs, in listing order.
+pub const DESIGNS: &[Builtin] = &[
+    ("minicva6", || build_core(&CoreConfig::default())),
+    ("minicva6-mul", || build_core(&CoreConfig::cva6_mul())),
+    ("minicva6-op", || build_core(&CoreConfig::cva6_op())),
+    ("hardened", || build_core(&CoreConfig::hardened())),
+    ("tinycore", build_tiny),
+    ("minicache", cache::build_cache),
+];
+
+/// Why [`load_design`] produced no design.
+#[derive(Debug)]
+pub struct LoadError {
+    /// One line: an unknown name, an unreadable file, or the file's
+    /// diagnostic summary.
+    pub message: String,
+    /// The rendered diagnostics of a file that compiled with errors;
+    /// empty otherwise.
+    pub diagnostics: String,
+}
+
+/// Resolves a `<design>` argument: a [`DESIGNS`] name, or a path to a
+/// `.nl` netlist file ("bring your own design"), which runs through the
+/// full frontend ([`frontend::parse_design`]). A file's compile result
+/// rides along with its design so callers can gate on its warnings.
+pub fn load_design(spec: &str) -> Result<(Design, Option<CompileResult>), LoadError> {
+    let fail = |message: String| LoadError {
+        message,
+        diagnostics: String::new(),
+    };
+    if !spec.ends_with(".nl") && !std::path::Path::new(spec).is_file() {
+        return match DESIGNS.iter().find(|(name, _)| *name == spec) {
+            Some((_, build)) => Ok((build(), None)),
+            None => Err(fail(format!(
+                "unknown design `{spec}` (not a built-in, not a file)"
+            ))),
+        };
+    }
+    let src = std::fs::read_to_string(spec).map_err(|e| fail(format!("{spec}: {e}")))?;
+    match frontend::parse_design(&src, spec) {
+        (Some(design), result) => Ok((design, Some(result))),
+        (None, result) => Err(LoadError {
+            message: format!("{spec}: {}", result.report.summary()),
+            diagnostics: result.report.render_in(&result.source),
+        }),
+    }
+}
 
 /// Where the instruction-type (opcode) field lives within the value driven
 /// on [`Design::fetch_instr_input`].
@@ -83,6 +139,14 @@ pub struct Design {
 }
 
 impl Design {
+    /// The implemented instruction with this mnemonic (any case).
+    pub fn opcode(&self, mnemonic: &str) -> Option<isa::Opcode> {
+        self.isa
+            .iter()
+            .copied()
+            .find(|o| o.mnemonic().eq_ignore_ascii_case(mnemonic))
+    }
+
     /// The type-field value that selects `op` on this design's request
     /// input.
     pub fn type_encoding(&self, op: isa::Opcode) -> u64 {

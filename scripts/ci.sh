@@ -23,6 +23,11 @@ cargo test -q "${OFFLINE[@]}" --workspace
 
 echo "== lint-designs (static-analysis suite, warnings fatal) =="
 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- lint all --deny-warnings
+# `lint` takes any <design>, so the shipped .nl files must lint clean too.
+for NL in examples/*.nl; do
+  cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+    lint "$NL" --deny-warnings >/dev/null
+done
 
 echo "== leak-golden (byte-identical report at --jobs 1 and 2) =="
 # The blessed `leak minicache lw` report: signatures, the solver-counter

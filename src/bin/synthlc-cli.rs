@@ -13,7 +13,7 @@
 //! synthlc-cli client <addr|port> <op> [args]  # submit one job to the daemon
 //! synthlc-cli designs                         # list available designs
 //!
-//! designs: minicva6 | minicva6-mul | minicva6-op | hardened | tinycore | minicache
+//! designs: the `uarch::DESIGNS` registry, as `synthlc-cli designs` lists it.
 //! A `<design>` argument may also be a path to a `.nl` netlist file
 //! ("bring your own design"): the file runs through the full frontend
 //! (parse, resolve, typecheck, lint) before synthesis.
@@ -57,44 +57,22 @@ use mc::{CancelToken, CheckStats, FaultPlan, JobStore};
 use mupath::{
     synthesize_isa_with, ContextMode, EngineOptions, HarnessConfig, RobustOptions, SynthConfig,
 };
+use netlist::text::CompileResult;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use synthlc::{contracts, synthesize_leakage, Journal, LeakConfig, TxKind};
-use uarch::{build_core, build_tiny, CoreConfig, Design};
+use synthlc::{contracts, synthesize_leakage, Journal, LeakConfig};
+use uarch::Design;
 
-fn design_by_name(name: &str) -> Option<Design> {
-    Some(match name {
-        "minicva6" => build_core(&CoreConfig::default()),
-        "minicva6-mul" => build_core(&CoreConfig::cva6_mul()),
-        "minicva6-op" => build_core(&CoreConfig::cva6_op()),
-        "hardened" => build_core(&CoreConfig::hardened()),
-        "tinycore" => build_tiny(),
-        "minicache" => uarch::cache::build_cache(),
-        _ => return None,
+/// Resolves a `<design>` argument through [`uarch::load_design`]. A file
+/// the frontend rejects has its rendered diagnostics printed to stderr;
+/// a surviving file's report rides along so the caller can apply
+/// `--deny-warnings`/`--lint`.
+fn load_design(spec: &str) -> Result<(Design, Option<CompileResult>), String> {
+    uarch::load_design(spec).map_err(|e| {
+        eprint!("{}", e.diagnostics);
+        e.message
     })
-}
-
-/// Resolves a `<design>` argument: a built-in name, or a path to a `.nl`
-/// netlist file ("bring your own design"). File-based designs go through
-/// the full frontend (parse, resolve, typecheck, lower, lint); hard errors
-/// abort here with the rendered report on stderr, while the surviving
-/// report rides along so the caller can apply `--deny-warnings`/`--lint`.
-fn load_design(spec: &str) -> Result<(Design, Option<netlist::text::CompileResult>), String> {
-    if !spec.ends_with(".nl") && !std::path::Path::new(spec).is_file() {
-        return design_by_name(spec)
-            .map(|d| (d, None))
-            .ok_or_else(|| format!("unknown design `{spec}` (not a built-in, not a file)"));
-    }
-    let src = std::fs::read_to_string(spec).map_err(|e| format!("{spec}: {e}"))?;
-    let (design, result) = uarch::frontend::parse_design(&src, spec);
-    match design {
-        Some(d) => Ok((d, Some(result))),
-        None => {
-            eprint!("{}", result.report.render_in(&result.source));
-            Err(format!("{spec}: {}", result.report.summary()))
-        }
-    }
 }
 
 /// Applies the pre-synthesis gate to a design loaded from a `.nl` file,
@@ -119,20 +97,9 @@ fn gate_file_report(
     }
 }
 
-fn opcode_by_name(design: &Design, name: &str) -> Option<isa::Opcode> {
-    design
-        .isa
-        .iter()
-        .copied()
-        .find(|o| o.mnemonic().eq_ignore_ascii_case(name))
-}
-
 #[derive(Debug)]
 struct Opts {
-    slots: Vec<usize>,
-    bound: usize,
-    context: ContextMode,
-    budget: u64,
+    synth: SynthConfig,
     jobs: usize,
     lint: bool,
     deny_warnings: bool,
@@ -146,14 +113,7 @@ struct Opts {
 
 fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
     let mut o = Opts {
-        slots: vec![0, 1],
-        bound: design.max_latency.min(16) + 8,
-        context: if design.type_values.is_empty() {
-            ContextMode::NoControlFlow
-        } else {
-            ContextMode::Any
-        },
-        budget: 2_000_000,
+        synth: SynthConfig::for_design(design),
         jobs: 0,
         lint: false,
         deny_warnings: false,
@@ -173,20 +133,22 @@ fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
         };
         match a.as_str() {
             "--slots" => {
-                o.slots = val("--slots")?
+                o.synth.slots = val("--slots")?
                     .split(',')
                     .map(|s| s.parse().map_err(|_| format!("bad slot `{s}`")))
                     .collect::<Result<_, _>>()?;
             }
             "--bound" => {
-                o.bound = val("--bound")?
+                o.synth.bound = val("--bound")?
                     .parse()
                     .map_err(|_| "bad --bound".to_owned())?;
             }
             "--budget" => {
-                o.budget = val("--budget")?
-                    .parse()
-                    .map_err(|_| "bad --budget".to_owned())?;
+                o.synth.conflict_budget = Some(
+                    val("--budget")?
+                        .parse()
+                        .map_err(|_| "bad --budget".to_owned())?,
+                );
             }
             "--jobs" => {
                 o.jobs = val("--jobs")?
@@ -210,7 +172,7 @@ fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
             }
             "--fail-on-undetermined" => o.fail_on_undetermined = true,
             "--context" => {
-                o.context = match val("--context")?.as_str() {
+                o.synth.context = match val("--context")?.as_str() {
                     "any" => ContextMode::Any,
                     "nocf" => ContextMode::NoControlFlow,
                     "solo" => ContextMode::Solo,
@@ -221,16 +183,6 @@ fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
         }
     }
     Ok(o)
-}
-
-fn synth_cfg(o: &Opts) -> SynthConfig {
-    SynthConfig {
-        slots: o.slots.clone(),
-        context: o.context,
-        bound: o.bound,
-        conflict_budget: Some(o.budget),
-        max_shapes: 64,
-    }
 }
 
 /// Assembles the robustness knobs from the CLI options: wall-clock
@@ -303,10 +255,10 @@ fn degradation_exit(
 /// One-line learnt-database summary of the solver work behind a run
 /// (tier gauges are live values from the last query; counters are
 /// lifetime totals across all checkers the run absorbed). The reuse
-/// block reports the incremental-solving economy: pooled contexts
-/// checked out again instead of rebuilt, unrolling frames grown in
-/// place vs. built from scratch, and learnt clauses alive at batch
-/// handoff (see DESIGN.md §12).
+/// block reports the incremental-solving economy: batches run on a
+/// context-chain checker already warm instead of a fresh one, unrolling
+/// frames grown in place vs. built from scratch, and learnt clauses
+/// alive at batch handoff (see DESIGN.md §12).
 fn solver_summary(stats: &CheckStats) -> String {
     format!(
         "solver: learnts {}/{}/{} (core/mid/local), {} binaries, \
@@ -352,17 +304,19 @@ fn lint_one(design: &Design, deny_warnings: bool, verbose: bool) -> Result<(), S
     }
 }
 
-fn cmd_lint(names: &[&str], deny_warnings: bool) -> Result<ExitCode, String> {
+fn cmd_lint<'a>(
+    designs: impl IntoIterator<Item = (&'a str, Design)>,
+    deny_warnings: bool,
+) -> ExitCode {
     let mut worst = 0u8;
-    for name in names {
-        let design = design_by_name(name).ok_or_else(|| format!("unknown design `{name}`"))?;
+    for (name, design) in designs {
         println!("== {name} ==");
         let report = uarch::lint_design(&design);
         print!("{}", report.render());
         println!();
         worst = worst.max(report.exit_code(deny_warnings));
     }
-    Ok(ExitCode::from(worst))
+    ExitCode::from(worst)
 }
 
 /// Runs the textual frontend on one `.nl` file (the `check` subcommand):
@@ -426,7 +380,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_pls(design: &Design, o: &Opts) {
-    let report = mupath::duv_pl_reachability(design, &synth_cfg(o));
+    let report = mupath::duv_pl_reachability(design, &o.synth);
     println!("{} performing locations:", report.pls.len());
     for pl in report.pls.ids() {
         println!(
@@ -449,7 +403,7 @@ fn cmd_paths(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, Str
         budget_pool: None,
         robust: robust_opts(o)?,
     };
-    let isa_synth = synthesize_isa_with(design, &[op], &synth_cfg(o), &opts);
+    let isa_synth = synthesize_isa_with(design, &[op], &o.synth, &opts);
     let r = &isa_synth.instrs[0];
     println!(
         "{op}: {} µPATH(s), complete = {}",
@@ -460,8 +414,8 @@ fn cmd_paths(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, Str
         design,
         &HarnessConfig {
             opcode: op,
-            fetch_slot: o.slots[0],
-            context: o.context,
+            fetch_slot: o.synth.slots[0],
+            context: o.synth.context,
         },
     );
     for (i, p) in r.concrete.iter().enumerate() {
@@ -493,39 +447,9 @@ fn cmd_paths(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, Str
 
 fn cmd_leak(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, String> {
     let cfg = LeakConfig {
-        mupath: synth_cfg(o),
-        transmitters: design
-            .isa
-            .iter()
-            .copied()
-            .filter(|t| {
-                matches!(
-                    t,
-                    isa::Opcode::Add
-                        | isa::Opcode::Mul
-                        | isa::Opcode::Div
-                        | isa::Opcode::Lw
-                        | isa::Opcode::Sw
-                        | isa::Opcode::Beq
-                        | isa::Opcode::Jalr
-                )
-            })
-            .collect(),
-        kinds: vec![
-            TxKind::Intrinsic,
-            TxKind::DynamicOlder,
-            TxKind::DynamicYounger,
-            TxKind::Static,
-        ],
-        bound: o.bound,
-        conflict_budget: Some(o.budget),
         threads: o.jobs,
-        slot_base: 0,
-        max_sources: Some(3),
-        coi: true,
-        static_prune: true,
-        budget_pool: None,
         robust: robust_opts(o)?,
+        ..LeakConfig::for_design(design, o.synth.clone())
     };
     let report = synthesize_leakage(design, &[op], &cfg);
     let mut stats = report.mupath_stats;
@@ -859,12 +783,10 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     }
     let store = match (journal, resume) {
         (Some(p), None) => Some(Arc::new(
-            serve::VerdictStore::create(&p)
-                .map_err(|e| format!("cannot create journal {p}: {e}"))?,
+            Journal::create(&p).map_err(|e| format!("cannot create journal {p}: {e}"))?,
         )),
         (None, Some(p)) => Some(Arc::new(
-            serve::VerdictStore::resume(&p)
-                .map_err(|e| format!("cannot resume journal {p}: {e}"))?,
+            Journal::resume(&p).map_err(|e| format!("cannot resume journal {p}: {e}"))?,
         )),
         (None, None) => None,
         (Some(_), Some(_)) => unreachable!("rejected above"),
@@ -969,17 +891,10 @@ fn run() -> Result<ExitCode, String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     match cmd {
         "designs" => {
-            for d in [
-                "minicva6",
-                "minicva6-mul",
-                "minicva6-op",
-                "hardened",
-                "tinycore",
-                "minicache",
-            ] {
-                let design = design_by_name(d).expect("listed design builds");
+            for (name, build) in uarch::DESIGNS {
+                let design = build();
                 println!(
-                    "{d:<14} {:>5} nodes {:>4} flop bits  {} µFSMs",
+                    "{name:<14} {:>5} nodes {:>4} flop bits  {} µFSMs",
                     design.netlist.len(),
                     design.netlist.state_bits(),
                     design.annotations.ufsms.len()
@@ -988,21 +903,11 @@ fn run() -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "lint" => {
-            let dname = args.get(1).map(String::as_str).unwrap_or("all");
             let deny = args.iter().any(|a| a == "--deny-warnings");
-            let all = [
-                "minicva6",
-                "minicva6-mul",
-                "minicva6-op",
-                "hardened",
-                "tinycore",
-                "minicache",
-            ];
-            if dname == "all" {
-                cmd_lint(&all, deny)
-            } else {
-                cmd_lint(&[dname], deny)
-            }
+            Ok(match args.get(1).map(String::as_str).unwrap_or("all") {
+                "all" => cmd_lint(uarch::DESIGNS.iter().map(|&(n, build)| (n, build())), deny),
+                spec => cmd_lint([(spec, load_design(spec)?.0)], deny),
+            })
         }
         "check" => cmd_check(&args[1..]),
         "fuzz" => cmd_fuzz(&args[1..]),
@@ -1029,7 +934,8 @@ fn run() -> Result<ExitCode, String> {
             let iname = args
                 .get(2)
                 .ok_or_else(|| format!("`{cmd}` needs an instruction mnemonic"))?;
-            let op = opcode_by_name(&design, iname)
+            let op = design
+                .opcode(iname)
                 .ok_or_else(|| format!("`{iname}` is not implemented by {dname}"))?;
             let o = parse_opts(&args[3..], &design)?;
             gate(&o)?;
@@ -1053,7 +959,7 @@ fn run() -> Result<ExitCode, String> {
                  synthlc-cli client <addr|port> <op> [<design> <instr>] [--id I] [--client C]\n      \
                  [--bound N] [--budget N] [--seed S] [--cases N] [--source-file F.nl]\n      \
                  (ops: paths leak check fuzz stats shutdown; exit 75 = shed, resubmit)\n\
-                 \ndesigns: minicva6 minicva6-mul minicva6-op hardened tinycore minicache\n\
+                 \ndesigns: {}\n\
                  (a <design> may also be a path to a .nl netlist file)\n\
                  opts: --slots 0,1  --bound N  --context any|nocf|solo  --budget N  --jobs N\n      \
                  --deadline-secs N (degrade, don't hang, past the wall clock)\n      \
@@ -1063,7 +969,8 @@ fn run() -> Result<ExitCode, String> {
                  --fail-on-undetermined (exit 2 on any undetermined outcome)\n      \
                  --lint (print lint report)  --deny-warnings (lint warnings are fatal)\n\
                  \nexit codes: 0 all decided; 2 degraded/undetermined; 1 hard error\n\
-                 lint/check: 0 clean; 2 warnings under --deny-warnings; 1 errors"
+                 lint/check: 0 clean; 2 warnings under --deny-warnings; 1 errors",
+                uarch::DESIGNS.iter().map(|(name, _)| *name).collect::<Vec<_>>().join(" ")
             );
             Ok(ExitCode::SUCCESS)
         }

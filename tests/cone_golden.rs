@@ -15,7 +15,7 @@
 //! SYNTHLC_BLESS=1 cargo test --test cone_golden
 //! ```
 //!
-//! A bless is a cache-format change: every journal and VerdictStore in
+//! A bless is a cache-format change: every journal and daemon store in
 //! the wild turns cold (records keyed by the old fingerprints miss).
 //! That is the designed degradation mode — misses, never corruption —
 //! but bless deliberately, not to quiet a failure you don't understand.
@@ -24,17 +24,13 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use netlist::SignalId;
-use uarch::{build_core, build_tiny, CoreConfig, Design};
+use uarch::Design;
 
 fn all_designs() -> Vec<(&'static str, Design)> {
-    vec![
-        ("minicva6", build_core(&CoreConfig::default())),
-        ("minicva6-mul", build_core(&CoreConfig::cva6_mul())),
-        ("minicva6-op", build_core(&CoreConfig::cva6_op())),
-        ("hardened", build_core(&CoreConfig::hardened())),
-        ("tinycore", build_tiny()),
-        ("minicache", uarch::cache::build_cache()),
-    ]
+    uarch::DESIGNS
+        .iter()
+        .map(|&(name, build)| (name, build()))
+        .collect()
 }
 
 fn golden_path() -> PathBuf {

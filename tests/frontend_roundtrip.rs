@@ -14,17 +14,13 @@
 
 use std::path::PathBuf;
 
-use uarch::{build_core, build_tiny, CoreConfig, Design};
+use uarch::Design;
 
 fn all_designs() -> Vec<(&'static str, Design)> {
-    vec![
-        ("minicva6", build_core(&CoreConfig::default())),
-        ("minicva6-mul", build_core(&CoreConfig::cva6_mul())),
-        ("minicva6-op", build_core(&CoreConfig::cva6_op())),
-        ("hardened", build_core(&CoreConfig::hardened())),
-        ("tinycore", build_tiny()),
-        ("minicache", uarch::cache::build_cache()),
-    ]
+    uarch::DESIGNS
+        .iter()
+        .map(|&(name, build)| (name, build()))
+        .collect()
 }
 
 fn golden_path(name: &str) -> PathBuf {

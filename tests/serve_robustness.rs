@@ -18,12 +18,13 @@
 
 use jsonio::{jsonl, Json};
 use mc::{FaultPlan, ServeFault};
-use serve::{Op, Request, ServeConfig, Server, Submit, VerdictStore};
+use serve::{Op, Request, ServeConfig, Server, Submit};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
+use synthlc::Journal;
 
 fn paths_req(id: &str) -> Request {
     let mut r = Request::new(Op::Paths);
@@ -44,7 +45,7 @@ fn check_req(id: &str, source: &str) -> Request {
 /// the `done` payload plus every `progress` note seen for it.
 fn run_jobs(
     cfg: ServeConfig,
-    store: Option<Arc<VerdictStore>>,
+    store: Option<Arc<Journal>>,
     reqs: &[Request],
 ) -> (HashMap<String, Json>, HashMap<String, Vec<String>>) {
     let server = Server::start(cfg, store);
@@ -131,7 +132,7 @@ fn fault_sweep_verdicts_only_widen() {
     // either the clean baseline or an explicit widening to exit 2 —
     // never a third thing.
     for seed in [1u64, 7, 13, 42, 99] {
-        let store = Arc::new(VerdictStore::create(tmp_path(&format!("sweep-{seed}"))).unwrap());
+        let store = Arc::new(Journal::create(tmp_path(&format!("sweep-{seed}"))).unwrap());
         let reqs: Vec<Request> = (0..3).map(|i| paths_req(&format!("j{i}"))).collect();
         let (dones, _) = run_jobs(
             one_worker(FaultPlan::new(seed, 0.8), 1),
@@ -244,7 +245,7 @@ fn deadline_expiry_widens_never_flips() {
 #[test]
 fn identical_resubmission_is_served_from_cache_byte_identically() {
     let path = tmp_path("cache-hit");
-    let store = Arc::new(VerdictStore::create(&path).unwrap());
+    let store = Arc::new(Journal::create(&path).unwrap());
     let server = Server::start(
         one_worker(FaultPlan::disabled(), 0),
         Some(Arc::clone(&store)),

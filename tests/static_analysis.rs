@@ -128,15 +128,8 @@ fn coi_preserves_kinduction_verdicts_on_random_netlists() {
 /// `synthlc-cli lint all --deny-warnings`).
 #[test]
 fn all_designs_lint_clean() {
-    let designs = [
-        uarch::build_core(&uarch::CoreConfig::default()),
-        uarch::build_core(&uarch::CoreConfig::cva6_mul()),
-        uarch::build_core(&uarch::CoreConfig::cva6_op()),
-        uarch::build_core(&uarch::CoreConfig::hardened()),
-        uarch::build_tiny(),
-        uarch::cache::build_cache(),
-    ];
-    for design in &designs {
+    for (_, build) in uarch::DESIGNS {
+        let design = &build();
         let report = uarch::lint_design(design);
         assert!(
             report.is_clean(),

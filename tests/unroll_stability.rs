@@ -25,17 +25,11 @@ use fuzz::{build, sample_genome, GenConfig};
 use mc::{Checker, InitMode, McConfig, Unrolling};
 use netlist::{Netlist, SignalId};
 use prng::Rng;
-use uarch::{build_core, build_tiny, CoreConfig};
-
 fn in_tree_netlists() -> Vec<(&'static str, Netlist)> {
-    vec![
-        ("minicva6", build_core(&CoreConfig::default()).netlist),
-        ("minicva6-mul", build_core(&CoreConfig::cva6_mul()).netlist),
-        ("minicva6-op", build_core(&CoreConfig::cva6_op()).netlist),
-        ("hardened", build_core(&CoreConfig::hardened()).netlist),
-        ("tinycore", build_tiny().netlist),
-        ("minicache", uarch::cache::build_cache().netlist),
-    ]
+    uarch::DESIGNS
+        .iter()
+        .map(|&(name, build)| (name, build().netlist))
+        .collect()
 }
 
 /// Builds `nl` stepwise through `stops` and directly at the final stop,
