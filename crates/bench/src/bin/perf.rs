@@ -237,14 +237,12 @@ fn run_leakage(
     cfg.robust.journal = journal;
     let started = Instant::now();
     let r = synthesize_leakage(design, transponders, &cfg);
-    let mut stats = r.mupath_stats;
-    stats.absorb(&r.ift_stats);
     RunOutcome {
         seconds: started.elapsed().as_secs_f64(),
         fingerprint: leak_fingerprint(&r),
         conflicts: pool.conflicts(),
         propagations: pool.propagations(),
-        stats,
+        stats: r.stats(),
         degraded_jobs: r.degraded_jobs,
         resumed_jobs: r.resumed_jobs,
         retried_jobs: r.retried_jobs,

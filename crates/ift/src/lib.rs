@@ -81,11 +81,6 @@ impl Instrumented {
     pub fn source_enable(&self, target: SignalId) -> Option<SignalId> {
         self.source_enables.get(&target).copied()
     }
-
-    /// Taint shadows of a set of registers.
-    pub fn taints_of(&self, origs: &[SignalId]) -> Vec<SignalId> {
-        origs.iter().map(|&o| self.taint_of(o)).collect()
-    }
 }
 
 fn replicate(b: &mut Builder, bit: Wire, width: u8) -> Wire {

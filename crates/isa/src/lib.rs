@@ -34,8 +34,6 @@ pub use asm::{assemble, disassemble, AsmError};
 pub use golden::ArchState;
 pub use opcode::{Instr, Opcode};
 
-/// Datapath width in bits.
-pub const XLEN: u8 = 8;
 /// Number of architectural registers (`r0` reads as zero).
 pub const NUM_REGS: usize = 4;
 /// Data-memory size in words.
@@ -43,5 +41,3 @@ pub const MEM_WORDS: usize = 8;
 /// Bits of an address forming the "page offset" used for store-to-load
 /// conflict detection.
 pub const OFFSET_BITS: u8 = 2;
-/// Width of the program counter in bits (instructions are word-addressed).
-pub const PC_BITS: u8 = 8;

@@ -161,34 +161,6 @@ impl Opcode {
         )
     }
 
-    /// Whether this is any control-flow instruction (branch or jump).
-    pub fn is_control_flow(self) -> bool {
-        self.is_branch() || matches!(self, Opcode::Jal | Opcode::Jalr)
-    }
-
-    /// Whether the instruction reads or writes data memory.
-    pub fn is_mem(self) -> bool {
-        matches!(self, Opcode::Lw | Opcode::Sw)
-    }
-
-    /// Whether the instruction uses the serial divide unit.
-    pub fn is_divide(self) -> bool {
-        matches!(
-            self,
-            Opcode::Div | Opcode::Divu | Opcode::Rem | Opcode::Remu
-        )
-    }
-
-    /// Whether the instruction uses the multiply unit.
-    pub fn is_multiply(self) -> bool {
-        matches!(self, Opcode::Mul | Opcode::Mulh)
-    }
-
-    /// Whether the instruction writes a destination register.
-    pub fn writes_rd(self) -> bool {
-        !matches!(self, Opcode::Nop | Opcode::Sw) && !self.is_branch()
-    }
-
     /// Whether the instruction reads `rs2`.
     pub fn reads_rs2(self) -> bool {
         matches!(
@@ -352,18 +324,8 @@ mod tests {
 
     #[test]
     fn classification_is_consistent() {
-        for op in Opcode::ALL {
-            if op.is_branch() {
-                assert!(op.is_control_flow());
-                assert!(!op.writes_rd());
-            }
-            if op.is_divide() || op.is_multiply() {
-                assert!(op.writes_rd());
-            }
-        }
-        assert!(Opcode::Jal.is_control_flow());
         assert!(!Opcode::Jal.is_branch());
+        assert!(Opcode::Beq.is_branch() && Opcode::Beq.reads_rs2());
         assert!(Opcode::Sw.reads_rs2());
-        assert!(!Opcode::Sw.writes_rd());
     }
 }

@@ -106,15 +106,6 @@ impl CoiSlice {
     pub fn keeps(&self, id: SignalId) -> bool {
         self.keep[id.index()]
     }
-
-    /// Kept bits as a fraction of total bits (1.0 = no reduction).
-    pub fn bit_ratio(&self) -> f64 {
-        if self.total_bits == 0 {
-            1.0
-        } else {
-            self.kept_bits as f64 / self.total_bits as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +141,6 @@ mod tests {
         assert!(!coi.keeps(nl.find("b").unwrap()));
         assert!(!coi.keeps(nl.find("b_at5").unwrap()));
         assert!(coi.kept_bits < coi.total_bits);
-        assert!(coi.bit_ratio() < 1.0);
     }
 
     #[test]

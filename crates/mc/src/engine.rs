@@ -74,19 +74,6 @@ impl Outcome {
         matches!(self, Outcome::Unreachable)
     }
 
-    /// `true` when undetermined.
-    pub fn is_undetermined(&self) -> bool {
-        matches!(self, Outcome::Undetermined(_))
-    }
-
-    /// Why the verdict is undetermined, when it is.
-    pub fn undetermined_reason(&self) -> Option<UndeterminedReason> {
-        match self {
-            Outcome::Undetermined(r) => Some(*r),
-            _ => None,
-        }
-    }
-
     /// The witness trace, when reachable.
     pub fn trace(&self) -> Option<&Trace> {
         match self {
@@ -811,7 +798,10 @@ mod tests {
             },
         );
         let out = chk.check_cover(nl.find("at5").unwrap(), &[]);
-        assert!(out.is_undetermined(), "shallow bound must not prove");
+        assert!(
+            matches!(out, Outcome::Undetermined(_)),
+            "shallow bound must not prove"
+        );
     }
 
     #[test]

@@ -37,15 +37,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolves a `--jobs`-style request: `Some(n)` is used as-is (minimum 1),
-/// `None` falls back to [`default_threads`].
-pub fn resolve_threads(requested: Option<usize>) -> usize {
-    match requested {
-        Some(n) => n.max(1),
-        None => default_threads(),
-    }
-}
-
 /// Runs `f(job_index, job)` for every job and returns the results in job
 /// order. With `threads > 1`, jobs are executed by that many scoped worker
 /// threads pulling from an atomic queue index, in list order; results are
@@ -232,13 +223,6 @@ mod tests {
     fn more_threads_than_jobs_is_fine() {
         let out = run_jobs(vec![1u32, 2], 16, |_, j| j + 1);
         assert_eq!(out, vec![2, 3]);
-    }
-
-    #[test]
-    fn resolve_threads_prefers_explicit_request() {
-        assert_eq!(resolve_threads(Some(3)), 3);
-        assert_eq!(resolve_threads(Some(0)), 1);
-        assert!(resolve_threads(None) >= 1);
     }
 
     fn no_retries<R>() -> Retries<'static, R> {

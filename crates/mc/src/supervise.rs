@@ -147,20 +147,12 @@ impl FaultPlan {
             .unwrap_or(0)
     }
 
-    /// The fault planned for job `ix` of `phase`, if any. Phases keep
-    /// independent streams so e.g. µPATH slot jobs and IFT unit jobs
-    /// fault independently under one seed.
-    pub fn fault_for(&self, phase: &str, ix: usize) -> Option<FaultKind> {
-        self.fault_for_attempt(phase, ix, 0)
-    }
-
-    /// Like [`fault_for`], but for retry attempt `attempt` of the job.
-    /// Attempt 0 is byte-compatible with [`fault_for`] (pinned seeds from
-    /// before retries existed keep their schedules); attempts beyond 0
-    /// roll independently, so a retried job can recover from an injected
-    /// fault instead of deterministically re-hitting it.
-    ///
-    /// [`fault_for`]: FaultPlan::fault_for
+    /// The fault planned for retry attempt `attempt` of job `ix` of
+    /// `phase`, if any. Phases keep independent streams so e.g. µPATH slot
+    /// jobs and IFT unit jobs fault independently under one seed. Attempt
+    /// 0 is a job's first run; later attempts roll independently, so a
+    /// retried job can recover from an injected fault instead of
+    /// deterministically re-hitting it.
     pub fn fault_for_attempt(&self, phase: &str, ix: usize, attempt: u32) -> Option<FaultKind> {
         let mut rng = self.job_rng(phase, ix, attempt)?;
         if !rng.chance(self.rate) {
@@ -280,10 +272,16 @@ mod tests {
     #[test]
     fn fault_plan_is_deterministic_and_phase_split() {
         let plan = FaultPlan::new(42, 0.5);
-        let a: Vec<_> = (0..64).map(|ix| plan.fault_for("ift", ix)).collect();
-        let b: Vec<_> = (0..64).map(|ix| plan.fault_for("ift", ix)).collect();
+        let a: Vec<_> = (0..64)
+            .map(|ix| plan.fault_for_attempt("ift", ix, 0))
+            .collect();
+        let b: Vec<_> = (0..64)
+            .map(|ix| plan.fault_for_attempt("ift", ix, 0))
+            .collect();
         assert_eq!(a, b, "same (seed, phase, ix) must plan the same fault");
-        let c: Vec<_> = (0..64).map(|ix| plan.fault_for("mupath", ix)).collect();
+        let c: Vec<_> = (0..64)
+            .map(|ix| plan.fault_for_attempt("mupath", ix, 0))
+            .collect();
         assert_ne!(a, c, "phases should have independent fault streams");
         let hits = a.iter().flatten().count();
         assert!(
@@ -296,19 +294,7 @@ mod tests {
     fn disabled_plan_never_faults() {
         let plan = FaultPlan::disabled();
         assert!(!plan.is_active());
-        assert!((0..256).all(|ix| plan.fault_for("any", ix).is_none()));
-    }
-
-    #[test]
-    fn attempt_zero_matches_legacy_schedule() {
-        let plan = FaultPlan::new(42, 0.5);
-        for ix in 0..64 {
-            assert_eq!(
-                plan.fault_for("ift", ix),
-                plan.fault_for_attempt("ift", ix, 0),
-                "attempt 0 must be byte-compatible with fault_for at ix {ix}"
-            );
-        }
+        assert!((0..256).all(|ix| plan.fault_for_attempt("any", ix, 0).is_none()));
     }
 
     #[test]
@@ -366,7 +352,7 @@ mod tests {
     fn fault_kinds_all_occur_at_high_rate() {
         let plan = FaultPlan::new(7, 1.0);
         let kinds: std::collections::BTreeSet<_> = (0..64)
-            .filter_map(|ix| plan.fault_for("k", ix))
+            .filter_map(|ix| plan.fault_for_attempt("k", ix, 0))
             .map(|k| format!("{k:?}"))
             .collect();
         assert_eq!(kinds.len(), 3, "expected all three fault kinds: {kinds:?}");

@@ -64,9 +64,4 @@ impl Trace {
     pub fn input_script(&self) -> Vec<HashMap<SignalId, u64>> {
         self.inputs.clone()
     }
-
-    /// The first cycle at which a 1-bit signal is high, if any.
-    pub fn first_high(&self, sig: SignalId) -> Option<usize> {
-        (0..self.len()).find(|&t| self.value(t, sig) != 0)
-    }
 }

@@ -21,14 +21,14 @@ fn fault_for_is_pure_across_100_sampled_points() {
     }
     let mut first = Vec::with_capacity(points.len());
     for &(seed, phase, ix) in &points {
-        first.push(FaultPlan::new(seed, 0.5).fault_for(phase, ix));
+        first.push(FaultPlan::new(seed, 0.5).fault_for_attempt(phase, ix, 0));
     }
     // Same plan object, re-queried in reverse order: no hidden state.
     for (i, &(seed, phase, ix)) in points.iter().enumerate().rev() {
         let plan = FaultPlan::new(seed, 0.5);
-        assert_eq!(plan.fault_for(phase, ix), first[i]);
+        assert_eq!(plan.fault_for_attempt(phase, ix, 0), first[i]);
         assert_eq!(
-            plan.fault_for(phase, ix),
+            plan.fault_for_attempt(phase, ix, 0),
             first[i],
             "repeat query at ({seed:#x}, {phase}, {ix}) changed"
         );
@@ -36,7 +36,7 @@ fn fault_for_is_pure_across_100_sampled_points() {
     // A fresh same-seed plan is indistinguishable from the original.
     for (i, &(seed, phase, ix)) in points.iter().enumerate() {
         assert_eq!(
-            FaultPlan::new(seed, 0.5).fault_for(phase, ix),
+            FaultPlan::new(seed, 0.5).fault_for_attempt(phase, ix, 0),
             first[i],
             "fresh plan diverges at ({seed:#x}, {phase}, {ix})"
         );
@@ -49,11 +49,17 @@ fn fault_for_is_pure_across_100_sampled_points() {
 #[test]
 fn fault_streams_decorrelate_by_phase_and_seed() {
     let plan = FaultPlan::new(7, 0.5);
-    let a: Vec<_> = (0..100).map(|ix| plan.fault_for("mupath", ix)).collect();
-    let b: Vec<_> = (0..100).map(|ix| plan.fault_for("ift", ix)).collect();
+    let a: Vec<_> = (0..100)
+        .map(|ix| plan.fault_for_attempt("mupath", ix, 0))
+        .collect();
+    let b: Vec<_> = (0..100)
+        .map(|ix| plan.fault_for_attempt("ift", ix, 0))
+        .collect();
     assert_ne!(a, b, "phases must keep independent fault streams");
     let other = FaultPlan::new(8, 0.5);
-    let c: Vec<_> = (0..100).map(|ix| other.fault_for("mupath", ix)).collect();
+    let c: Vec<_> = (0..100)
+        .map(|ix| other.fault_for_attempt("mupath", ix, 0))
+        .collect();
     assert_ne!(a, c, "seeds must decorrelate the same phase");
     for kind in [
         FaultKind::Panic,
@@ -67,5 +73,5 @@ fn fault_streams_decorrelate_by_phase_and_seed() {
     }
     let off = FaultPlan::new(7, 0.0);
     assert!(!off.is_active());
-    assert!((0..100).all(|ix| off.fault_for("mupath", ix).is_none()));
+    assert!((0..100).all(|ix| off.fault_for_attempt("mupath", ix, 0).is_none()));
 }

@@ -20,7 +20,6 @@
 
 mod harness;
 mod synth;
-pub mod uspec;
 
 pub use harness::{
     build_harness, build_harness_multi, ContextMode, HarnessConfig, IuvHarness, PlMonitors,
@@ -149,11 +148,6 @@ impl IsaSynthesis {
             .filter(|i| i.is_candidate_transponder())
             .map(|i| i.opcode)
             .collect()
-    }
-
-    /// Looks up one instruction's synthesis.
-    pub fn instr(&self, op: Opcode) -> Option<&InstrSynthesis> {
-        self.instrs.iter().find(|i| i.opcode == op)
     }
 }
 

@@ -156,64 +156,11 @@ pub fn topo_order(nl: &Netlist) -> Result<Vec<SignalId>, CycleError> {
     Ok(order)
 }
 
-/// Returns the set of *sequential sources* (registers and primary inputs) in
-/// the combinational fan-in cone of `sig`.
-///
-/// The traversal walks combinational fan-in edges and stops at registers and
-/// inputs, which are the cone's frontier.
-///
-/// # Errors
-/// Returns the cycle when the cone contains a combinational loop (on which
-/// the old implementation silently returned a partial cone).
-pub fn comb_cone_sources(nl: &Netlist, sig: SignalId) -> Result<HashSet<SignalId>, CycleError> {
-    let mut sources = HashSet::new();
-    // DFS with an explicit grey path so a back edge inside the cone is
-    // reported as a typed error rather than walked around.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let mut marks = vec![Mark::White; nl.len()];
-    let mut stack: Vec<(SignalId, usize)> = vec![(sig, 0)];
-    marks[sig.index()] = Mark::Grey;
-    while let Some(&mut (s, ref mut child_ix)) = stack.last_mut() {
-        let op = &nl.node(s).op;
-        if op.is_reg() || op.is_input() {
-            sources.insert(s);
-        }
-        let fanin = op.comb_fanin();
-        if *child_ix < fanin.len() {
-            let child = fanin[*child_ix];
-            *child_ix += 1;
-            match marks[child.index()] {
-                Mark::White => {
-                    marks[child.index()] = Mark::Grey;
-                    stack.push((child, 0));
-                }
-                Mark::Grey => {
-                    let from = stack
-                        .iter()
-                        .position(|&(ix, _)| ix == child)
-                        .expect("grey node is on the DFS stack");
-                    let path = stack[from..].iter().map(|&(ix, _)| ix).collect();
-                    return Err(CycleError { path });
-                }
-                Mark::Black => {}
-            }
-        } else {
-            marks[s.index()] = Mark::Black;
-            stack.pop();
-        }
-    }
-    Ok(sources)
-}
-
 /// The *sequential sources* (registers and primary inputs) feeding the
-/// next-state logic of any register in `regs`: the union of
-/// [`comb_cone_sources`] over their `next` signals, found in one walk with
-/// one visited set.
+/// next-state logic of any register in `regs`: the registers and inputs
+/// in the combinational fan-in cones of their `next` signals, found in one
+/// walk with one visited set. The walk stops at registers and inputs,
+/// which are the cones' frontier.
 ///
 /// This is the paper's notion of "PLs connected via pure combinational
 /// logic" lifted to register granularity: if any of µFSM *A*'s state
@@ -467,9 +414,6 @@ mod tests {
             rendered == "a -> b -> a" || rendered == "b -> a -> b",
             "rendered cycle closes on itself: {rendered}"
         );
-        let cone_err =
-            comb_cone_sources(&nl, nl.find("a").unwrap()).expect_err("cone walk reports the loop");
-        assert_eq!(cone_err.path.len(), 2);
         assert!(find_comb_cycle(&nl).is_some());
     }
 
@@ -480,19 +424,12 @@ mod tests {
     }
 
     #[test]
-    fn cone_sources_stop_at_regs() {
+    fn next_state_sources_stop_at_registers() {
         let (nl, r1, r2) = two_stage();
-        let cone = comb_cone_sources(&nl, nl.reg_next(r2)).unwrap();
-        assert!(cone.contains(&r1));
-        assert!(!cone.contains(&r2));
-    }
-
-    #[test]
-    fn cone_of_source_is_itself() {
-        let (nl, r1, _) = two_stage();
-        let cone = comb_cone_sources(&nl, r1).unwrap();
-        assert_eq!(cone.len(), 1);
-        assert!(cone.contains(&r1));
+        // r2's next is r1 + r1: the walk stops at r1 and never reaches r2.
+        assert_eq!(next_state_sources(&nl, [r2]), HashSet::from([r1]));
+        // r1's next is r1 + 1: a source register is its own cone.
+        assert_eq!(next_state_sources(&nl, [r1]), HashSet::from([r1]));
     }
 
     #[test]

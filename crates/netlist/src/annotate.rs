@@ -155,11 +155,6 @@ impl Annotations {
         self.ufsms.iter().map(|f| f.vars.len()).sum()
     }
 
-    /// Looks up a µFSM by name.
-    pub fn ufsm(&self, name: &str) -> Option<(usize, &UFsm)> {
-        self.ufsms.iter().enumerate().find(|(_, f)| f.name == name)
-    }
-
     /// Validates that every referenced signal exists and widths are sane
     /// (1-bit valid/commit strobes, PCR widths match the fetch PC).
     ///

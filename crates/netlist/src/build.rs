@@ -395,16 +395,6 @@ impl Builder {
         }
         acc
     }
-
-    /// Register with enable: holds its value unless `en` is set; a
-    /// common idiom that returns the register's current-value wire.
-    pub fn reg_en(&mut self, name: &str, width: u8, init: u64, en: Wire, next: Wire) -> Wire {
-        let r = self.reg(name, width, init);
-        let held = self.mux(en, next, r);
-        self.set_next(r, held)
-            .unwrap_or_else(|e| panic!("reg_en: {e}"));
-        r
-    }
 }
 
 /// A small register-file / memory helper built from registers and muxes.

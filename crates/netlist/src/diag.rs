@@ -166,12 +166,6 @@ impl Diagnostic {
         self
     }
 
-    /// Attaches the offending signal.
-    pub fn with_signal(mut self, signal: SignalId) -> Self {
-        self.signal = Some(signal);
-        self
-    }
-
     /// Renders the diagnostic as a single report line (the spanless
     /// format the lint suite has always used).
     pub fn render(&self) -> String {

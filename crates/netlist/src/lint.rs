@@ -10,11 +10,12 @@
 //! vacuously unreachable — are reported here as [`Diagnostic`]s before a
 //! single SAT call.
 //!
-//! A [`Linter`] holds a registry of [`LintPass`]es with per-pass
-//! enable/deny knobs; [`Linter::run`] produces a [`LintReport`]. Passes run
-//! on the raw node table, so they work on unvalidated netlists (that is the
-//! point: several passes re-audit exactly what `Netlist::validate` would
-//! reject, but report *all* violations instead of bailing at the first).
+//! [`Linter::run`] runs the seven built-in [`LintPass`]es in a fixed order
+//! and produces a [`LintReport`]; `--deny-warnings` is applied to the
+//! report by [`LintReport::exit_code`]. Passes run on the raw node table,
+//! so they work on unvalidated netlists (that is the point: several passes
+//! re-audit exactly what `Netlist::validate` would reject, but report *all*
+//! violations instead of bailing at the first).
 
 use crate::analysis;
 use crate::annotate::Annotations;
@@ -59,99 +60,36 @@ impl<'a> LintContext<'a> {
 
 /// A lint pass: a named analysis producing diagnostics.
 pub trait LintPass {
-    /// Stable pass name used by the enable/deny knobs.
+    /// Stable pass name, carried by each of the pass's diagnostics.
     fn name(&self) -> &'static str;
-    /// One-line description for `--help`-style listings.
-    fn description(&self) -> &'static str;
     /// Runs the pass, appending findings to `out`.
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>);
 }
 
-/// Pass registry with enable/deny knobs.
-pub struct Linter {
-    passes: Vec<Box<dyn LintPass>>,
-    disabled: BTreeSet<String>,
-    denied: BTreeSet<String>,
-    deny_all: bool,
-}
-
-impl Default for Linter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The lint suite: the seven built-in passes, run in a fixed order.
+#[derive(Default)]
+pub struct Linter;
 
 impl Linter {
-    /// A linter with every built-in pass registered.
+    /// The linter with every built-in pass.
     pub fn new() -> Self {
-        let mut l = Self::empty();
-        l.register(Box::new(CombLoopPass));
-        l.register(Box::new(UndrivenPass));
-        l.register(Box::new(WidthAuditPass));
-        l.register(Box::new(RegResetPass));
-        l.register(Box::new(DeadLogicPass));
-        l.register(Box::new(UfsmReachPass));
-        l.register(Box::new(AnnotationConstPass));
-        l
+        Self
     }
 
-    /// A linter with no passes (register your own).
-    pub fn empty() -> Self {
-        Self {
-            passes: Vec::new(),
-            disabled: BTreeSet::new(),
-            denied: BTreeSet::new(),
-            deny_all: false,
-        }
-    }
-
-    /// Adds a pass to the registry (runs in registration order).
-    pub fn register(&mut self, pass: Box<dyn LintPass>) {
-        self.passes.push(pass);
-    }
-
-    /// Disables a pass by name.
-    pub fn disable(&mut self, name: &str) {
-        self.disabled.insert(name.to_owned());
-    }
-
-    /// Re-enables a previously disabled pass.
-    pub fn enable(&mut self, name: &str) {
-        self.disabled.remove(name);
-    }
-
-    /// Promotes one pass's warnings to errors.
-    pub fn deny(&mut self, name: &str) {
-        self.denied.insert(name.to_owned());
-    }
-
-    /// Promotes *every* warning to an error (`--deny-warnings`).
-    pub fn deny_all_warnings(&mut self) {
-        self.deny_all = true;
-    }
-
-    /// `(name, description)` of every registered pass, in run order.
-    pub fn pass_list(&self) -> Vec<(&'static str, &'static str)> {
-        self.passes
-            .iter()
-            .map(|p| (p.name(), p.description()))
-            .collect()
-    }
-
-    /// Runs every enabled pass and applies the deny promotions.
+    /// Runs every built-in pass, in order.
     pub fn run(&self, cx: &LintContext<'_>) -> LintReport {
+        let passes: [&dyn LintPass; 7] = [
+            &CombLoopPass,
+            &UndrivenPass,
+            &WidthAuditPass,
+            &RegResetPass,
+            &DeadLogicPass,
+            &UfsmReachPass,
+            &AnnotationConstPass,
+        ];
         let mut diagnostics = Vec::new();
-        for pass in &self.passes {
-            if self.disabled.contains(pass.name()) {
-                continue;
-            }
-            let start = diagnostics.len();
+        for pass in passes {
             pass.run(cx, &mut diagnostics);
-            if self.deny_all || self.denied.contains(pass.name()) {
-                for d in &mut diagnostics[start..] {
-                    d.severity = Severity::Error;
-                }
-            }
         }
         LintReport { diagnostics }
     }
@@ -167,9 +105,6 @@ pub struct CombLoopPass;
 impl LintPass for CombLoopPass {
     fn name(&self) -> &'static str {
         "comb-loop"
-    }
-    fn description(&self) -> &'static str {
-        "combinational loops, with the cycle path"
     }
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         if let Some(cycle) = analysis::find_comb_cycle(cx.netlist) {
@@ -191,9 +126,6 @@ pub struct UndrivenPass;
 impl LintPass for UndrivenPass {
     fn name(&self) -> &'static str {
         "undriven"
-    }
-    fn description(&self) -> &'static str {
-        "registers without a next connection; inputs nothing reads"
     }
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let nl = cx.netlist;
@@ -237,9 +169,6 @@ pub struct WidthAuditPass;
 impl LintPass for WidthAuditPass {
     fn name(&self) -> &'static str {
         "width-audit"
-    }
-    fn description(&self) -> &'static str {
-        "operator width rules re-audited at every use site"
     }
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let nl = cx.netlist;
@@ -408,9 +337,6 @@ impl LintPass for RegResetPass {
     fn name(&self) -> &'static str {
         "reg-reset"
     }
-    fn description(&self) -> &'static str {
-        "registers whose reset value does not fit their width"
-    }
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let nl = cx.netlist;
         for (id, node) in nl.iter() {
@@ -442,9 +368,6 @@ pub struct DeadLogicPass;
 impl LintPass for DeadLogicPass {
     fn name(&self) -> &'static str {
         "dead-logic"
-    }
-    fn description(&self) -> &'static str {
-        "signals outside every output/annotation cone"
     }
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let nl = cx.netlist;
@@ -549,9 +472,6 @@ impl LintPass for UfsmReachPass {
     fn name(&self) -> &'static str {
         "ufsm-reach"
     }
-    fn description(&self) -> &'static str {
-        "µFSM states no transition function can produce"
-    }
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let Some(ann) = cx.annotations else { return };
         let nl = cx.netlist;
@@ -602,9 +522,6 @@ pub struct AnnotationConstPass;
 impl LintPass for AnnotationConstPass {
     fn name(&self) -> &'static str {
         "annotation-const"
-    }
-    fn description(&self) -> &'static str {
-        "annotation validity; structurally constant strobes"
     }
     fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let Some(ann) = cx.annotations else { return };
@@ -703,15 +620,10 @@ mod tests {
         let n = b.add(r, x);
         b.set_next(r, n).unwrap();
         let nl = b.finish().unwrap();
-        let mut linter = Linter::new();
         let mut cx = LintContext::netlist_only(&nl);
         cx.roots = vec![nl.find("r").unwrap()];
-        let report = linter.run(&cx);
+        let report = Linter::new().run(&cx);
         assert!(report.is_clean(), "{}", report.render());
-        // Knob round-trip: disable/enable are inverses.
-        linter.disable("dead-logic");
-        linter.enable("dead-logic");
-        assert!(linter.run(&cx).is_clean());
     }
 
     #[test]
@@ -820,6 +732,12 @@ mod tests {
         let report = lint(&nl);
         assert!(codes(&report).contains(&"L005"));
         assert!(codes(&report).contains(&"L002"), "also undriven");
+        let passes: Vec<_> = report.diagnostics.iter().map(|d| d.pass).collect();
+        assert_eq!(
+            passes,
+            ["undriven", "reg-reset"],
+            "passes run in a fixed order"
+        );
     }
 
     #[test]
@@ -954,40 +872,16 @@ mod tests {
     }
 
     #[test]
-    fn deny_all_promotes_warnings() {
+    fn deny_warnings_rejects_a_warning_only_report() {
         let mut b = Builder::new();
         b.input("unused", 1);
         let r = b.reg("r", 1, 0);
         b.set_next(r, r).unwrap();
         let nl = b.finish().unwrap();
-        let mut linter = Linter::new();
-        linter.deny_all_warnings();
-        let report = linter.run(&LintContext::netlist_only(&nl));
-        assert!(report.has_errors(), "{}", report.render());
-        // The targeted deny knob does the same for one pass.
-        let mut linter = Linter::new();
-        linter.deny("undriven");
-        assert!(linter.run(&LintContext::netlist_only(&nl)).has_errors());
-        // Disabling the pass silences it entirely.
-        let mut linter = Linter::new();
-        linter.disable("undriven");
-        assert!(linter.run(&LintContext::netlist_only(&nl)).is_clean());
-    }
-
-    #[test]
-    fn pass_list_names_all_builtins() {
-        let names: Vec<_> = Linter::new().pass_list().iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            vec![
-                "comb-loop",
-                "undriven",
-                "width-audit",
-                "reg-reset",
-                "dead-logic",
-                "ufsm-reach",
-                "annotation-const"
-            ]
-        );
+        let report = lint(&nl);
+        assert!(!report.has_errors(), "{}", report.render());
+        assert_eq!(report.diagnostics[0].pass, "undriven");
+        assert_eq!(report.exit_code(false), 0);
+        assert_eq!(report.exit_code(true), 2, "--deny-warnings rejects it");
     }
 }

@@ -73,11 +73,6 @@ impl BudgetPool {
             None => false,
         }
     }
-
-    /// Conflicts left under the cap (`None` when uncapped).
-    pub fn remaining(&self) -> Option<u64> {
-        self.cap.map(|cap| cap.saturating_sub(self.conflicts()))
-    }
 }
 
 /// Per-client budget accounting for a long-lived verification service:
@@ -156,19 +151,15 @@ mod tests {
         assert_eq!(p.conflicts(), 15);
         assert_eq!(p.propagations(), 150);
         assert!(!p.exhausted());
-        assert_eq!(p.remaining(), None);
     }
 
     #[test]
     fn capped_pool_exhausts() {
         let p = BudgetPool::new(Some(20));
-        assert_eq!(p.remaining(), Some(20));
         p.charge(15, 0);
         assert!(!p.exhausted());
-        assert_eq!(p.remaining(), Some(5));
         p.charge(5, 0);
         assert!(p.exhausted());
-        assert_eq!(p.remaining(), Some(0));
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! DIMACS CNF import/export, the SAT ecosystem's interchange format —
-//! lets the solver be exercised against external benchmarks and lets the
-//! model checker's CNFs be dumped for cross-checking with other solvers.
+//! DIMACS CNF import, the SAT ecosystem's interchange format — lets the
+//! solver be exercised against external benchmarks.
 
 use crate::{Lit, Solver, Var};
-use std::fmt::Write as _;
 
 /// A parsed CNF formula.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -25,20 +23,6 @@ impl Cnf {
             s.add_clause(c);
         }
         s
-    }
-
-    /// Serializes to DIMACS text.
-    pub fn to_dimacs(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "p cnf {} {}", self.num_vars, self.clauses.len());
-        for c in &self.clauses {
-            for &l in c {
-                let v = l.var().0 as i64 + 1;
-                let _ = write!(out, "{} ", if l.is_pos() { v } else { -v });
-            }
-            let _ = writeln!(out, "0");
-        }
-        out
     }
 }
 
@@ -138,9 +122,6 @@ mod tests {
         assert_eq!(cnf.clauses.len(), 3);
         let mut s = cnf.to_solver();
         assert!(s.solve().is_sat());
-        // Round trip parses to the same formula.
-        let again = parse_dimacs(&cnf.to_dimacs()).unwrap();
-        assert_eq!(again, cnf);
     }
 
     #[test]

@@ -390,12 +390,6 @@ impl Solver {
         self.cfg
     }
 
-    /// Replaces the heuristic configuration; takes effect on the next
-    /// solve call. Never changes verdicts, only search order and speed.
-    pub fn set_config(&mut self, cfg: SolverConfig) {
-        self.cfg = cfg;
-    }
-
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assigns.len() as u32);

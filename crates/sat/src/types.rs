@@ -113,11 +113,6 @@ impl SolveResult {
         self == SolveResult::Unsat
     }
 
-    /// `true` when the outcome is [`SolveResult::Unknown`].
-    pub fn is_unknown(self) -> bool {
-        self == SolveResult::Unknown
-    }
-
     /// The SAT-competition answer line for this outcome
     /// (`SATISFIABLE` / `UNSATISFIABLE` / `UNKNOWN`).
     pub fn answer(self) -> &'static str {

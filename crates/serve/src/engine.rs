@@ -22,7 +22,7 @@
 use crate::proto::{ev_done, ev_error, ev_progress, Op, Request};
 use jsonio::Json;
 use mc::{CancelToken, FaultPlan, JobStore, ServeFault};
-use mupath::{design_fingerprint, synthesize_isa_with, EngineOptions, RobustOptions, SynthConfig};
+use mupath::{design_fingerprint, EngineOptions, RobustOptions, SynthConfig};
 use sat::ClientBudgets;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use synthlc::{synthesize_leakage, Journal, LeakConfig};
+use synthlc::{Audit, Journal};
 use uarch::Design;
 
 /// Daemon configuration.
@@ -554,55 +554,36 @@ fn execute(
     };
     let budget_pool = inner.budgets.pool_for(&req.client);
     match req.op {
-        Op::Paths => {
-            let (design, op, cfg) = prep.job.as_ref().expect("prepared");
-            let opts = EngineOptions {
-                threads: inner.job_threads,
-                budget_pool: Some(budget_pool),
-                robust,
-            };
-            let isa_synth = synthesize_isa_with(design, &[*op], cfg, &opts);
-            let r = &isa_synth.instrs[0];
-            let degraded = isa_synth.degraded_jobs > 0 || isa_synth.stats.degraded() > 0;
-            let payload = Json::obj([
-                ("op", Json::str("paths")),
-                ("design", Json::str(&design.name)),
-                ("instr", Json::str(op.mnemonic())),
-                ("mupaths", Json::Int(r.paths.len() as u64)),
-                ("complete", Json::Bool(r.complete)),
-                ("properties", Json::Int(isa_synth.stats.properties)),
-                ("undetermined", Json::Int(isa_synth.stats.undetermined)),
-                ("exit", Json::Int(if degraded { 2 } else { 0 })),
-            ]);
-            let cones = inner
-                .store
-                .is_some()
-                .then_some((isa_synth.resumed_jobs, isa_synth.cone_misses));
-            Ok((payload, degraded, cones))
-        }
-        Op::Leak => {
+        Op::Paths | Op::Leak => {
             let (design, op, synth) = prep.job.as_ref().expect("prepared");
-            let cfg = LeakConfig {
+            let audit = if req.op == Op::Paths {
+                Audit::Paths
+            } else {
+                Audit::Leak
+            };
+            let engine = EngineOptions {
                 threads: inner.job_threads,
                 budget_pool: Some(budget_pool),
                 robust,
-                ..LeakConfig::for_design(design, synth.clone())
             };
-            let report = synthesize_leakage(design, &[*op], &cfg);
-            let mut stats = report.mupath_stats;
-            stats.absorb(&report.ift_stats);
-            let degraded = report.degraded_jobs > 0 || stats.degraded() > 0;
-            let signatures: Vec<Json> = report
-                .signatures
-                .iter()
-                .map(|s| Json::str(s.render()))
-                .collect();
-            let payload = Json::obj([
-                ("op", Json::str("leak")),
+            let report = synthlc::audit(design, *op, audit, synth, engine);
+            let mut fields = vec![
+                ("op", Json::str(req.op.label())),
                 ("design", Json::str(&design.name)),
                 ("instr", Json::str(op.mnemonic())),
-                ("signatures", Json::Arr(signatures)),
-                ("transponder", Json::Bool(report.transponders.contains(op))),
+            ];
+            if audit == Audit::Paths {
+                let r = &report.mupath[0];
+                fields.push(("mupaths", Json::Int(r.paths.len() as u64)));
+                fields.push(("complete", Json::Bool(r.complete)));
+            } else {
+                let signatures = report.signatures.iter().map(|s| Json::str(s.render()));
+                fields.push(("signatures", Json::Arr(signatures.collect())));
+                fields.push(("transponder", Json::Bool(report.transponders.contains(op))));
+            }
+            let stats = report.stats();
+            let degraded = report.degraded();
+            fields.extend([
                 ("properties", Json::Int(stats.properties)),
                 ("undetermined", Json::Int(stats.undetermined)),
                 ("exit", Json::Int(if degraded { 2 } else { 0 })),
@@ -611,7 +592,7 @@ fn execute(
                 .store
                 .is_some()
                 .then_some((report.resumed_jobs, report.cone_misses));
-            Ok((payload, degraded, cones))
+            Ok((Json::obj(fields), degraded, cones))
         }
         Op::Check => {
             let source = req.source.as_deref().expect("prepared");

@@ -50,7 +50,6 @@ pub struct Simulator<'a> {
     order: Vec<SignalId>,
     values: Vec<u64>,
     dirty: bool,
-    cycle: u64,
 }
 
 impl<'a> Simulator<'a> {
@@ -67,17 +66,11 @@ impl<'a> Simulator<'a> {
             order,
             values: vec![0; nl.len()],
             dirty: true,
-            cycle: 0,
         };
         for r in nl.regs() {
             s.values[r.index()] = nl.reg_init(r);
         }
         s
-    }
-
-    /// Current cycle number (0 at reset).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     /// Drives a primary input for the current cycle.
@@ -94,13 +87,6 @@ impl<'a> Simulator<'a> {
         assert_eq!(value & !mask(w), 0, "input value wider than {w} bits");
         self.values[id.index()] = value;
         self.dirty = true;
-    }
-
-    /// Drives several inputs at once.
-    pub fn set_inputs<I: IntoIterator<Item = (SignalId, u64)>>(&mut self, inputs: I) {
-        for (id, v) in inputs {
-            self.set_input(id, v);
-        }
     }
 
     fn eval(&mut self) {
@@ -183,112 +169,7 @@ impl<'a> Simulator<'a> {
         for (r, v) in latched {
             self.values[r.index()] = v;
         }
-        self.cycle += 1;
         self.dirty = true;
-    }
-
-    /// Runs one full cycle with the given input assignment, returning after
-    /// the clock edge.
-    pub fn run_cycle(&mut self, inputs: &HashMap<SignalId, u64>) {
-        for (&id, &v) in inputs {
-            self.set_input(id, v);
-        }
-        self.step();
-    }
-}
-
-/// A recorded multi-cycle waveform of selected signals.
-///
-/// # Examples
-///
-/// ```
-/// use netlist::Builder;
-/// use sim::{Recorder, Simulator};
-///
-/// # fn main() -> Result<(), netlist::NetlistError> {
-/// let mut b = Builder::new();
-/// let c = b.reg("c", 4, 0);
-/// let one = b.constant(1, 4);
-/// let n = b.add(c, one);
-/// b.set_next(c, n)?;
-/// let nl = b.finish()?;
-/// let c = nl.find("c").unwrap();
-///
-/// let mut simulator = Simulator::new(&nl);
-/// let mut rec = Recorder::new(vec![c]);
-/// for _ in 0..3 {
-///     rec.sample(&mut simulator);
-///     simulator.step();
-/// }
-/// assert_eq!(rec.column(c), vec![0, 1, 2]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Recorder {
-    signals: Vec<SignalId>,
-    rows: Vec<Vec<u64>>,
-}
-
-impl Recorder {
-    /// Creates a recorder watching the given signals.
-    pub fn new(signals: Vec<SignalId>) -> Self {
-        Self {
-            signals,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Samples the watched signals at the current cycle.
-    pub fn sample(&mut self, simulator: &mut Simulator<'_>) {
-        let row = self.signals.iter().map(|&s| simulator.value(s)).collect();
-        self.rows.push(row);
-    }
-
-    /// Number of sampled cycles.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether nothing has been sampled yet.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The per-cycle values of one watched signal.
-    ///
-    /// # Panics
-    /// Panics if the signal is not watched.
-    pub fn column(&self, sig: SignalId) -> Vec<u64> {
-        let ix = self
-            .signals
-            .iter()
-            .position(|&s| s == sig)
-            .expect("signal not watched");
-        self.rows.iter().map(|r| r[ix]).collect()
-    }
-
-    /// The sampled rows, one per cycle, in watch order.
-    pub fn rows(&self) -> &[Vec<u64>] {
-        &self.rows
-    }
-
-    /// Renders an ASCII waveform table using the netlist's signal names.
-    pub fn render(&self, nl: &Netlist) -> String {
-        let mut out = String::new();
-        out.push_str("cycle");
-        for &s in &self.signals {
-            out.push_str(&format!("\t{}", nl.display_name(s)));
-        }
-        out.push('\n');
-        for (cyc, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!("{cyc}"));
-            for v in row {
-                out.push_str(&format!("\t{v}"));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -310,76 +191,6 @@ pub fn replay(
         }
         out.push(watch.iter().map(|&s| simulator.value(s)).collect());
         simulator.step();
-    }
-    out
-}
-
-/// Writes a recorded waveform as a minimal VCD (Value Change Dump) file
-/// body, viewable in standard waveform viewers.
-///
-/// # Examples
-///
-/// ```
-/// use netlist::Builder;
-/// use sim::{Recorder, Simulator};
-///
-/// # fn main() -> Result<(), netlist::NetlistError> {
-/// let mut b = Builder::new();
-/// let c = b.reg("c", 4, 0);
-/// let one = b.constant(1, 4);
-/// let n = b.add(c, one);
-/// b.set_next(c, n)?;
-/// let nl = b.finish()?;
-/// let c = nl.find("c").unwrap();
-/// let mut s = Simulator::new(&nl);
-/// let mut rec = Recorder::new(vec![c]);
-/// rec.sample(&mut s);
-/// s.step();
-/// rec.sample(&mut s);
-/// let vcd = sim::to_vcd(&rec, &nl, &[c]);
-/// assert!(vcd.contains("$var"));
-/// # Ok(())
-/// # }
-/// ```
-pub fn to_vcd(rec: &Recorder, nl: &Netlist, signals: &[SignalId]) -> String {
-    let mut out = String::new();
-    out.push_str("$timescale 1ns $end\n$scope module dut $end\n");
-    let idcode = |i: usize| -> String {
-        // VCD identifier characters: printable ASCII 33..=126.
-        let mut n = i;
-        let mut s = String::new();
-        loop {
-            s.push((33 + (n % 94)) as u8 as char);
-            n /= 94;
-            if n == 0 {
-                break;
-            }
-        }
-        s
-    };
-    for (i, &sig) in signals.iter().enumerate() {
-        out.push_str(&format!(
-            "$var wire {} {} {} $end\n",
-            nl.width(sig),
-            idcode(i),
-            nl.display_name(sig)
-        ));
-    }
-    out.push_str("$upscope $end\n$enddefinitions $end\n");
-    let mut last: Vec<Option<u64>> = vec![None; signals.len()];
-    for (t, _) in rec.rows().iter().enumerate() {
-        out.push_str(&format!("#{t}\n"));
-        for (i, &sig) in signals.iter().enumerate() {
-            let v = rec.column(sig)[t];
-            if last[i] != Some(v) {
-                last[i] = Some(v);
-                if nl.width(sig) == 1 {
-                    out.push_str(&format!("{}{}\n", v & 1, idcode(i)));
-                } else {
-                    out.push_str(&format!("b{:b} {}\n", v, idcode(i)));
-                }
-            }
-        }
     }
     out
 }
@@ -441,9 +252,12 @@ mod tests {
             nl.find("data").unwrap(),
             nl.find("we").unwrap(),
         );
-        s.set_inputs([(a, 2), (d, 99), (w, 1)]);
+        for (id, v) in [(a, 2), (d, 99), (w, 1)] {
+            s.set_input(id, v);
+        }
         s.step();
-        s.set_inputs([(a, 2), (d, 0), (w, 0)]);
+        s.set_input(d, 0);
+        s.set_input(w, 0);
         assert_eq!(s.value_of("rd"), 99);
         s.set_input(a, 1);
         assert_eq!(s.value_of("rd"), 0);
@@ -464,12 +278,9 @@ mod tests {
         mem.finish(&mut b).unwrap();
         let nl = b.finish().unwrap();
         let mut s = Simulator::new(&nl);
-        s.set_inputs([
-            (nl.find("addr").unwrap(), 0),
-            (nl.find("d0").unwrap(), 1),
-            (nl.find("d1").unwrap(), 2),
-            (nl.find("en").unwrap(), 1),
-        ]);
+        for (name, v) in [("addr", 0), ("d0", 1), ("d1", 2), ("en", 1)] {
+            s.set_input(nl.find(name).unwrap(), v);
+        }
         s.step();
         s.set_input(nl.find("en").unwrap(), 0);
         assert_eq!(s.value_of("rd"), 2);
@@ -494,25 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_renders_names() {
-        let mut b = Builder::new();
-        let c = b.reg("cnt", 4, 0);
-        let one = b.constant(1, 4);
-        let n = b.add(c, one);
-        b.set_next(c, n).unwrap();
-        let nl = b.finish().unwrap();
-        let c = nl.find("cnt").unwrap();
-        let mut s = Simulator::new(&nl);
-        let mut rec = Recorder::new(vec![c]);
-        rec.sample(&mut s);
-        s.step();
-        rec.sample(&mut s);
-        let table = rec.render(&nl);
-        assert!(table.contains("cnt"));
-        assert_eq!(rec.column(c), vec![0, 1]);
-    }
-
-    #[test]
     fn shift_ops_match_semantics() {
         let mut b = Builder::new();
         let x = b.input("x", 8);
@@ -523,7 +315,8 @@ mod tests {
         b.name(r, "r");
         let nl = b.finish().unwrap();
         let mut s = Simulator::new(&nl);
-        s.set_inputs([(nl.find("x").unwrap(), 0x81), (nl.find("amt").unwrap(), 1)]);
+        s.set_input(nl.find("x").unwrap(), 0x81);
+        s.set_input(nl.find("amt").unwrap(), 1);
         assert_eq!(s.value_of("l"), 0x02);
         assert_eq!(s.value_of("r"), 0x40);
         s.set_input(nl.find("amt").unwrap(), 9);

@@ -8,13 +8,10 @@
 //! `cover`/`assume` over those signals. This module provides:
 //!
 //! * temporal building blocks ([`sticky`], [`delay`], [`seq_then`],
-//!   [`visit_counter`], [`consecutive_counter`]) — the `##N` / "visited"
+//!   [`consecutive_counter`], [`rose`]) — the `##N` / "visited"
 //!   vocabulary of the templates,
-//! * the four template shapes of the paper
-//!   ([`templates::dominates_cover`], [`templates::exclusive_cover`],
-//!   [`templates::pl_set_cover`], [`templates::decision_taint_cover`]),
-//! * [`Property`] bookkeeping so synthesis passes can report per-property
-//!   statistics (§VII-B3).
+//! * the §V-B3 dominance and exclusion templates
+//!   ([`templates::dominates_cover`], [`templates::exclusive_cover`]).
 //!
 //! # Examples
 //!
@@ -29,81 +26,7 @@
 
 use netlist::{Builder, Wire};
 
-pub mod ltl;
 pub mod templates;
-
-/// Kind of a registered property.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PropertyKind {
-    /// Search for a trace where the signal is high at some cycle.
-    Cover,
-    /// Constrain traces to those where the signal is high at every cycle.
-    Assume,
-}
-
-/// A named property over a monitor signal.
-#[derive(Clone, Debug)]
-pub struct Property {
-    /// Human-readable name (template instantiations embed PL names).
-    pub name: String,
-    /// Cover or assume.
-    pub kind: PropertyKind,
-    /// The 1-bit monitor signal.
-    pub signal: netlist::SignalId,
-}
-
-/// An ordered collection of properties attached to one monitored design.
-#[derive(Clone, Debug, Default)]
-pub struct PropertyList {
-    items: Vec<Property>,
-}
-
-impl PropertyList {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a cover property.
-    pub fn cover(&mut self, name: impl Into<String>, sig: Wire) {
-        assert_eq!(sig.width, 1, "cover signal must be 1 bit");
-        self.items.push(Property {
-            name: name.into(),
-            kind: PropertyKind::Cover,
-            signal: sig.id,
-        });
-    }
-
-    /// Registers an assume property.
-    pub fn assume(&mut self, name: impl Into<String>, sig: Wire) {
-        assert_eq!(sig.width, 1, "assume signal must be 1 bit");
-        self.items.push(Property {
-            name: name.into(),
-            kind: PropertyKind::Assume,
-            signal: sig.id,
-        });
-    }
-
-    /// All registered properties.
-    pub fn iter(&self) -> impl Iterator<Item = &Property> {
-        self.items.iter()
-    }
-
-    /// Number of properties.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether no properties are registered.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Looks a property up by name.
-    pub fn find(&self, name: &str) -> Option<&Property> {
-        self.items.iter().find(|p| p.name == name)
-    }
-}
 
 /// Monotone "has ever been high" monitor: output is high from the first
 /// cycle `sig` is high, inclusive, onwards.
@@ -134,22 +57,6 @@ pub fn seq_then(b: &mut Builder, first: Wire, second: Wire, name: &str) -> Wire 
     let d = delay(b, first, 1, &format!("{name}__first_d1"));
     let both = b.and(d, second);
     b.name(both, name)
-}
-
-/// Counts cycles in which `sig` was high (saturating at the counter's max).
-///
-/// Used for revisit-count enumeration (§V-B6): the value of `l` for a
-/// `Row(l)` node.
-pub fn visit_counter(b: &mut Builder, sig: Wire, width: u8, name: &str) -> Wire {
-    let r = b.reg(&format!("{name}__cnt"), width, 0);
-    let one = b.constant(1, width);
-    let max = b.constant(netlist::mask(width), width);
-    let at_max = b.eq(r, max);
-    let bumped = b.add(r, one);
-    let held = b.mux(at_max, r, bumped);
-    let next = b.mux(sig, held, r);
-    b.set_next(r, next).expect("fresh monitor register");
-    b.name(r, name)
 }
 
 /// Counts the length of the *current* run of consecutive high cycles
@@ -186,15 +93,6 @@ pub fn rose(b: &mut Builder, sig: Wire, name: &str) -> Wire {
     b.name(r, name)
 }
 
-/// High on the cycle where `sig` goes from high to low.
-pub fn fell(b: &mut Builder, sig: Wire, name: &str) -> Wire {
-    let prev = b.reg(&format!("{name}__prev"), 1, 0);
-    b.set_next(prev, sig).expect("fresh monitor register");
-    let nsig = b.not(sig);
-    let f = b.and(prev, nsig);
-    b.name(f, name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,10 +105,8 @@ mod tests {
         sticky(&mut b, p, "seen");
         delay(&mut b, p, 2, "d2");
         seq_then(&mut b, p, p, "pp");
-        visit_counter(&mut b, p, 3, "cnt");
         consecutive_counter(&mut b, p, 3, "run");
         rose(&mut b, p, "rose");
-        fell(&mut b, p, "fell");
         let nl = b.finish().unwrap();
         let p = nl.find("p").unwrap();
         (nl, p)
@@ -256,16 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn visit_counter_counts_highs() {
-        let vals = drive(&[1, 0, 1, 1], &["cnt"]);
-        // Register reads lag by one cycle: counts of highs seen *before* t.
-        assert_eq!(
-            vals.iter().map(|r| r[0]).collect::<Vec<_>>(),
-            vec![0, 1, 1, 2]
-        );
-    }
-
-    #[test]
     fn consecutive_counter_tracks_runs() {
         let vals = drive(&[1, 1, 0, 1], &["run__current", "run"]);
         let cur: Vec<u64> = vals.iter().map(|r| r[0]).collect();
@@ -275,26 +161,11 @@ mod tests {
     }
 
     #[test]
-    fn rose_and_fell_are_edges() {
-        let vals = drive(&[0, 1, 1, 0], &["rose", "fell"]);
+    fn rose_is_a_rising_edge() {
+        let vals = drive(&[0, 1, 1, 0], &["rose"]);
         assert_eq!(
             vals.iter().map(|r| r[0]).collect::<Vec<_>>(),
             vec![0, 1, 0, 0]
         );
-        assert_eq!(
-            vals.iter().map(|r| r[1]).collect::<Vec<_>>(),
-            vec![0, 0, 0, 1]
-        );
-    }
-
-    #[test]
-    fn property_list_bookkeeping() {
-        let mut b = Builder::new();
-        let p = b.input("p", 1);
-        let mut props = PropertyList::new();
-        props.cover("p_high", p);
-        props.assume("p_low_never", p);
-        assert_eq!(props.len(), 2);
-        assert_eq!(props.find("p_high").unwrap().kind, PropertyKind::Cover);
     }
 }

@@ -1,12 +1,10 @@
-//! The paper's SVA property templates (§V-B3, §V-B4, §V-C1), expressed over
-//! performing-location *visit* wires.
+//! The paper's §V-B3 SVA property templates, expressed over
+//! performing-location *visited* wires.
 //!
-//! Callers (the `mupath` and `synthlc` synthesis passes) first build, per
-//! performing location, a 1-bit `visit_now` wire ("the IUV occupies this PL
-//! this cycle") and a sticky `visited` wire; the templates below combine
-//! them into cover/assume monitor signals.
+//! The `mupath` synthesis pass first builds, per performing location, a
+//! sticky 1-bit `visited` wire ("the IUV has occupied this PL"); the
+//! templates below combine two of them into a cover monitor signal.
 
-use crate::{seq_then, sticky};
 use netlist::{Builder, Wire};
 
 /// §V-B3 `pl_0_dom_pl_1`: `cover (!pl_0_visited & pl_1_visited)`.
@@ -28,87 +26,10 @@ pub fn exclusive_cover(b: &mut Builder, pl0_visited: Wire, pl1_visited: Wire, na
     b.name(c, name)
 }
 
-/// §V-B4 `cand_pl_set`: assume the IUV never visits any PL outside the
-/// candidate set; cover "every PL in the set was visited and the IUV
-/// currently occupies none of them" (i.e. the IUV has disappeared from the
-/// processor having visited exactly the candidate set).
-///
-/// Returns `(cover, assumes)`: the cover monitor plus one always-assume
-/// monitor per out-of-set PL (each is `!visit_now`).
-pub fn pl_set_cover(
-    b: &mut Builder,
-    in_set_visited: &[Wire],
-    in_set_now: &[Wire],
-    out_of_set_now: &[Wire],
-    name: &str,
-) -> (Wire, Vec<Wire>) {
-    let all_visited = b.all(in_set_visited);
-    let any_now = b.any(in_set_now);
-    let none_now = b.not(any_now);
-    let cover = b.and(all_visited, none_now);
-    let cover = b.name(cover, name);
-    let assumes = out_of_set_now
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            let nv = b.not(v);
-            b.name(nv, &format!("{name}__excl{i}"))
-        })
-        .collect();
-    (cover, assumes)
-}
-
-/// §V-C1 `decision_taint`: `cover (src_now ##1 (all dst_now & any
-/// dst_taint))` — the transponder sits at the decision source and, one cycle
-/// later, occupies exactly the decision's destinations with taint present in
-/// the destination µFSMs.
-pub fn decision_taint_cover(
-    b: &mut Builder,
-    src_now: Wire,
-    dst_now: &[Wire],
-    dst_tainted: &[Wire],
-    name: &str,
-) -> Wire {
-    let all_dst = b.all(dst_now);
-    let any_taint = b.any(dst_tainted);
-    let payload = b.and(all_dst, any_taint);
-    seq_then(b, src_now, payload, name)
-}
-
-/// The plain decision cover (no taint): `cover (src_now ##1 all dst_now &
-/// none other_dst_now)` — used when enumerating which decision destinations
-/// actually follow a source (§IV-B).
-pub fn decision_cover(
-    b: &mut Builder,
-    src_now: Wire,
-    dst_now: &[Wire],
-    other_dst_now: &[Wire],
-    name: &str,
-) -> Wire {
-    let all_dst = b.all(dst_now);
-    let any_other = b.any(other_dst_now);
-    let no_other = b.not(any_other);
-    let payload = b.and(all_dst, no_other);
-    seq_then(b, src_now, payload, name)
-}
-
-/// A "revisit" cover: the IUV leaves a PL and later re-enters it. `visit_now`
-/// is the occupancy wire; high → low → high is a non-consecutive revisit.
-///
-/// Builds `cover (visited_then_left & visit_now)` where `visited_then_left`
-/// is sticky over (`visited` & !`visit_now`).
-pub fn revisit_cover(b: &mut Builder, visit_now: Wire, name: &str) -> Wire {
-    let visited = sticky(b, visit_now, &format!("{name}__vis"));
-    let not_now = b.not(visit_now);
-    let left_after_visit = b.and(visited, not_now);
-    let left_sticky = sticky(b, left_after_visit, &format!("{name}__left"));
-    let c = b.and(left_sticky, visit_now);
-    b.name(c, name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sticky;
     use netlist::Builder;
     use sim::Simulator;
 
@@ -165,72 +86,5 @@ mod tests {
             &[0, 0, 1, 0],
         );
         assert_eq!(out, vec![0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn decision_cover_sequences_src_then_dst() {
-        let out = run2(
-            |b, src, dst| decision_cover(b, src, &[dst], &[], "dec"),
-            &[1, 0, 0, 1, 0],
-            &[0, 1, 0, 0, 0],
-        );
-        assert_eq!(out, vec![0, 1, 0, 0, 0], "fires when dst follows src");
-    }
-
-    #[test]
-    fn decision_cover_vetoed_by_other_destination() {
-        let out = run2(
-            |b, src, other| {
-                let t = b.one();
-                decision_cover(b, src, &[t], &[other], "dec")
-            },
-            &[1, 0, 1, 0],
-            &[0, 1, 0, 0],
-        );
-        assert_eq!(out, vec![0, 0, 0, 1], "other-destination veto");
-    }
-
-    #[test]
-    fn revisit_cover_detects_reentry() {
-        let out = run2(
-            |b, v, _| revisit_cover(b, v, "rv"),
-            &[1, 1, 0, 1, 0],
-            &[0, 0, 0, 0, 0],
-        );
-        // Consecutive occupancy (cycles 0-1) is not a revisit; re-entry at
-        // cycle 3 after leaving at cycle 2 is.
-        assert_eq!(out, vec![0, 0, 0, 1, 0]);
-    }
-
-    #[test]
-    fn pl_set_cover_shape() {
-        let mut b = Builder::new();
-        let v0 = b.input("v0", 1);
-        let v1 = b.input("v1", 1);
-        let out_pl = b.input("v2", 1);
-        let s0 = sticky(&mut b, v0, "s0");
-        let s1 = sticky(&mut b, v1, "s1");
-        let (cover, assumes) = pl_set_cover(&mut b, &[s0, s1], &[v0, v1], &[out_pl], "set01");
-        assert_eq!(assumes.len(), 1);
-        let nl_cover = cover;
-        let nl = b.finish().unwrap();
-        let mut s = Simulator::new(&nl);
-        let (i0, i1, i2) = (
-            nl.find("v0").unwrap(),
-            nl.find("v1").unwrap(),
-            nl.find("v2").unwrap(),
-        );
-        // visit v0 then v1 then nothing => cover fires when both visited and
-        // none active.
-        let pattern = [(1, 0, 0), (0, 1, 0), (0, 0, 0)];
-        let mut fired = Vec::new();
-        for (a, c, d) in pattern {
-            s.set_input(i0, a);
-            s.set_input(i1, c);
-            s.set_input(i2, d);
-            fired.push(s.value(nl_cover.id));
-            s.step();
-        }
-        assert_eq!(fired, vec![0, 0, 1]);
     }
 }

@@ -611,16 +611,6 @@ impl LeakHarness {
         }
     }
 
-    /// Class-level "iP occupies some member of `c` now".
-    pub fn class_now(&self, c: PlId) -> SignalId {
-        self.class_now[c.index()]
-    }
-
-    /// Class-level "iP occupies a tainted member of `c` now".
-    pub fn class_tainted(&self, c: PlId) -> SignalId {
-        self.class_tainted[c.index()]
-    }
-
     /// Every signal any query may pass as an *assume*: the cone-of-influence
     /// slice of a shared cover netlist must keep all of them, since assume
     /// activation reads their literals at every frame (see
@@ -640,27 +630,14 @@ impl LeakHarness {
         sigs
     }
 
-    /// Builds (into a fresh extension of this harness's netlist) the
-    /// decision-taint covers for a set of class-level decisions of one
-    /// transponder. Returns the extended netlist plus one cover signal per
-    /// decision, in order (skipping none; the caller filters empty-dst
-    /// decisions beforehand).
-    pub fn decision_covers(&self, decisions: &[Decision]) -> (Netlist, Vec<SignalId>) {
-        let (nl, mut covers) = self.decision_covers_multi(std::slice::from_ref(&decisions));
-        (
-            nl,
-            covers
-                .pop()
-                .expect("one decision set in, one cover set out"),
-        )
-    }
-
-    /// Like [`LeakHarness::decision_covers`], but merges the decision
-    /// covers of *many* transponders into one extended netlist, returning
-    /// one cover-signal vector per input set (in order). Every
-    /// transponder's queries over this harness can then share one bit-blast
-    /// and one pooled solver context instead of one netlist per
-    /// (transponder, pairing) unit.
+    /// Builds, into a fresh extension of this harness's netlist, the
+    /// §V-C1 decision-taint covers of *many* transponders' class-level
+    /// decisions, returning one cover-signal vector per input set (in
+    /// order; the caller filters empty-dst decisions beforehand). Each
+    /// cover is `src_now ##1 (exactly the decision's destinations & any
+    /// destination tainted)`. Every transponder's queries over this harness
+    /// can then share one bit-blast and one pooled solver context instead
+    /// of one netlist per (transponder, pairing) unit.
     pub fn decision_covers_multi(&self, works: &[&[Decision]]) -> (Netlist, Vec<Vec<SignalId>>) {
         let mut b = Builder::from_netlist(self.netlist.clone());
         let mut all_covers = Vec::new();

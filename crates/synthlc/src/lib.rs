@@ -51,5 +51,6 @@ pub use harness::{build_leak_harness, LeakHarness, LeakHarnessConfig, Operand, T
 pub use journal::Journal;
 pub use mupath::RobustOptions;
 pub use signatures::{
-    synthesize_leakage, LeakConfig, LeakageReport, LeakageSignature, Tag, TypedTransmitter,
+    audit, synthesize_leakage, Audit, LeakConfig, LeakageReport, LeakageSignature, Tag,
+    TypedTransmitter,
 };

@@ -5,7 +5,9 @@
 use crate::harness::{build_leak_harness, LeakHarness, LeakHarnessConfig, Operand, TxKind};
 use isa::Opcode;
 use mc::{CheckStats, Checker, Elab, FaultKind, McConfig, UndeterminedReason};
-use mupath::{synthesize_isa_with, EngineOptions, InstrSynthesis, RobustOptions, SynthConfig};
+use mupath::{
+    synthesize_isa_with, EngineOptions, InstrSynthesis, IsaSynthesis, RobustOptions, SynthConfig,
+};
 use sat::BudgetPool;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -118,6 +120,38 @@ pub struct LeakageReport {
 }
 
 impl LeakageReport {
+    /// The phase-1 report: µPATH synthesis alone, with an empty IFT phase.
+    fn from_mupath(design: &Design, isa: IsaSynthesis) -> Self {
+        LeakageReport {
+            design: design.name.clone(),
+            candidate_transponders: isa.candidate_transponders(),
+            mupath: isa.instrs,
+            signatures: Vec::new(),
+            transponders: BTreeSet::new(),
+            transmitters: BTreeSet::new(),
+            mupath_stats: isa.stats,
+            ift_stats: CheckStats::default(),
+            degraded_jobs: isa.degraded_jobs,
+            resumed_jobs: isa.resumed_jobs,
+            cone_misses: isa.cone_misses,
+            retried_jobs: isa.retried_jobs,
+        }
+    }
+
+    /// Both phases' property statistics, merged.
+    pub fn stats(&self) -> CheckStats {
+        let mut stats = self.mupath_stats;
+        stats.absorb(&self.ift_stats);
+        stats
+    }
+
+    /// Whether the run degraded: some job fell back to an undetermined
+    /// stand-in, or some property went undetermined through a deadline,
+    /// panic or injected fault. The front ends exit 2 on it.
+    pub fn degraded(&self) -> bool {
+        self.degraded_jobs > 0 || self.stats().degraded() > 0
+    }
+
     /// Distinct transmitter opcodes of a given kind.
     pub fn transmitter_opcodes(&self, kind: TxKind) -> BTreeSet<Opcode> {
         self.transmitters
@@ -215,16 +249,6 @@ impl LeakConfig {
             coi: true,
             static_prune: true,
             robust: RobustOptions::default(),
-        }
-    }
-
-    /// The effective worker count (resolving `0` to the environment
-    /// default).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            mc::default_threads()
-        } else {
-            self.threads
         }
     }
 
@@ -421,26 +445,24 @@ pub fn synthesize_leakage(
     cfg: &LeakConfig,
 ) -> LeakageReport {
     // Phase 1: RTL2MµPATH.
-    let threads = cfg.effective_threads();
     let engine = EngineOptions {
-        threads,
+        threads: cfg.threads,
         budget_pool: cfg.budget_pool.clone(),
         robust: cfg.robust.clone(),
     };
-    let isa_synth = synthesize_isa_with(design, transponders, &cfg.mupath, &engine);
-    let mupath_stats = isa_synth.stats;
-    let mut degraded_jobs = isa_synth.degraded_jobs;
-    let mut resumed_jobs = isa_synth.resumed_jobs;
-    let mut cone_misses = isa_synth.cone_misses;
-    let mut retried_jobs = isa_synth.retried_jobs;
+    let threads = engine.effective_threads();
+    let mut report = LeakageReport::from_mupath(
+        design,
+        synthesize_isa_with(design, transponders, &cfg.mupath, &engine),
+    );
 
     // Phase 2: symbolic IFT per candidate transponder.
     struct Work {
         p: Opcode,
         decisions: Vec<Decision>,
     }
-    let work: Vec<Work> = isa_synth
-        .instrs
+    let work: Vec<Work> = report
+        .mupath
         .iter()
         .filter(|i| i.is_candidate_transponder())
         .map(|i| {
@@ -600,11 +622,11 @@ pub fn synthesize_leakage(
             let rec = match journal.get(k).as_deref().and_then(decode_ift_record) {
                 Some(rec) => rec,
                 None => {
-                    cone_misses += 1;
+                    report.cone_misses += 1;
                     return None;
                 }
             };
-            resumed_jobs += 1;
+            report.resumed_jobs += 1;
             Some(rec)
         })
         .collect();
@@ -680,18 +702,18 @@ pub fn synthesize_leakage(
         }
         r
     });
-    retried_jobs += retried;
+    report.retried_jobs += retried;
     let results: Vec<(Vec<Tag>, CheckStats)> = supervised
         .into_iter()
         .map(|r| match r {
             Ok(r) => {
                 if r.1.degraded() > 0 {
-                    degraded_jobs += 1;
+                    report.degraded_jobs += 1;
                 }
                 r
             }
             Err(_) => {
-                degraded_jobs += 1;
+                report.degraded_jobs += 1;
                 let mut stats = CheckStats {
                     properties: 1,
                     ..Default::default()
@@ -703,10 +725,6 @@ pub fn synthesize_leakage(
         .collect();
 
     // Phase 3: assemble signatures.
-    let mut ift_stats = CheckStats::default();
-    let mut signatures = Vec::new();
-    let mut transmitters = BTreeSet::new();
-    let mut transponders_set = BTreeSet::new();
     // A dummy class table lookup: recompute names from one harness-free
     // source — the decisions carry class PlIds; rebuild the class table the
     // same way the harness does.
@@ -729,7 +747,7 @@ pub fn synthesize_leakage(
     // tag lists are identical for every worker count.
     let mut tags_per_work: Vec<Vec<Tag>> = work.iter().map(|_| Vec::new()).collect();
     for (&(w_ix, _, _), (tags, st)) in units.iter().zip(results) {
-        ift_stats.absorb(&st);
+        report.ift_stats.absorb(&st);
         tags_per_work[w_ix].extend(tags);
     }
     for (w, tags) in work.iter().zip(tags_per_work) {
@@ -762,9 +780,9 @@ pub fn synthesize_leakage(
                 })
                 .collect();
             let has_primary = src_tags.iter().any(|t| t.primary);
-            transmitters.extend(inputs.iter().copied());
-            transponders_set.insert(w.p);
-            signatures.push(LeakageSignature {
+            report.transmitters.extend(inputs.iter().copied());
+            report.transponders.insert(w.p);
+            report.signatures.push(LeakageSignature {
                 transponder: w.p,
                 src: class_table.name(src).to_owned(),
                 inputs,
@@ -773,21 +791,42 @@ pub fn synthesize_leakage(
             });
         }
     }
+    report
+}
 
-    let candidate_transponders = isa_synth.candidate_transponders();
-    LeakageReport {
-        design: design.name.clone(),
-        mupath: isa_synth.instrs,
-        signatures,
-        candidate_transponders,
-        transponders: transponders_set,
-        transmitters,
-        mupath_stats,
-        ift_stats,
-        degraded_jobs,
-        resumed_jobs,
-        cone_misses,
-        retried_jobs,
+/// What a front end's `paths`/`leak` request asks for.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Audit {
+    /// RTL2MµPATH alone: the report's IFT phase is empty.
+    Paths,
+    /// The full SynthLC flow, with [`LeakConfig::for_design`]'s audit.
+    Leak,
+}
+
+/// The one driver entry point behind the CLI's and the daemon's
+/// `paths`/`leak`: audits `op` on `design` under the µPATH knobs `synth`
+/// and the engine's threads, shared budget pool and robustness knobs.
+pub fn audit(
+    design: &Design,
+    op: Opcode,
+    kind: Audit,
+    synth: &SynthConfig,
+    engine: EngineOptions,
+) -> LeakageReport {
+    match kind {
+        Audit::Paths => {
+            LeakageReport::from_mupath(design, synthesize_isa_with(design, &[op], synth, &engine))
+        }
+        Audit::Leak => synthesize_leakage(
+            design,
+            &[op],
+            &LeakConfig {
+                threads: engine.threads,
+                budget_pool: engine.budget_pool,
+                robust: engine.robust,
+                ..LeakConfig::for_design(design, synth.clone())
+            },
+        ),
     }
 }
 

@@ -420,47 +420,3 @@ mod tests {
         assert_ne!(once.shape(), twice.shape(), "revisit class distinguishes");
     }
 }
-
-/// Renders a µPATH (with its happens-before edges) as a Graphviz DOT
-/// digraph, one node per PL (revisit-annotated), suitable for visualising
-/// the paper's figures.
-pub fn to_dot(path: &MuPath, pls: &PlTable, title: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("digraph \"{title}\" {{\n  rankdir=TB;\n"));
-    for &pl in &path.pls {
-        let label = match path.revisits.get(&pl) {
-            Some(Revisit::Consecutive) => format!("{}(1..l)", pls.name(pl)),
-            Some(Revisit::NonConsecutive) => format!("{}(*)", pls.name(pl)),
-            _ => pls.name(pl).to_owned(),
-        };
-        out.push_str(&format!("  pl{} [label=\"{label}\", shape=box];\n", pl.0));
-    }
-    for &(a, b) in &path.edges {
-        out.push_str(&format!("  pl{} -> pl{};\n", a.0, b.0));
-    }
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-
-    #[test]
-    fn dot_output_contains_nodes_and_edges() {
-        let mut t = PlTable::new();
-        let a = t.add("IF");
-        let b = t.add("ID");
-        let mut p = ConcretePath::new();
-        p.visit(a, 0);
-        p.visit(b, 1);
-        p.visit(b, 2);
-        let mut shape = p.shape();
-        shape.edges.insert((a, b));
-        let dot = to_dot(&shape, &t, "test");
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("IF"));
-        assert!(dot.contains("ID(1..l)"));
-        assert!(dot.contains("pl0 -> pl1"));
-    }
-}

@@ -43,6 +43,20 @@ for JOBS in 1 2; do
 done
 echo "leak-golden OK (--jobs 1 and 2 match the golden)"
 
+echo "== paths-golden (byte-identical µPATH report at --jobs 1 and 2) =="
+# The blessed `paths minicache lw` report: every µPATH, its decisions,
+# the property count and the solver-counter line. The summary line's
+# wall-clock average is the one timing, so it is masked before the diff.
+for JOBS in 1 2; do
+  if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+    paths minicache lw --jobs "$JOBS" | sed 's/, [0-9.]*s avg,/, <t>s avg,/' |
+    diff -u tests/golden/paths_minicache_lw.txt -; then
+    echo "paths-golden: --jobs $JOBS drifted from tests/golden/paths_minicache_lw.txt" >&2
+    exit 1
+  fi
+done
+echo "paths-golden OK (--jobs 1 and 2 match the golden)"
+
 echo "== fault-smoke (inject a fault, journal, resume clean) =="
 # Seed 2 at rate 0.5 deterministically faults one of tinycore add's two
 # µPATH jobs and leaves the other clean: the run must degrade (exit 2),

@@ -54,14 +54,12 @@
 //! Run via `cargo run --release --bin synthlc-cli -- <args>`.
 
 use mc::{CancelToken, CheckStats, FaultPlan, JobStore};
-use mupath::{
-    synthesize_isa_with, ContextMode, EngineOptions, HarnessConfig, RobustOptions, SynthConfig,
-};
+use mupath::{ContextMode, EngineOptions, HarnessConfig, RobustOptions, SynthConfig};
 use netlist::text::CompileResult;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use synthlc::{contracts, synthesize_leakage, Journal, LeakConfig};
+use synthlc::{contracts, Audit, Journal, LeakageReport};
 use uarch::Design;
 
 /// Resolves a `<design>` argument through [`uarch::load_design`]. A file
@@ -185,47 +183,58 @@ fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
     Ok(o)
 }
 
+/// Opens the verdict journal named by `--journal` (a fresh one) or
+/// `--resume` (an existing one to replay); at most one may be given. The
+/// `paths`/`leak` and `serve` subcommands share it.
+fn open_journal(
+    journal: Option<&str>,
+    resume: Option<&str>,
+) -> Result<Option<Arc<Journal>>, String> {
+    match (journal, resume) {
+        (Some(_), Some(_)) => Err("--journal and --resume are mutually exclusive: --journal \
+                                   starts a fresh verdict journal, --resume replays an existing one"
+            .into()),
+        (Some(p), None) => Journal::create(p)
+            .map(|j| Some(Arc::new(j)))
+            .map_err(|e| format!("cannot create journal {p}: {e}")),
+        (None, Some(p)) => Journal::resume(p)
+            .map(|j| Some(Arc::new(j)))
+            .map_err(|e| format!("cannot resume journal {p}: {e}")),
+        (None, None) => Ok(None),
+    }
+}
+
 /// Assembles the robustness knobs from the CLI options: wall-clock
 /// deadline, fault plan (seeded by `SYNTHLC_FAULT_SEED`), journal.
 fn robust_opts(o: &Opts) -> Result<RobustOptions, String> {
-    let journal: Option<Arc<dyn JobStore>> = match (&o.journal, &o.resume) {
-        (Some(_), Some(_)) => {
-            return Err("--journal and --resume are mutually exclusive".to_owned())
-        }
-        (Some(p), None) => Some(Arc::new(
-            Journal::create(p).map_err(|e| format!("--journal {p}: {e}"))?,
-        )),
-        (None, Some(p)) => Some(Arc::new(
-            Journal::resume(p).map_err(|e| format!("--resume {p}: {e}"))?,
-        )),
-        (None, None) => None,
-    };
+    let journal = open_journal(o.journal.as_deref(), o.resume.as_deref())?;
     Ok(RobustOptions {
         cancel: o
             .deadline_secs
             .map(|s| Arc::new(CancelToken::deadline_in(Duration::from_secs(s)))),
         faults: FaultPlan::new(FaultPlan::env_seed(), o.fault_rate),
-        journal,
+        journal: journal.map(|j| j as Arc<dyn JobStore>),
         retries: o.retries,
     })
 }
 
 /// Prints the one-line degradation summary and returns the exit code the
-/// run has earned: 2 when any job degraded (or, under
-/// `--fail-on-undetermined`, when any property at all went undetermined),
-/// 0 otherwise. The `degraded:` prefix is reserved for runs that actually
-/// carry a widened verdict — a run whose every retry recovered (and any
-/// resumed-from-journal jobs) reports under a neutral `recovered:`
-/// heading instead, so scripts grepping for `degraded:` see no false
-/// positives.
-fn degradation_exit(
-    o: &Opts,
-    stats: &CheckStats,
-    degraded_jobs: u64,
-    resumed_jobs: u64,
-    retried_jobs: u64,
-    cone_misses: u64,
-) -> ExitCode {
+/// run has earned: 2 when the report [degraded](LeakageReport::degraded)
+/// (or, under `--fail-on-undetermined`, when any property at all went
+/// undetermined), 0 otherwise. The `degraded:` prefix is reserved for runs
+/// that actually carry a widened verdict — a run whose every retry
+/// recovered (and any resumed-from-journal jobs) reports under a neutral
+/// `recovered:` heading instead, so scripts grepping for `degraded:` see
+/// no false positives.
+fn degradation_exit(o: &Opts, report: &LeakageReport) -> ExitCode {
+    let stats = report.stats();
+    let &LeakageReport {
+        degraded_jobs,
+        resumed_jobs,
+        retried_jobs,
+        cone_misses,
+        ..
+    } = report;
     // Journaled runs report the cone-granular cache economy (DESIGN.md
     // §14): hits replay byte-identical verdicts for cones whose
     // fingerprint is unchanged, misses re-solve. Non-journal runs count
@@ -242,10 +251,7 @@ fn degradation_exit(
     } else if resumed_jobs > 0 || retried_jobs > 0 {
         println!("recovered: {resumed_jobs} resumed job(s), {retried_jobs} retry attempt(s)");
     }
-    if stats.degraded() > 0
-        || degraded_jobs > 0
-        || (o.fail_on_undetermined && stats.undetermined > 0)
-    {
+    if report.degraded() || (o.fail_on_undetermined && stats.undetermined > 0) {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
@@ -397,82 +403,61 @@ fn cmd_pls(design: &Design, o: &Opts) {
     println!("({} properties, {:.2}s avg)", s.properties, s.avg_seconds());
 }
 
-fn cmd_paths(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, String> {
-    let opts = EngineOptions {
+/// Runs `paths` or `leak` through [`synthlc::audit`] and renders its
+/// report as text.
+fn cmd_audit(design: &Design, op: isa::Opcode, audit: Audit, o: &Opts) -> Result<ExitCode, String> {
+    let engine = EngineOptions {
         threads: o.jobs,
         budget_pool: None,
         robust: robust_opts(o)?,
     };
-    let isa_synth = synthesize_isa_with(design, &[op], &o.synth, &opts);
-    let r = &isa_synth.instrs[0];
-    println!(
-        "{op}: {} µPATH(s), complete = {}",
-        r.paths.len(),
-        r.complete
-    );
-    let harness = mupath::build_harness(
-        design,
-        &HarnessConfig {
-            opcode: op,
-            fetch_slot: o.synth.slots[0],
-            context: o.synth.context,
-        },
-    );
-    for (i, p) in r.concrete.iter().enumerate() {
+    let report = synthlc::audit(design, op, audit, &o.synth, engine);
+    if audit == Audit::Paths {
+        let r = &report.mupath[0];
         println!(
-            "\nµPATH {i} (latency {} cycles):\n{}",
-            p.latency(),
-            p.render(&harness.pls)
+            "{op}: {} µPATH(s), complete = {}",
+            r.paths.len(),
+            r.complete
+        );
+        let harness = mupath::build_harness(
+            design,
+            &HarnessConfig {
+                opcode: op,
+                fetch_slot: o.synth.slots[0],
+                context: o.synth.context,
+            },
+        );
+        for (i, p) in r.concrete.iter().enumerate() {
+            println!(
+                "\nµPATH {i} (latency {} cycles):\n{}",
+                p.latency(),
+                p.render(&harness.pls)
+            );
+        }
+        for d in &r.decisions {
+            println!("decision: {}", d.describe(&harness.pls));
+        }
+        println!(
+            "\n{} properties, {:.2}s avg, {:.1}% undetermined",
+            r.stats.properties,
+            r.stats.avg_seconds(),
+            r.stats.undetermined_pct()
         );
     }
-    for d in &r.decisions {
-        println!("decision: {}", d.describe(&harness.pls));
+    println!("{}", solver_summary(&report.stats()));
+    let exit = degradation_exit(o, &report);
+    if audit == Audit::Leak {
+        if report.signatures.is_empty() {
+            println!("{op}: no leakage signatures (not a transponder, or no tagged decisions)");
+            return Ok(exit);
+        }
+        println!("leakage signatures for {op}:");
+        for s in &report.signatures {
+            println!("  {}", s.render());
+        }
+        let c = contracts::derive_contracts(&report);
+        println!("\n{}", contracts::render_table1(&c));
     }
-    println!(
-        "\n{} properties, {:.2}s avg, {:.1}% undetermined",
-        r.stats.properties,
-        r.stats.avg_seconds(),
-        r.stats.undetermined_pct()
-    );
-    println!("{}", solver_summary(&isa_synth.stats));
-    Ok(degradation_exit(
-        o,
-        &isa_synth.stats,
-        isa_synth.degraded_jobs,
-        isa_synth.resumed_jobs,
-        isa_synth.retried_jobs,
-        isa_synth.cone_misses,
-    ))
-}
-
-fn cmd_leak(design: &Design, op: isa::Opcode, o: &Opts) -> Result<ExitCode, String> {
-    let cfg = LeakConfig {
-        threads: o.jobs,
-        robust: robust_opts(o)?,
-        ..LeakConfig::for_design(design, o.synth.clone())
-    };
-    let report = synthesize_leakage(design, &[op], &cfg);
-    let mut stats = report.mupath_stats;
-    stats.absorb(&report.ift_stats);
-    println!("{}", solver_summary(&stats));
-    let exit = degradation_exit(
-        o,
-        &stats,
-        report.degraded_jobs,
-        report.resumed_jobs,
-        report.retried_jobs,
-        report.cone_misses,
-    );
-    if report.signatures.is_empty() {
-        println!("{op}: no leakage signatures (not a transponder, or no tagged decisions)");
-        return Ok(exit);
-    }
-    println!("leakage signatures for {op}:");
-    for s in &report.signatures {
-        println!("  {}", s.render());
-    }
-    let c = contracts::derive_contracts(&report);
-    println!("\n{}", contracts::render_table1(&c));
     Ok(exit)
 }
 
@@ -776,21 +761,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     if fault_rate > 0.0 {
         cfg.faults = mc::FaultPlan::new(mc::FaultPlan::env_seed(), fault_rate);
     }
-    if journal.is_some() && resume.is_some() {
-        return Err("--journal and --resume are exclusive: --resume replays an \
-                    existing verdict journal, --journal starts a fresh one"
-            .into());
-    }
-    let store = match (journal, resume) {
-        (Some(p), None) => Some(Arc::new(
-            Journal::create(&p).map_err(|e| format!("cannot create journal {p}: {e}"))?,
-        )),
-        (None, Some(p)) => Some(Arc::new(
-            Journal::resume(&p).map_err(|e| format!("cannot resume journal {p}: {e}"))?,
-        )),
-        (None, None) => None,
-        (Some(_), Some(_)) => unreachable!("rejected above"),
-    };
+    let store = open_journal(journal.as_deref(), resume.as_deref())?;
     let code = serve::serve_tcp(cfg, store, port).map_err(|e| format!("serve failed: {e}"))?;
     Ok(ExitCode::from(code))
 }
@@ -939,11 +910,12 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("`{iname}` is not implemented by {dname}"))?;
             let o = parse_opts(&args[3..], &design)?;
             gate(&o)?;
-            if cmd == "paths" {
-                cmd_paths(&design, op, &o)
+            let audit = if cmd == "paths" {
+                Audit::Paths
             } else {
-                cmd_leak(&design, op, &o)
-            }
+                Audit::Leak
+            };
+            cmd_audit(&design, op, audit, &o)
         }
         _ => {
             println!(

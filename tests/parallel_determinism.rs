@@ -249,7 +249,8 @@ fn journaled_run_resumes_byte_identical_after_faults_and_torn_tail() {
     let seed = (0..1024u64)
         .find(|&s| {
             let p = FaultPlan::new(s, rate);
-            p.fault_for("mupath", 0).is_none() && p.fault_for("ift", 0).is_some()
+            p.fault_for_attempt("mupath", 0, 0).is_none()
+                && p.fault_for_attempt("ift", 0, 0).is_some()
         })
         .expect("some seed in 0..1024 splits the phases");
     let path =

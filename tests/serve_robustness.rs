@@ -124,6 +124,28 @@ fn baseline_paths_verdict() -> String {
     payload.render_compact()
 }
 
+/// The exact `done` payloads of a clean `paths` and `leak` job on
+/// `tinycore add`, pinned byte for byte so a refactor of the report path
+/// cannot drift a field, its order, or a count.
+#[test]
+fn tinycore_add_done_payloads_are_pinned() {
+    let mut leak = paths_req("l");
+    leak.op = Op::Leak;
+    let (dones, _) = run_jobs(
+        one_worker(FaultPlan::disabled(), 0),
+        None,
+        &[paths_req("p"), leak],
+    );
+    assert_eq!(
+        dones["p"].render_compact(),
+        r#"{"op":"paths","design":"TinyCore","instr":"add","mupaths":1,"complete":true,"properties":4,"undetermined":0,"exit":0}"#
+    );
+    assert_eq!(
+        dones["l"].render_compact(),
+        r#"{"op":"leak","design":"TinyCore","instr":"add","signatures":[],"transponder":false,"properties":4,"undetermined":0,"exit":0}"#
+    );
+}
+
 #[test]
 fn fault_sweep_verdicts_only_widen() {
     let baseline = baseline_paths_verdict();
