@@ -12,11 +12,14 @@
 //!    minimized, replayable [`repro::Repro`],
 //! 5. returns a byte-deterministic [`FuzzReport`].
 //!
-//! Identical seeds produce byte-identical reports — wall-clock never
-//! enters the report, and a deadline only truncates the case loop at a
-//! case boundary (recorded in the `completed` flag).
+//! Steps 1–3 run on several threads, one case per claim; steps 4–5 fold
+//! each case's verdicts into the report in case order. Identical seeds
+//! therefore produce byte-identical reports at any thread count —
+//! wall-clock never enters the report, and a deadline only truncates the
+//! run at a case boundary (recorded in the `completed` flag).
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 pub mod dpll;
@@ -72,9 +75,12 @@ pub struct FuzzConfig {
     pub shrink_attempts: usize,
     /// Stop the run once this many mismatches were minimized.
     pub max_mismatches: usize,
-    /// Wall-clock stop, polled at case boundaries (reports stay
+    /// Wall-clock stop, polled as each case is claimed (reports stay
     /// deterministic as long as it never fires).
     pub deadline: Option<Arc<CancelToken>>,
+    /// Threads the cases run on; `0` selects [`mc::default_threads`]. The
+    /// report does not depend on it.
+    pub threads: usize,
     /// Sweep every solver knob combination inside the SAT oracle (see
     /// [`OracleOpts::knob_sweep`]).
     pub knob_sweep: bool,
@@ -100,6 +106,7 @@ impl Default for FuzzConfig {
             shrink_attempts: 300,
             max_mismatches: 5,
             deadline: None,
+            threads: 0,
             knob_sweep: false,
             seeded_bug: None,
         }
@@ -210,6 +217,11 @@ pub fn case_seed(run_seed: u64, case: u64) -> u64 {
 
 /// Runs the configured differential fuzz campaign.
 ///
+/// Cases run on [`FuzzConfig::threads`] threads and are folded into the
+/// report in case order ([`mc::run_ordered`]): a mismatch is shrunk while
+/// folding, from its genome regenerated by [`case_seed`], so the report is
+/// the sequential one at every thread count.
+///
 /// # Panics
 /// Panics if a generated design fails the lint suite — that is a
 /// generator bug, not an engine mismatch, and must never be shrunk away.
@@ -233,14 +245,22 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         seeded_bug: cfg.seeded_bug,
         ..Default::default()
     };
-    'cases: for case in 0..cfg.cases {
+    let genome = |case: u64| sample_genome(&mut Rng::new(case_seed(cfg.seed, case)), &cfg.gen);
+    let threads = if cfg.threads == 0 {
+        mc::default_threads()
+    } else {
+        cfg.threads
+    };
+    // A case count past `usize` could never finish anyway.
+    let cases = usize::try_from(cfg.cases).unwrap_or(usize::MAX);
+    // Every case's verdicts, or `None` when the deadline had fired by the
+    // time it was claimed.
+    let work = |ix: usize| -> Option<Vec<CaseResult>> {
         if cfg.deadline.as_deref().is_some_and(|d| d.fired().is_some()) {
-            report.completed = false;
-            break;
+            return None;
         }
-        let mut rng = Rng::new(case_seed(cfg.seed, case));
-        let genome = sample_genome(&mut rng, &cfg.gen);
-        let design = build(&genome);
+        let case = ix as u64;
+        let design = build(&genome(case));
         let lint_report = lint(&design);
         assert!(
             lint_report.is_clean(),
@@ -248,9 +268,22 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             cfg.seed,
             lint_report.render()
         );
+        Some(
+            cfg.oracles
+                .iter()
+                .map(|&kind| run_oracle(kind, &design, &opts))
+                .collect(),
+        )
+    };
+    mc::run_ordered(cases, threads, work, |ix, results| {
+        let Some(results) = results else {
+            report.completed = false;
+            return ControlFlow::Break(());
+        };
+        let case = ix as u64;
         report.cases_run += 1;
-        for &kind in &cfg.oracles {
-            match run_oracle(kind, &design, &opts) {
+        for (&kind, result) in cfg.oracles.iter().zip(results) {
+            match result {
                 CaseResult::Agree(verdict) => {
                     let st = report.stats_mut(kind);
                     st.agree += 1;
@@ -270,7 +303,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                 } => {
                     report.stats_mut(kind).mismatch += 1;
                     let (small, attempts) = shrink_genome(
-                        &genome,
+                        &genome(case),
                         |g| run_oracle(kind, &build(g), &opts).is_mismatch(),
                         cfg.shrink_attempts,
                     );
@@ -297,18 +330,46 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                     });
                     if report.mismatches.len() >= cfg.max_mismatches {
                         report.completed = false;
-                        break 'cases;
+                        return ControlFlow::Break(());
                     }
                 }
             }
         }
-    }
+        ControlFlow::Continue(())
+    });
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The report plus every repro line: all a run prints.
+    fn transcript(report: &FuzzReport) -> String {
+        let mut out = report.render();
+        for repro in &report.mismatches {
+            out.push_str(&repro.encode());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Runs `cfg` at 1, 2 and 3 threads, asserts the three transcripts are
+    /// byte-identical, and returns the single-thread report.
+    fn run_at_every_thread_count(cfg: &FuzzConfig) -> FuzzReport {
+        let seq = run_fuzz(&FuzzConfig {
+            threads: 1,
+            ..cfg.clone()
+        });
+        for threads in [2, 3] {
+            let par = run_fuzz(&FuzzConfig {
+                threads,
+                ..cfg.clone()
+            });
+            assert_eq!(transcript(&par), transcript(&seq), "{threads} threads");
+        }
+        seq
+    }
 
     #[test]
     fn healthy_engines_agree_and_reports_are_deterministic() {
@@ -317,7 +378,7 @@ mod tests {
             cases: 12,
             ..Default::default()
         };
-        let a = run_fuzz(&cfg);
+        let a = run_at_every_thread_count(&cfg);
         assert!(
             !a.has_mismatches(),
             "cross-engine mismatch on healthy engines:\n{}",
@@ -325,8 +386,6 @@ mod tests {
         );
         assert_eq!(a.cases_run, 12);
         assert!(a.completed);
-        let b = run_fuzz(&cfg);
-        assert_eq!(a.render(), b.render(), "same seed, byte-identical report");
         // Sanity: the oracles did real comparisons, not wall-to-wall skips.
         let total_agree: u64 = a.stats.iter().map(|(_, s)| s.agree).sum();
         assert!(total_agree >= 12, "agreement count {total_agree} too low");
@@ -442,18 +501,43 @@ mod tests {
     }
 
     #[test]
+    fn seeded_bug_reports_are_identical_at_every_thread_count() {
+        let drills = [
+            (SeededBug::DpllBadSat, OracleKind::Sat, 0xBEEF, 8),
+            (SeededBug::ForceUnknownMisread, OracleKind::Bmc, 0xCAFE, 16),
+            (SeededBug::ConeStaleReplay, OracleKind::Cone, 0xC04E, 24),
+        ];
+        for (bug, oracle, seed, cases) in drills {
+            for max_mismatches in [1, 2, 5] {
+                let report = run_at_every_thread_count(&FuzzConfig {
+                    seed,
+                    cases,
+                    oracles: vec![oracle],
+                    max_mismatches,
+                    seeded_bug: Some(bug),
+                    ..Default::default()
+                });
+                assert!(report.has_mismatches(), "{bug:?} went undetected");
+            }
+        }
+    }
+
+    #[test]
     fn prefired_deadline_truncates_but_stays_well_formed() {
-        let cfg = FuzzConfig {
-            seed: 9,
-            cases: 50,
-            deadline: Some(Arc::new(CancelToken::deadline_in(
-                std::time::Duration::ZERO,
-            ))),
-            ..Default::default()
-        };
-        let report = run_fuzz(&cfg);
-        assert_eq!(report.cases_run, 0);
-        assert!(!report.completed);
-        assert!(report.render().contains("\"completed\": false"));
+        for threads in 1..=3 {
+            let cfg = FuzzConfig {
+                seed: 9,
+                cases: 50,
+                deadline: Some(Arc::new(CancelToken::deadline_in(
+                    std::time::Duration::ZERO,
+                ))),
+                threads,
+                ..Default::default()
+            };
+            let report = run_fuzz(&cfg);
+            assert_eq!(report.cases_run, 0, "{threads} threads");
+            assert!(!report.completed);
+            assert!(report.render().contains("\"completed\": false"));
+        }
     }
 }

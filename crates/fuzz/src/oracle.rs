@@ -323,9 +323,11 @@ fn oracle_sat(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
     let true_lit = u.gate().true_lit();
     let num_vars = u.gate().num_vars();
     let cdcl = u.gate().solver().solve();
+    let mut clauses = u.gate().solver().take_clause_log();
     // The gate builder's constant-true unit clause predates the log.
-    let mut clauses: Vec<Vec<sat::Lit>> = vec![vec![true_lit]];
-    clauses.extend(u.gate().solver_ref().logged_clauses().iter().cloned());
+    clauses.insert(0, vec![true_lit]);
+    // Nothing below needs the unrolling; free it before DPLL runs.
+    drop(u);
     let bug = opts.seeded_bug == Some(SeededBug::DpllBadSat);
     let reference = match dpll::solve(num_vars, &clauses, opts.dpll_step_cap, bug) {
         None => return CaseResult::Skipped("dpll-cap"),

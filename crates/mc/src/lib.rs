@@ -45,7 +45,7 @@ pub use cnf::GateBuilder;
 pub use coi::{CoiSlice, ConeFingerprint};
 pub use elab::{elaborations_on_this_thread, Elab};
 pub use engine::{CheckStats, Checker, McConfig, Outcome, UndeterminedReason};
-pub use par::{default_threads, run_chains, run_jobs, Retries};
+pub use par::{default_threads, run_chains, run_jobs, run_ordered, Retries};
 pub use sat::{CancelReason, CancelToken};
 pub use supervise::{FaultKind, FaultPlan, JobFailure, JobStore, ServeFault};
 pub use trace::Trace;

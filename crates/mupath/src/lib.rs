@@ -104,14 +104,14 @@ impl EngineOptions {
     }
 }
 
-/// A stable fingerprint of a design, mixed into every journal key so a
-/// journal written against one RTL revision can never replay onto another.
-/// FNV-1a over the canonical netlist text plus the design name.
+/// A stable fingerprint of a whole design, so a verdict keyed by it can
+/// never answer for another revision: FNV-1a over the design's canonical
+/// `.nl` text ([`uarch::frontend::design_to_text`]), which carries its
+/// name, netlist, `annotations` and `harness` blocks — every input a
+/// verdict depends on.
 pub fn design_fingerprint(design: &Design) -> u64 {
     netlist::Fnv::new()
-        .bytes(design.name.as_bytes())
-        .bytes(&[0])
-        .bytes(netlist::text::emit(&design.netlist).as_bytes())
+        .bytes(uarch::frontend::design_to_text(design).as_bytes())
         .finish()
 }
 
@@ -396,4 +396,22 @@ fn slot_job_key(
         "mupath:{cone_fp}:{op:?}:{slot}:{:?}:{}:{:?}:{}",
         cfg.context, cfg.bound, cfg.conflict_budget, cfg.max_shapes
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn design_fingerprint_covers_annotations_and_harness() {
+        let base = uarch::build_tiny();
+        let fp = design_fingerprint(&base);
+        assert_eq!(design_fingerprint(&base.clone()), fp);
+        let mut annotations_only = base.clone();
+        annotations_only.annotations.ufsms.pop();
+        assert_ne!(design_fingerprint(&annotations_only), fp, "annotations");
+        let mut harness_only = base.clone();
+        harness_only.max_latency += 1;
+        assert_ne!(design_fingerprint(&harness_only), fp, "harness");
+    }
 }

@@ -485,6 +485,12 @@ impl Solver {
         self.clause_log.as_deref().unwrap_or(&[])
     }
 
+    /// Moves the recorded clauses out, as [`Solver::logged_clauses`]
+    /// would list them, and turns logging off.
+    pub fn take_clause_log(&mut self) -> Vec<Vec<Lit>> {
+        self.clause_log.take().unwrap_or_default()
+    }
+
     #[inline]
     fn lit_value(&self, l: Lit) -> i8 {
         // One load, no sign branch: `lit_vals` mirrors `assigns` per

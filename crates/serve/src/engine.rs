@@ -606,16 +606,16 @@ fn execute(
             Ok((payload, false, None))
         }
         Op::Fuzz => {
-            let mut cfg = fuzz::FuzzConfig {
+            let report = fuzz::run_fuzz(&fuzz::FuzzConfig {
                 seed: req.seed,
                 cases: req.cases,
                 // Resolved in prepare() so the verdict-store key and the
                 // run always agree on the effective bound.
                 bound: prep.bound,
+                deadline: watchdog,
+                threads: inner.job_threads,
                 ..Default::default()
-            };
-            cfg.deadline = watchdog;
-            let report = fuzz::run_fuzz(&cfg);
+            });
             let degraded = !report.completed;
             let exit = if report.has_mismatches() {
                 1

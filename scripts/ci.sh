@@ -162,6 +162,16 @@ for SEED in 1 20260806; do
     exit 1
   fi
 done
+# The cases run on the engine threads and fold into the report in case
+# order, so the report must not depend on the thread count.
+FUZZ_T1=$(SYNTHLC_THREADS=1 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  fuzz --seed 1 --cases 64)
+FUZZ_T2=$(SYNTHLC_THREADS=2 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  fuzz --seed 1 --cases 64)
+if ! cmp <(printf '%s\n' "$FUZZ_T1") <(printf '%s\n' "$FUZZ_T2"); then
+  echo "fuzz-smoke: seed 1 report differs between SYNTHLC_THREADS=1 and 2" >&2
+  exit 1
+fi
 # A dedicated deeper sweep of the incremental oracle alone: 256 designs'
 # property fleets through one persistent pooled solver vs. fresh
 # per-query solvers (batch restarts, in-place bound extension, witness
@@ -180,7 +190,7 @@ if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   echo "fuzz-smoke: cone-oracle sweep failed (repro above, if any)" >&2
   exit 1
 fi
-echo "fuzz-smoke OK (2 seeds x 64 designs, eight oracles, zero mismatches)"
+echo "fuzz-smoke OK (2 seeds x 64 designs, eight oracles, zero mismatches, thread-count invariant)"
 
 echo "== serve-smoke (daemon: retry a worker panic, cache hit, drain) =="
 # The daemon leg of the fault-smoke contract. SYNTHLC_FAULT_SEED=209

@@ -306,6 +306,42 @@ fn identical_resubmission_is_served_from_cache_byte_identically() {
     std::fs::remove_file(path).ok();
 }
 
+/// The job-level store key covers the whole design, not just its netlist:
+/// the same RTL with one µFSM annotation fewer is a different question,
+/// so it must be solved, never answered with the first design's verdict.
+#[test]
+fn annotation_only_edit_is_not_served_from_cache() {
+    const TINYCORE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/tinycore.nl");
+    let src = std::fs::read_to_string(TINYCORE).unwrap();
+    let block = src
+        .find("    ufsm u_wb {")
+        .expect("tinycore.nl annotates u_wb");
+    let end = block + src[block..].find("    }\n").unwrap() + "    }\n".len();
+    let edited = tmp_path("no-u_wb").with_extension("nl");
+    std::fs::write(&edited, format!("{}{}", &src[..block], &src[end..])).unwrap();
+    let path = tmp_path("annotation-edit");
+    let store = Arc::new(Journal::create(&path).unwrap());
+    let mut reqs = [paths_req("full"), paths_req("no-u_wb")];
+    reqs[0].design = Some(TINYCORE.into());
+    reqs[1].design = Some(edited.to_str().unwrap().into());
+    let (dones, notes) = run_jobs(
+        one_worker(FaultPlan::disabled(), 0),
+        Some(Arc::clone(&store)),
+        &reqs,
+    );
+    assert_eq!(exit_of(&dones["no-u_wb"]), 0);
+    // Its `done` payload happens to equal the first one, so provenance is
+    // the tell: a solved job reports its cone cache, a store hit does not.
+    let edited_notes = notes.get("no-u_wb").cloned().unwrap_or_default();
+    assert!(
+        edited_notes.iter().all(|n| !n.contains("verdict store"))
+            && edited_notes.iter().any(|n| n.starts_with("cone cache:")),
+        "served the unedited design's verdict: {edited_notes:?}"
+    );
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(edited).ok();
+}
+
 #[test]
 fn overload_sheds_explicitly_and_shutdown_refuses() {
     let cfg = ServeConfig {
