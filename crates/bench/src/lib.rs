@@ -1,5 +1,5 @@
 //! Shared harness utilities for the experiment-regeneration binaries
-//! (`src/bin/fig*.rs`, `table*.rs`, `perf.rs`) and the Criterion benches.
+//! (`src/bin/fig*.rs`, `table*.rs`, `perf.rs`).
 //!
 //! Every binary regenerates one table or figure of the paper's evaluation;
 //! see `DESIGN.md`'s experiment index and `EXPERIMENTS.md` for recorded

@@ -37,6 +37,7 @@ pub mod coi;
 mod elab;
 mod engine;
 pub mod par;
+mod runner;
 pub mod supervise;
 mod trace;
 mod unroll;
@@ -45,8 +46,9 @@ pub use cnf::GateBuilder;
 pub use coi::{CoiSlice, ConeFingerprint};
 pub use elab::{elaborations_on_this_thread, Elab};
 pub use engine::{CheckStats, Checker, McConfig, Outcome, UndeterminedReason};
-pub use par::{default_threads, run_chains, run_jobs, run_ordered, Retries};
+pub use par::{default_threads, run_jobs, run_ordered};
+pub use runner::{ChainNet, EngineOptions, Fleet, FleetRun, JobRecord, Replay, RobustOptions};
 pub use sat::{CancelReason, CancelToken};
-pub use supervise::{FaultKind, FaultPlan, JobFailure, JobStore, ServeFault};
+pub use supervise::{FaultKind, FaultPlan, JobStore, ServeFault};
 pub use trace::Trace;
 pub use unroll::{InitMode, Unrolling};

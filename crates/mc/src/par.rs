@@ -10,17 +10,19 @@
 //! (the `--jobs 1` baseline).
 //!
 //! Jobs that share a persistent solver context (DESIGN.md §12) run as one
-//! *context chain* ([`run_chains`]): in job order, on one worker, which
-//! builds the context when the chain's first job asks for it and drops it
-//! when the chain ends. Each context therefore sees the same query stream
-//! for every worker count, and no worker ever waits for another.
+//! *context chain* (`run_chains`, driven by [`Fleet::run`]): in job
+//! order, on one worker, which builds the context when the chain's first
+//! job asks for it and drops it when the chain ends. Each context
+//! therefore sees the same query stream for every worker count, and no
+//! worker ever waits for another.
 //!
 //! A run whose bookkeeping must see results in order, and may stop early,
 //! streams them through [`run_ordered`] instead: each result is folded as
 //! soon as every earlier one has been, so nothing but the out-of-order
 //! stragglers is ever held.
+//!
+//! [`Fleet::run`]: crate::Fleet::run
 
-use crate::supervise::{catch_job, JobFailure};
 use sat::CancelToken;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -204,44 +206,43 @@ where
 }
 
 /// The sequential retry pass of [`run_chains`].
-pub struct Retries<'r, R> {
+pub(crate) struct Retries<'r, R> {
     /// Reruns allowed per failed job; `0` keeps single-shot behaviour.
-    pub max: u32,
+    pub(crate) max: u32,
     /// A tripped run-wide token ends the pass: a deadline can't be outrun
     /// by retrying.
-    pub cancel: Option<&'r CancelToken>,
+    pub(crate) cancel: Option<&'r CancelToken>,
     /// Whether a job that returned still failed (a degraded verdict) and
     /// so deserves a rerun, like one that panicked.
-    pub degraded: fn(&R) -> bool,
+    pub(crate) degraded: fn(&R) -> bool,
 }
 
 /// Runs every job as `f(job_index, attempt, ctx)` and returns the results
-/// in job order, each panic caught as that job's [`JobFailure`].
+/// in job order, `None` for a job whose last attempt panicked.
 ///
-/// `chain_of[ix]` names the solver context job `ix` needs, or `None` for
-/// a job that needs none (a journal replay). The jobs naming one context
-/// form its *chain*: they run in job order on one worker, all handed the
-/// same `ctx` slot, which starts empty. A job that needs the context
-/// builds it on first use (`ctx.get_or_insert_with(..)`), so a chain with
-/// nothing to solve builds nothing. A panic discards the context — it may
-/// hold a half-finished query — and the chain's next job rebuilds it. At
-/// chain end the context is dropped, so at most `threads` are live,
-/// unless [`Retries`] will rerun one of the chain's jobs.
+/// `chain_of[ix]` names the solver context job `ix` needs. The jobs
+/// naming one context form its *chain*: they run in job order on one
+/// worker, all handed the same `ctx` slot, which starts empty. A job
+/// builds the context on first use (`ctx.get_or_insert_with(..)`). A
+/// panic discards the context — it may hold a half-finished query — and
+/// the chain's next job rebuilds it. At chain end the context is dropped,
+/// so at most `threads` are live, unless [`Retries`] will rerun one of the
+/// chain's jobs.
 ///
-/// Workers claim whole chains, longest first (ties: lowest first job id),
-/// then the context-free jobs; a worker never waits on another. Since a
-/// context only ever sees its own chain in job order, results are a pure
-/// function of the job list for every `threads`.
+/// Workers claim whole chains, longest first (ties: lowest first job id);
+/// a worker never waits on another. Since a context only ever sees its own
+/// chain in job order, results are a pure function of the job list for
+/// every `threads`.
 ///
 /// Afterwards, failed jobs rerun sequentially on the calling thread in
 /// job order (attempts `1..=retries.max`), each on its chain's retained
 /// context. Returns the results and the number of retry attempts spent.
-pub fn run_chains<C, R, F>(
-    chain_of: &[Option<usize>],
+pub(crate) fn run_chains<C, R, F>(
+    chain_of: &[usize],
     threads: usize,
     retries: Retries<'_, R>,
     f: F,
-) -> (Vec<Result<R, JobFailure>>, u64)
+) -> (Vec<Option<R>>, u64)
 where
     C: Send,
     R: Send,
@@ -249,23 +250,16 @@ where
 {
     let mut chains: Vec<Vec<usize>> = {
         let mut by_ctx: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (ix, c) in chain_of.iter().enumerate() {
-            if let Some(c) = c {
-                by_ctx.entry(*c).or_default().push(ix);
-            }
+        for (ix, &c) in chain_of.iter().enumerate() {
+            by_ctx.entry(c).or_default().push(ix);
         }
         by_ctx.into_values().collect()
     };
     chains.sort_by_key(|chain| (Reverse(chain.len()), chain[0]));
-    chains.extend(
-        (0..chain_of.len())
-            .filter(|&ix| chain_of[ix].is_none())
-            .map(|ix| vec![ix]),
-    );
-    let needs_retry = |r: &Result<R, JobFailure>| r.as_ref().map_or(true, retries.degraded);
+    let needs_retry = |r: &Option<R>| r.as_ref().is_none_or(retries.degraded);
     let run_one = |ix: usize, attempt: u32, ctx: &mut Option<C>| {
-        let r = catch_job(ix, attempt, || f(ix, attempt, ctx));
-        if r.is_err() {
+        let r = catch_unwind(AssertUnwindSafe(|| f(ix, attempt, ctx))).ok();
+        if r.is_none() {
             *ctx = None;
         }
         r
@@ -276,7 +270,7 @@ where
         let keep = retries.max > 0 && results.iter().any(needs_retry);
         (chain, results, if keep { ctx } else { None })
     });
-    let mut results: Vec<Option<Result<R, JobFailure>>> = chain_of.iter().map(|_| None).collect();
+    let mut results: Vec<Option<Option<R>>> = chain_of.iter().map(|_| None).collect();
     let mut chain_ix = vec![0; chain_of.len()];
     let mut ctxs = Vec::with_capacity(ran.len());
     for (ci, (chain, rs, ctx)) in ran.into_iter().enumerate() {
@@ -286,7 +280,7 @@ where
         }
         ctxs.push(ctx);
     }
-    let mut results: Vec<Result<R, JobFailure>> = results
+    let mut results: Vec<Option<R>> = results
         .into_iter()
         .map(|r| r.expect("every job belongs to exactly one chain"))
         .collect();
@@ -488,32 +482,18 @@ mod tests {
 
     #[test]
     fn longest_chain_is_claimed_first_with_ties_to_the_lowest_job_id() {
-        // Chains: 7 → [0], 3 → [1,2,3], 9 → [4,5,6], 5 → [7,8]; job 9
-        // needs no context.
-        let chain_of = [
-            Some(7),
-            Some(3),
-            Some(3),
-            Some(3),
-            Some(9),
-            Some(9),
-            Some(9),
-            Some(5),
-            Some(5),
-            None,
-        ];
+        // Chains: 7 → [0], 3 → [1,2,3], 9 → [4,5,6], 5 → [7,8].
+        let chain_of = [7, 3, 3, 3, 9, 9, 9, 5, 5];
         let order = Mutex::new(Vec::new());
         run_chains::<(), (), _>(&chain_of, 1, no_retries(), |ix, _, _| {
             order.lock().unwrap().push(ix);
         });
-        assert_eq!(*order.lock().unwrap(), vec![1, 2, 3, 4, 5, 6, 7, 8, 0, 9]);
+        assert_eq!(*order.lock().unwrap(), vec![1, 2, 3, 4, 5, 6, 7, 8, 0]);
     }
 
     #[test]
     fn chains_merge_by_job_id_identically_for_any_thread_count() {
-        let chain_of: Vec<Option<usize>> = (0..40)
-            .map(|ix| (ix % 7 != 3).then_some(ix * ix % 5))
-            .collect();
+        let chain_of: Vec<usize> = (0..40).map(|ix| ix * ix % 5).collect();
         let live = AtomicU64::new(0);
         let peak = AtomicU64::new(0);
         struct Ctx<'a>(Seen, &'a AtomicU64);
@@ -525,9 +505,6 @@ mod tests {
         let run = |threads| {
             peak.store(0, Ordering::SeqCst);
             let (out, retried) = run_chains(&chain_of, threads, no_retries(), |ix, _, ctx| {
-                if chain_of[ix].is_none() {
-                    return Vec::new();
-                }
                 let c = ctx.get_or_insert_with(|| {
                     let n = live.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(n, Ordering::SeqCst);
@@ -541,15 +518,12 @@ mod tests {
                 peak.load(Ordering::SeqCst) <= threads as u64,
                 "contexts must drop at chain end"
             );
-            out.into_iter().map(Result::unwrap).collect::<Vec<Seen>>()
+            out.into_iter().map(Option::unwrap).collect::<Vec<Seen>>()
         };
         let baseline = run(1);
         // Each context served exactly its chain's earlier jobs, in order.
         for (ix, seen) in baseline.iter().enumerate() {
-            let want: Seen = match chain_of[ix] {
-                Some(c) => (0..=ix).filter(|&j| chain_of[j] == Some(c)).collect(),
-                None => Vec::new(),
-            };
+            let want: Seen = (0..=ix).filter(|&j| chain_of[j] == chain_of[ix]).collect();
             assert_eq!(*seen, want, "job {ix}");
         }
         for threads in 2..=4 {
@@ -560,7 +534,7 @@ mod tests {
 
     #[test]
     fn panicking_job_discards_its_chains_context_and_the_next_rebuilds_it() {
-        let chain_of = [Some(0), Some(0), Some(0), Some(1), Some(1)];
+        let chain_of = [0, 0, 0, 1, 1];
         let builds = AtomicU64::new(0);
         for threads in [1, 2] {
             builds.store(0, Ordering::SeqCst);
@@ -576,11 +550,7 @@ mod tests {
                 seen.clone()
             });
             assert_eq!(out[0].as_ref().unwrap(), &vec![0]);
-            let failure = out[1].as_ref().unwrap_err();
-            assert_eq!(
-                (failure.job_id, failure.payload_msg.as_str()),
-                (1, "injected at job 1")
-            );
+            assert!(out[1].is_none(), "job 1 panicked");
             assert_eq!(
                 out[2].as_ref().unwrap(),
                 &vec![2],
@@ -593,7 +563,7 @@ mod tests {
 
     #[test]
     fn retries_rerun_failed_jobs_in_order_on_the_retained_context() {
-        let chain_of = [Some(0), Some(0), Some(0), Some(1), Some(1)];
+        let chain_of = [0, 0, 0, 1, 1];
         fn retries(cancel: Option<&CancelToken>) -> Retries<'_, Seen> {
             Retries {
                 max: 2,
@@ -624,7 +594,7 @@ mod tests {
             run_chains::<(), Seen, _>(&chain_of, 1, retries(Some(&token)), |_, _, _| {
                 panic!("always")
             });
-        assert!(out.iter().all(Result::is_err));
+        assert!(out.iter().all(Option::is_none));
         assert_eq!(retried, 0, "a tripped token stops the retry pass");
     }
 }

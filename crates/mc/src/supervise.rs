@@ -1,74 +1,23 @@
 //! Job supervision, deterministic fault injection, and the checkpoint
 //! store interface — the runtime half of DESIGN.md §8.
 //!
-//! [`run_chains`] runs every job under `catch_unwind`, so one panicking
-//! property sweep yields a per-job [`JobFailure`] merged deterministically
-//! into the results instead of tearing down the whole
-//! `std::thread::scope`. Drivers degrade a failed job to
-//! [`Outcome::Undetermined`] with [`UndeterminedReason::JobPanicked`].
+//! The chain runner behind [`Fleet::run`] runs every job under
+//! `catch_unwind`, so one panicking property sweep yields a per-job
+//! failure merged deterministically into the results instead of tearing
+//! down the whole `std::thread::scope`. [`Fleet::run`] degrades a failed
+//! job to [`Outcome::Undetermined`] with [`UndeterminedReason::JobPanicked`].
 //!
 //! [`FaultPlan`] deterministically schedules injected faults (panics,
 //! forced-Unknown queries, expired deadlines) from a seed and a rate, so a
 //! failing fault-injected run replays from `SYNTHLC_FAULT_SEED` alone.
 //!
-//! [`JobStore`] is the narrow interface drivers use to checkpoint and
-//! replay completed job verdicts; `synthlc::journal::Journal` implements
-//! it with an append-only, fsync'd, torn-tail-tolerant file.
+//! [`JobStore`] is the narrow interface [`Fleet::run`] checkpoints and
+//! replays completed job verdicts through; `synthlc::journal::Journal`
+//! implements it with an append-only, fsync'd, torn-tail-tolerant file.
 //!
-//! [`run_chains`]: crate::par::run_chains
+//! [`Fleet::run`]: crate::Fleet::run
 //! [`Outcome::Undetermined`]: crate::Outcome::Undetermined
 //! [`UndeterminedReason::JobPanicked`]: crate::UndeterminedReason::JobPanicked
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// A panic caught by the supervisor while running one job.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobFailure {
-    /// Index of the failed job in the submitted job list.
-    pub job_id: usize,
-    /// The panic payload, when it was a string (the common case).
-    pub payload_msg: String,
-    /// How to localise the failure in a rerun.
-    pub backtrace_hint: String,
-}
-
-impl std::fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "job {} panicked: {} ({})",
-            self.job_id, self.payload_msg, self.backtrace_hint
-        )
-    }
-}
-
-fn payload_msg(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Runs attempt `attempt` of job `job_id` under `catch_unwind`, turning a
-/// panic into the job's [`JobFailure`].
-pub(crate) fn catch_job<R>(
-    job_id: usize,
-    attempt: u32,
-    f: impl FnOnce() -> R,
-) -> Result<R, JobFailure> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| JobFailure {
-        job_id,
-        payload_msg: payload_msg(payload.as_ref()),
-        backtrace_hint: if attempt == 0 {
-            format!("rerun with RUST_BACKTRACE=1 SYNTHLC_THREADS=1 to localise job {job_id}")
-        } else {
-            format!("panicked again on retry attempt {attempt}")
-        },
-    })
-}
 
 /// What an injected fault does to its job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,18 +169,19 @@ mod tests {
     use super::*;
     use crate::par::{run_chains, Retries};
 
-    /// Runs context-free jobs through the chain runner, no retries.
+    /// Runs one-job chains through the chain runner, no retries.
     fn supervised<R: Send>(
         n: usize,
         threads: usize,
         f: impl Fn(usize) -> R + Sync,
-    ) -> Vec<Result<R, JobFailure>> {
+    ) -> Vec<Option<R>> {
         let retries = Retries {
             max: 0,
             cancel: None,
             degraded: |_| false,
         };
-        run_chains::<(), _, _>(&vec![None; n], threads, retries, |ix, _, _| f(ix)).0
+        let own_chains: Vec<usize> = (0..n).collect();
+        run_chains::<(), _, _>(&own_chains, threads, retries, |ix, _, _| f(ix)).0
     }
 
     #[test]
@@ -246,11 +196,9 @@ mod tests {
             assert_eq!(out.len(), 16);
             for (ix, r) in out.iter().enumerate() {
                 if ix % 5 == 3 {
-                    let err = r.as_ref().unwrap_err();
-                    assert_eq!(err.job_id, ix);
-                    assert_eq!(err.payload_msg, format!("boom at {ix}"));
+                    assert!(r.is_none(), "job {ix} panicked");
                 } else {
-                    assert_eq!(*r.as_ref().unwrap(), ix * 2);
+                    assert_eq!(*r, Some(ix * 2));
                 }
             }
         }

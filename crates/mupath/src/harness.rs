@@ -86,10 +86,51 @@ pub struct IuvHarness {
     pub config: HarnessConfig,
 }
 
-/// Strips a trailing decimal entry index from a PL label.
-fn class_of(name: &str) -> String {
-    name.trim_end_matches(|c: char| c.is_ascii_digit())
-        .to_owned()
+/// A design's performing locations and their classes, derived from its
+/// µFSM annotations alone: one PL per candidate state of each µFSM, in
+/// declaration order. A PL's class label is its state name with any
+/// trailing entry index stripped (`scbIss0` → `scbIss`), which merges
+/// structurally identical µFSMs for decision analysis; classes are
+/// numbered in first-seen order.
+#[derive(Clone, Debug)]
+pub struct PlClasses {
+    /// The PL table, labelled by state name.
+    pub pls: PlTable,
+    /// Per-PL class label (indexed by [`PlId::index`]).
+    pub labels: Vec<String>,
+    /// The class table: each distinct label once.
+    pub classes: PlTable,
+    /// Per-PL class id.
+    pub class_of: Vec<PlId>,
+    /// Per-PL index of the owning µFSM in the design's annotations.
+    pub ufsm_of: Vec<usize>,
+}
+
+impl PlClasses {
+    /// The PL and class tables of `design`.
+    pub fn of(design: &Design) -> Self {
+        let mut t = PlClasses {
+            pls: PlTable::new(),
+            labels: Vec::new(),
+            classes: PlTable::new(),
+            class_of: Vec::new(),
+            ufsm_of: Vec::new(),
+        };
+        for (ui, ufsm) in design.annotations.ufsms.iter().enumerate() {
+            for st in ufsm.candidate_states(&design.netlist) {
+                let label = st.name.trim_end_matches(|c: char| c.is_ascii_digit());
+                let class = t
+                    .classes
+                    .find(label)
+                    .unwrap_or_else(|| t.classes.add(label));
+                t.labels.push(label.to_owned());
+                t.pls.add(st.name);
+                t.class_of.push(class);
+                t.ufsm_of.push(ui);
+            }
+        }
+        t
+    }
 }
 
 /// Builds the IUV harness for a single opcode. The opcode's encoding
@@ -207,8 +248,11 @@ pub fn build_harness_multi(
     }
 
     // --- per-PL visit monitors ------------------------------------------------
-    let mut pls = PlTable::new();
-    let mut classes = Vec::new();
+    let PlClasses {
+        pls,
+        labels: classes,
+        ..
+    } = PlClasses::of(design);
     let mut monitors = Vec::new();
     let mut visit_now_all: Vec<Wire> = Vec::new();
     let mut visited_all: Vec<Wire> = Vec::new();
@@ -216,8 +260,6 @@ pub fn build_harness_multi(
         let pcr = b.wire(ufsm.pcr);
         let pcr_match = b.eq(pcr, iuv_pc);
         for st in ufsm.candidate_states(&design.netlist) {
-            let pl = pls.add(st.name.clone());
-            classes.push(class_of(&st.name));
             let mut state_match = b.one();
             for (vi, &var) in ufsm.vars.iter().enumerate() {
                 let vw = b.wire(var);
@@ -253,9 +295,9 @@ pub fn build_harness_multi(
                 multi: multi.id,
                 noncons: noncons.id,
             });
-            debug_assert_eq!(pl.index() + 1, monitors.len());
         }
     }
+    debug_assert_eq!(monitors.len(), pls.len());
 
     // --- completion detector ----------------------------------------------------
     let any_now = b.any(&visit_now_all);
@@ -358,9 +400,31 @@ mod tests {
 
     #[test]
     fn class_labels_strip_entry_indices() {
-        assert_eq!(class_of("scbIss0"), "scbIss");
-        assert_eq!(class_of("scbIss12"), "scbIss");
-        assert_eq!(class_of("ldFin"), "ldFin");
-        assert_eq!(class_of("ID"), "ID");
+        let t = PlClasses::of(&uarch::build_core(&uarch::CoreConfig::default()));
+        let class = |pl: &str| {
+            let pl = t.pls.find(pl).unwrap();
+            (t.labels[pl.index()].as_str(), t.class_of[pl.index()])
+        };
+        let (label, iss) = class("scbIss0");
+        assert_eq!(label, "scbIss");
+        assert_eq!(class("scbIss1"), ("scbIss", iss));
+        assert_eq!(t.classes.name(iss), "scbIss");
+        assert_eq!(class("ID").0, "ID");
+        assert_ne!(class("ID").1, iss);
+        // Classes are numbered in first-seen order over the PL table.
+        let mut first_seen = PlTable::new();
+        for label in &t.labels {
+            if first_seen.find(label).is_none() {
+                first_seen.add(label.as_str());
+            }
+        }
+        let names = |table: &PlTable| {
+            table
+                .ids()
+                .map(|c| table.name(c).to_owned())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&t.classes), names(&first_seen));
+        assert_eq!(t.ufsm_of.len(), t.pls.len());
     }
 }

@@ -22,87 +22,18 @@ mod harness;
 mod synth;
 
 pub use harness::{
-    build_harness, build_harness_multi, ContextMode, HarnessConfig, IuvHarness, PlMonitors,
+    build_harness, build_harness_multi, ContextMode, HarnessConfig, IuvHarness, PlClasses,
+    PlMonitors,
 };
+pub use mc::{EngineOptions, RobustOptions};
 pub use synth::{
-    class_view, dom_excl_relations, duv_pl_reachability, enumerate_revisit_counts,
-    synthesize_instr, DomExclRelations, DuvPlReport, InstrSynthesis, SynthConfig,
+    dom_excl_relations, duv_pl_reachability, enumerate_revisit_counts, synthesize_instr,
+    DomExclRelations, DuvPlReport, InstrSynthesis, SynthConfig,
 };
 
 use isa::Opcode;
-use mc::{CheckStats, FaultKind, FaultPlan, JobStore, UndeterminedReason};
-use sat::{BudgetPool, CancelToken};
-use std::sync::Arc;
+use mc::CheckStats;
 use uarch::Design;
-
-/// Robustness knobs shared by the whole-ISA driver here and by SynthLC's
-/// leakage driver (DESIGN.md §8). The default — no token, inactive fault
-/// plan, no journal — adds no work and no nondeterminism to a run.
-#[derive(Clone, Debug, Default)]
-pub struct RobustOptions {
-    /// Run-wide cancellation token (explicit cancel and/or wall-clock
-    /// deadline). Queries that trip it degrade to
-    /// `Undetermined(Deadline)`.
-    pub cancel: Option<Arc<CancelToken>>,
-    /// Deterministic fault-injection schedule (testing only).
-    pub faults: FaultPlan,
-    /// Checkpoint store for completed job verdicts; jobs whose key is
-    /// already stored are replayed without running.
-    pub journal: Option<Arc<dyn JobStore>>,
-    /// How many times a transiently failed job (panic, injected fault,
-    /// deadline, budget exhaustion) is rerun before its degraded verdict
-    /// stands. Retries run sequentially on the coordinating thread in
-    /// job order, so any worker count retries the same jobs in the same
-    /// order. `0` (the default) keeps the single-shot behaviour.
-    pub retries: u32,
-}
-
-impl RobustOptions {
-    /// Whether any robustness machinery is switched on.
-    pub fn is_active(&self) -> bool {
-        self.cancel.is_some()
-            || self.faults.is_active()
-            || self.journal.is_some()
-            || self.retries > 0
-    }
-}
-
-/// Options for the parallel property-evaluation engine, shared by the
-/// whole-ISA driver here and by SynthLC's leakage driver.
-#[derive(Clone, Debug, Default)]
-pub struct EngineOptions {
-    /// Worker threads; `0` selects [`mc::default_threads`] (the
-    /// `SYNTHLC_THREADS` environment knob, falling back to the machine's
-    /// available parallelism).
-    pub threads: usize,
-    /// A globally shared conflict/propagation account. Uncapped pools only
-    /// aggregate statistics; capped pools cut off queries once the global
-    /// cap is reached (at the cost of scheduling-dependent results — see
-    /// `DESIGN.md` §6).
-    pub budget_pool: Option<Arc<BudgetPool>>,
-    /// Fault-tolerance knobs (cancellation, fault injection, journal).
-    pub robust: RobustOptions,
-}
-
-impl EngineOptions {
-    /// One worker, no shared budget: today's sequential behaviour.
-    pub fn sequential() -> Self {
-        Self {
-            threads: 1,
-            ..Default::default()
-        }
-    }
-
-    /// The effective worker count (resolving `0` to the environment
-    /// default).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            mc::default_threads()
-        } else {
-            self.threads
-        }
-    }
-}
 
 /// A stable fingerprint of a whole design, so a verdict keyed by it can
 /// never answer for another revision: FNV-1a over the design's canonical
@@ -116,7 +47,7 @@ pub fn design_fingerprint(design: &Design) -> u64 {
 }
 
 /// Whole-ISA synthesis results.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct IsaSynthesis {
     /// Per-instruction results, in the order requested.
     pub instrs: Vec<InstrSynthesis>,
@@ -158,34 +89,25 @@ impl IsaSynthesis {
 /// not own their solver: one multi-opcode harness is built per fetch slot
 /// (the monitor logic is opcode-independent), and every opcode's
 /// enumeration on that slot shares one persistent checker. The slot's
-/// jobs form one context chain ([`mc::run_chains`]): they run in job
-/// order on one worker, so the solver sees an identical query stream for
-/// every worker count and results merge byte-identically (the
+/// jobs form one context chain of the job runner ([`mc::Fleet`]): they
+/// run in job order on one worker, so the solver sees an identical query
+/// stream for every worker count and results merge byte-identically (the
 /// `tests/parallel_determinism.rs` bar); learnt clauses and the unrolled
 /// transition relation carry across the whole fleet.
 ///
-/// Journal resume is *group-atomic* per slot: a slot's cached verdicts are
-/// only replayed when every opcode of that slot is cached, and then the
-/// slot builds no checker at all. A partial replay would make the shared
-/// solver's clause state depend on which subset resumed — trading a
-/// little resume coverage for determinism.
+/// Journal resume is chain-wide ([`mc::Replay::Chain`]): a slot's cached
+/// verdicts are only replayed when every opcode of that slot is cached,
+/// and then the slot builds no checker at all. A partial replay would make
+/// the shared solver's clause state depend on which subset resumed —
+/// trading a little resume coverage for determinism.
 pub fn synthesize_isa_with(
     design: &Design,
     ops: &[Opcode],
     cfg: &SynthConfig,
     opts: &EngineOptions,
 ) -> IsaSynthesis {
-    let threads = opts.effective_threads();
-    let robust = &opts.robust;
     if ops.is_empty() {
-        return IsaSynthesis {
-            instrs: Vec::new(),
-            stats: CheckStats::default(),
-            degraded_jobs: 0,
-            resumed_jobs: 0,
-            cone_misses: 0,
-            retried_jobs: 0,
-        };
+        return IsaSynthesis::default();
     }
     // One shared harness per fetch slot; all opcodes ride on it.
     let harnesses: Vec<IuvHarness> = cfg
@@ -195,17 +117,8 @@ pub fn synthesize_isa_with(
         .collect();
     // PL table / classes / HB-edge candidates are opcode- and
     // slot-independent; compute them once for the whole run.
-    let meta = match harnesses.first() {
-        Some(h) => synth::slot_meta(design, h),
-        None => {
-            let h = build_harness_multi(design, ops, 0, cfg.context);
-            synth::slot_meta(design, &h)
-        }
-    };
-    let free_regs: Vec<netlist::SignalId> = {
-        let ann = &design.annotations;
-        ann.arf.iter().chain(ann.amem.iter()).copied().collect()
-    };
+    let meta = synth::slot_meta(design);
+    let free_regs = design.annotations.arch_state();
     // The slot-wide query cone: everything the enumeration consumes. The
     // canonical fingerprint of this cone (with the free registers, whose
     // symbolic init is part of the query) keys the journal records, so an
@@ -217,152 +130,60 @@ pub fn synthesize_isa_with(
         .zip(&slot_targets)
         .map(|(h, t)| mc::ConeFingerprint::compute(&h.netlist, t, &free_regs))
         .collect();
-    // Resolve journal hits on the coordinating thread so `resumed_jobs` is
-    // counted before workers start. Atomic per slot group: either every
-    // opcode of a slot replays, or the whole slot reruns.
-    let mut resumed_jobs = 0u64;
-    let keys_json: Vec<Vec<Option<String>>> = (0..cfg.slots.len())
-        .map(|si| {
-            (0..ops.len())
-                .map(|oi| {
-                    robust
-                        .journal
-                        .as_ref()
-                        .map(|_| slot_job_key(cone_fps[si], ops[oi], cfg.slots[si], cfg))
-                })
-                .collect()
-        })
+    let jobs: Vec<(usize, usize)> = (0..ops.len())
+        .flat_map(|oi| (0..cfg.slots.len()).map(move |si| (oi, si)))
         .collect();
-    let cached_groups: Vec<Option<Vec<synth::SlotSynthesis>>> = (0..cfg.slots.len())
-        .map(|si| {
-            let journal = robust.journal.as_deref()?;
-            let group: Option<Vec<synth::SlotSynthesis>> = (0..ops.len())
-                .map(|oi| {
-                    let k = keys_json[si][oi].as_deref()?;
-                    synth::SlotSynthesis::decode(&journal.get(k)?)
-                })
-                .collect();
-            if group.is_some() {
-                resumed_jobs += ops.len() as u64;
-            }
-            group
-        })
-        .collect();
-    let jobs: Vec<(usize, usize)> = ops
-        .iter()
-        .enumerate()
-        .flat_map(|(oi, _)| (0..cfg.slots.len()).map(move |si| (oi, si)))
-        .collect();
-    // A slot's uncached jobs chain on the slot's checker.
-    let chain_of: Vec<Option<usize>> = jobs
-        .iter()
-        .map(|&(_, si)| cached_groups[si].is_none().then_some(si))
-        .collect();
-    let retries = mc::Retries {
-        max: robust.retries,
-        cancel: robust.cancel.as_deref(),
-        degraded: |s: &synth::SlotSynthesis| s.stats.degraded() > 0,
+    let fleet = mc::Fleet {
+        phase: "mupath",
+        // Slice to the slot-wide query cone. Sound here even though the
+        // shape loop consumes witness data: every consumed signal (covers,
+        // assumes, signature bits, `visit_now` monitors) is a slice target,
+        // so the projection onto them is exact — and the sliced CNF is a
+        // pure function of the cone, which is what makes cone-keyed journal
+        // replays witness-identical to fresh solves after an out-of-cone
+        // edit (`DESIGN.md` §14).
+        chains: harnesses
+            .iter()
+            .zip(&slot_targets)
+            .map(|(h, t)| mc::ChainNet {
+                netlist: &h.netlist,
+                coi: Some(t),
+            })
+            .collect(),
+        free: &free_regs,
+        bound: cfg.bound,
+        conflict_budget: cfg.conflict_budget,
+        replay: mc::Replay::Chain,
     };
-    let (results, retried_jobs) =
-        mc::run_chains(&chain_of, threads, retries, |ix, attempt, ctx| {
+    let chain_of: Vec<usize> = jobs.iter().map(|&(_, si)| si).collect();
+    let run = fleet.run(
+        &chain_of,
+        |ix| {
             let (oi, si) = jobs[ix];
-            if let Some(group) = &cached_groups[si] {
-                return group[oi].clone();
-            }
-            let fault = robust.faults.fault_for_attempt("mupath", ix, attempt);
-            let ctx = ctx.get_or_insert_with(|| {
-                // Slice to the slot-wide query cone. Sound here even though
-                // the shape loop consumes witness data: every consumed signal
-                // (covers, assumes, signature bits, `visit_now` monitors) is
-                // a slice target, so the projection onto them is exact — and
-                // the sliced CNF is a pure function of the cone, which is
-                // what makes cone-keyed journal replays witness-identical to
-                // fresh solves after an out-of-cone edit (`DESIGN.md` §14).
-                let elab = Arc::new(mc::Elab::new(&harnesses[si].netlist));
-                let coi = Arc::new(mc::CoiSlice::compute(
-                    &harnesses[si].netlist,
-                    &slot_targets[si],
-                ));
-                let mut c = mc::Checker::with_coi(
-                    &harnesses[si].netlist,
-                    mc::McConfig {
-                        bound: 0,
-                        ..cfg.mc_config()
-                    },
-                    &free_regs,
-                    elab,
-                    Some(coi),
-                );
-                if let Some(p) = &opts.budget_pool {
-                    c.set_budget_pool(Arc::clone(p));
-                }
-                if let Some(token) = &robust.cancel {
-                    c.set_cancel_token(Arc::clone(token));
-                }
-                c
-            });
-            ctx.begin_batch();
-            ctx.ensure_bound(cfg.bound);
-            // An injected panic discards the checker; the slot's next opcode
-            // deterministically rebuilds it.
-            if fault == Some(FaultKind::Panic) {
-                panic!("injected fault: panic in mupath job {ix}");
-            }
-            match fault {
-                Some(FaultKind::ForceUnknown) => ctx.set_fault(UndeterminedReason::FaultInjected),
-                Some(FaultKind::DeadlineExpired) => ctx.set_fault(UndeterminedReason::Deadline),
-                _ => {}
-            }
-            let r = synth::enumerate_slot(&harnesses[si], ops[oi], ctx, cfg);
-            // Only clean verdicts are journaled: degraded jobs must rerun on
-            // resume so an interrupted faulty run can still converge to the
-            // uninterrupted result.
-            if fault.is_none() && r.stats.degraded() == 0 {
-                if let (Some(j), Some(k)) =
-                    (robust.journal.as_deref(), keys_json[si][oi].as_deref())
-                {
-                    j.put(k, &r.encode());
-                }
-            }
-            r
-        });
-    let mut degraded_jobs = 0u64;
-    let mut results = results.into_iter();
+            slot_job_key(cone_fps[si], ops[oi], cfg.slots[si], cfg)
+        },
+        opts,
+        |ix, checker| {
+            let (oi, si) = jobs[ix];
+            synth::enumerate_slot(&harnesses[si], ops[oi], checker, cfg)
+        },
+    );
+    let mut results = run.results.into_iter();
     let mut instrs = Vec::new();
     let mut stats = CheckStats::default();
     for &op in ops {
-        let slots: Vec<synth::SlotSynthesis> = results
-            .by_ref()
-            .take(cfg.slots.len())
-            .map(|r| match r {
-                Ok(s) => {
-                    if s.stats.degraded() > 0 {
-                        degraded_jobs += 1;
-                    }
-                    s
-                }
-                Err(_) => {
-                    degraded_jobs += 1;
-                    synth::SlotSynthesis::degraded(UndeterminedReason::JobPanicked)
-                }
-            })
-            .collect();
+        let slots = results.by_ref().take(cfg.slots.len()).collect();
         let r = synth::assemble_instr(op, slots, &meta);
         stats.absorb(&r.stats);
         instrs.push(r);
     }
-    let cone_misses = if robust.journal.is_some() {
-        jobs.len() as u64 - resumed_jobs
-    } else {
-        0
-    };
     IsaSynthesis {
         instrs,
         stats,
-        degraded_jobs,
-        resumed_jobs,
-        cone_misses,
-        retried_jobs,
+        degraded_jobs: run.degraded_jobs,
+        resumed_jobs: run.resumed_jobs,
+        cone_misses: run.cone_misses,
+        retried_jobs: run.retried_jobs,
     }
 }
 

@@ -20,9 +20,9 @@
 //! 4. [`enumerate_revisit_counts`] — the optional §V-B6 revisit-cycle-count
 //!    enumeration (e.g. the DIV latency range).
 
-use crate::harness::{build_harness, ContextMode, HarnessConfig, IuvHarness};
+use crate::harness::{build_harness, ContextMode, HarnessConfig, IuvHarness, PlClasses};
 use isa::Opcode;
-use mc::{CheckStats, Checker, McConfig, Outcome, UndeterminedReason};
+use mc::{CheckStats, Checker, JobRecord, McConfig, Outcome};
 use netlist::analysis::next_state_sources;
 use netlist::{Builder, SignalId};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -131,13 +131,10 @@ pub struct DuvPlReport {
 /// §V-B1: enumerate feasible PLs and prune the unreachable ones with cover
 /// properties on the raw design.
 pub fn duv_pl_reachability(design: &Design, cfg: &SynthConfig) -> DuvPlReport {
-    let ann = &design.annotations;
     let mut b = Builder::from_netlist(design.netlist.clone());
-    let mut pls = PlTable::new();
     let mut occupied_sigs = Vec::new();
-    for ufsm in &ann.ufsms {
+    for ufsm in &design.annotations.ufsms {
         for st in ufsm.candidate_states(&design.netlist) {
-            pls.add(st.name.clone());
             let mut state_match = b.one();
             for (vi, &var) in ufsm.vars.iter().enumerate() {
                 let vw = b.wire(var);
@@ -156,7 +153,7 @@ pub fn duv_pl_reachability(design: &Design, cfg: &SynthConfig) -> DuvPlReport {
     let mut checker = Checker::with_coi(
         &netlist,
         cfg.mc_config(),
-        &arch_free_regs(design),
+        &design.annotations.arch_state(),
         elab,
         Some(coi),
     );
@@ -165,17 +162,10 @@ pub fn duv_pl_reachability(design: &Design, cfg: &SynthConfig) -> DuvPlReport {
         .map(|&sig| checker.check_cover(sig, &[]).is_reachable())
         .collect();
     DuvPlReport {
-        pls,
+        pls: PlClasses::of(design).pls,
         reachable,
         stats: checker.stats(),
     }
-}
-
-/// The architectural state of a design: registers whose reset value is
-/// symbolic (§V-B: "only architectural state is symbolically initialized").
-fn arch_free_regs(design: &Design) -> Vec<SignalId> {
-    let ann = &design.annotations;
-    ann.arf.iter().chain(ann.amem.iter()).copied().collect()
 }
 
 /// The per-PL shape signature read from a witness at the final frame.
@@ -210,23 +200,21 @@ fn extract_path(harness: &IuvHarness, trace: &mc::Trace) -> ConcretePath {
     path
 }
 
-/// Per-instruction metadata shared by every slot of one instruction,
-/// computed once (by the first slot's job).
+/// Per-instruction metadata shared by every slot of every instruction.
 pub(crate) struct SlotMeta {
-    pls: PlTable,
-    classes: Vec<String>,
+    plc: PlClasses,
     candidates: BTreeSet<(PlId, PlId)>,
 }
 
-/// Computes [`SlotMeta`] from any harness over `design`. The PL table,
-/// class labels, and HB-edge candidates depend only on the design's
-/// annotations — not on the opcode or fetch slot — so the whole-ISA driver
-/// computes this exactly once per run (no solver queries involved).
-pub(crate) fn slot_meta(design: &Design, harness: &IuvHarness) -> SlotMeta {
+/// Computes [`SlotMeta`]. The PL and class tables and the HB-edge
+/// candidates depend only on the design's annotations — not on the opcode
+/// or fetch slot — so the whole-ISA driver computes this exactly once per
+/// run (no solver queries involved).
+pub(crate) fn slot_meta(design: &Design) -> SlotMeta {
+    let plc = PlClasses::of(design);
     SlotMeta {
-        pls: harness.pls.clone(),
-        classes: harness.classes.clone(),
-        candidates: hb_edge_candidates(design, harness),
+        candidates: hb_edge_candidates(design, &plc),
+        plc,
     }
 }
 
@@ -241,27 +229,11 @@ pub(crate) struct SlotSynthesis {
     pub(crate) stats: CheckStats,
 }
 
-impl SlotSynthesis {
-    /// The stand-in result for a job the supervisor caught panicking (or
-    /// that a fault plan killed): no shapes, incomplete, one undetermined
-    /// property on the books under `reason`.
-    pub(crate) fn degraded(reason: UndeterminedReason) -> Self {
-        let mut stats = CheckStats {
-            properties: 1,
-            ..Default::default()
-        };
-        stats.count_undetermined(reason);
-        Self {
-            shapes: BTreeMap::new(),
-            complete: false,
-            stats,
-        }
-    }
-
+impl JobRecord for SlotSynthesis {
     /// Serializes the slot verdict for the checkpoint journal. Metadata and
     /// durations are excluded: the former is derivable from the design, the
     /// latter is nondeterministic.
-    pub(crate) fn encode(&self) -> String {
+    fn encode(&self) -> String {
         use jsonio::Json;
         let shapes: Vec<Json> = self
             .shapes
@@ -306,8 +278,8 @@ impl SlotSynthesis {
     }
 
     /// Parses a journaled record back into a slot verdict. Returns `None`
-    /// on any shape mismatch, which the driver treats as a cache miss.
-    pub(crate) fn decode(s: &str) -> Option<Self> {
+    /// on any shape mismatch, which the runner treats as a cache miss.
+    fn decode(s: &str) -> Option<Self> {
         let j = jsonio::Json::parse(s).ok()?;
         if j.field("v")?.as_u64()? != 2 {
             return None;
@@ -339,6 +311,19 @@ impl SlotSynthesis {
             complete,
             stats: CheckStats::decode(j.field("stats")?)?,
         })
+    }
+
+    fn stats(&self) -> &CheckStats {
+        &self.stats
+    }
+
+    /// No shapes, incomplete.
+    fn panicked() -> Self {
+        Self {
+            shapes: BTreeMap::new(),
+            complete: false,
+            stats: CheckStats::job_panicked(),
+        }
     }
 }
 
@@ -447,7 +432,7 @@ pub(crate) fn assemble_instr(
         })
         .collect();
     let decisions = decisions_of_paths(&concrete);
-    let class_decisions = class_level_decisions(&concrete, &meta.pls, &meta.classes);
+    let class_decisions = class_level_decisions(&concrete, &meta.plc);
     InstrSynthesis {
         opcode,
         paths,
@@ -473,16 +458,9 @@ pub fn synthesize_instr(design: &Design, opcode: Opcode, cfg: &SynthConfig) -> I
 /// §V-B5 candidate filter: PL pairs whose source µFSM state registers feed
 /// the destination µFSM's next-state logic through pure combinational
 /// paths.
-fn hb_edge_candidates(design: &Design, harness: &IuvHarness) -> BTreeSet<(PlId, PlId)> {
-    let ann = &design.annotations;
-    // Group PLs by µFSM (in declaration order, matching harness PL order).
-    let mut pl_fsm: Vec<usize> = Vec::new();
-    for (fi, ufsm) in ann.ufsms.iter().enumerate() {
-        for _ in ufsm.candidate_states(&design.netlist) {
-            pl_fsm.push(fi);
-        }
-    }
-    let fsm_regs: Vec<HashSet<SignalId>> = ann
+fn hb_edge_candidates(design: &Design, plc: &PlClasses) -> BTreeSet<(PlId, PlId)> {
+    let fsm_regs: Vec<HashSet<SignalId>> = design
+        .annotations
         .ufsms
         .iter()
         .map(|u| {
@@ -506,9 +484,10 @@ fn hb_edge_candidates(design: &Design, harness: &IuvHarness) -> BTreeSet<(PlId, 
                 .collect()
         })
         .collect();
+    let pl_fsm = &plc.ufsm_of;
     let mut out = BTreeSet::new();
-    for a in harness.pls.ids() {
-        for bpl in harness.pls.ids() {
+    for a in plc.pls.ids() {
+        for bpl in plc.pls.ids() {
             if a != bpl && fsm_conn[pl_fsm[a.index()]][pl_fsm[bpl.index()]] {
                 out.insert((a, bpl));
             }
@@ -540,45 +519,20 @@ fn witness_edges(
 
 /// Re-expresses concrete paths at µFSM-class granularity and extracts
 /// decisions there (scoreboard entries etc. merged).
-fn class_level_decisions(
-    paths: &[ConcretePath],
-    pls: &PlTable,
-    classes: &[String],
-) -> Vec<Decision> {
-    let (class_table, mapped) = class_view(paths, pls, classes);
-    let _ = class_table;
-    decisions_of_paths(&mapped)
-}
-
-/// Maps concrete paths onto a class-level PL table. Returns the class table
-/// and the re-mapped paths.
-pub fn class_view(
-    paths: &[ConcretePath],
-    pls: &PlTable,
-    classes: &[String],
-) -> (PlTable, Vec<ConcretePath>) {
-    let mut class_table = PlTable::new();
-    let mut class_of_pl: Vec<PlId> = Vec::new();
-    for pl in pls.ids() {
-        let cname = &classes[pl.index()];
-        let cid = class_table
-            .find(cname)
-            .unwrap_or_else(|| class_table.add(cname.clone()));
-        class_of_pl.push(cid);
-    }
-    let mapped = paths
+fn class_level_decisions(paths: &[ConcretePath], plc: &PlClasses) -> Vec<Decision> {
+    let mapped: Vec<ConcretePath> = paths
         .iter()
         .map(|p| {
             let mut np = ConcretePath::new();
-            for pl in pls.ids() {
+            for pl in plc.pls.ids() {
                 for &t in p.cycles(pl) {
-                    np.visit(class_of_pl[pl.index()], t);
+                    np.visit(plc.class_of[pl.index()], t);
                 }
             }
             np
         })
         .collect();
-    (class_table, mapped)
+    decisions_of_paths(&mapped)
 }
 
 /// The (dominates, exclusive, stats) result of [`dom_excl_relations`].
@@ -630,7 +584,7 @@ pub fn dom_excl_relations(design: &Design, opcode: Opcode, cfg: &SynthConfig) ->
     let mut checker = Checker::with_coi(
         &netlist,
         cfg.mc_config(),
-        &arch_free_regs(design),
+        &design.annotations.arch_state(),
         elab,
         Some(coi),
     );
@@ -681,7 +635,8 @@ pub fn enumerate_revisit_counts(
     let netlist = b.finish().expect("revisit monitored netlist");
     let cover = netlist.find("revisit_cover").expect("named");
     let maxrun_sig = netlist.find("plrun").expect("named");
-    let mut checker = Checker::with_free_regs(&netlist, cfg.mc_config(), &arch_free_regs(design));
+    let mut checker =
+        Checker::with_free_regs(&netlist, cfg.mc_config(), &design.annotations.arch_state());
     let mut counts = BTreeSet::new();
     while let Outcome::Reachable(trace) = checker.check_cover(cover, &harness.assumes) {
         let v = trace.value(trace.len() - 1, maxrun_sig);
@@ -730,8 +685,8 @@ mod codec_tests {
             discharged_static: 2,
             ..Default::default()
         };
-        stats.count_undetermined(UndeterminedReason::BudgetExhausted);
-        stats.count_undetermined(UndeterminedReason::FaultInjected);
+        stats.count_undetermined(mc::UndeterminedReason::BudgetExhausted);
+        stats.count_undetermined(mc::UndeterminedReason::FaultInjected);
         SlotSynthesis {
             shapes,
             complete: true,

@@ -140,6 +140,13 @@ pub struct Annotations {
 }
 
 impl Annotations {
+    /// The architectural state: the ARF words, then the AMEM words. Every
+    /// query initialises them symbolically (§V-B: "only architectural
+    /// state is symbolically initialized"), and IFT blocks taint at them.
+    pub fn arch_state(&self) -> Vec<SignalId> {
+        self.arf.iter().chain(&self.amem).copied().collect()
+    }
+
     /// Count of PCRs that had to be added for verification (Table II).
     pub fn added_pcrs(&self) -> usize {
         self.ufsms.iter().filter(|f| f.pcr_added).count()

@@ -12,6 +12,7 @@
 
 use ift::{instrument, IftOptions, Instrumented};
 use isa::Opcode;
+use mupath::PlClasses;
 use netlist::{Builder, Netlist, SignalId, Wire};
 use std::collections::BTreeSet;
 use uarch::Design;
@@ -238,9 +239,40 @@ fn track(
     }
 }
 
-fn class_of(name: &str) -> String {
-    name.trim_end_matches(|c: char| c.is_ascii_digit())
-        .to_owned()
+/// Where the leak harness introduces taint — the one rule its taint
+/// binding and the static taint prune share.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum TaintEntry<'d> {
+    /// Designs that read an architectural register file: the ARF register
+    /// the transmitter's rs field names, while it occupies the
+    /// decode/issue stage (so decode-time operand uses, such as
+    /// operand-packing eligibility, are covered). Either operand may name
+    /// any ARF register.
+    Arf(&'d [SignalId]),
+    /// Request-driven DUVs (the cache): the per-operand request registers
+    /// `(rs1, rs2)`, at issue.
+    Operands(SignalId, SignalId),
+}
+
+impl<'d> TaintEntry<'d> {
+    /// The rule for `design`: ARF taint when it has an ARF and rs fields.
+    pub(crate) fn of(design: &'d Design) -> Self {
+        let ann = &design.annotations;
+        if design.rs_fields.is_some() && !ann.arf.is_empty() {
+            TaintEntry::Arf(&ann.arf)
+        } else {
+            TaintEntry::Operands(ann.operand_regs[0], ann.operand_regs[1])
+        }
+    }
+
+    /// The registers taint on the transmitter's `operand` may enter at.
+    pub(crate) fn sources(self, operand: Operand) -> Vec<SignalId> {
+        match (self, operand) {
+            (TaintEntry::Arf(arf), _) => arf.to_vec(),
+            (TaintEntry::Operands(rs1, _), Operand::Rs1) => vec![rs1],
+            (TaintEntry::Operands(_, rs2), Operand::Rs2) => vec![rs2],
+        }
+    }
 }
 
 /// Builds the leak harness: IFT instrumentation + trackers + assume/cover
@@ -254,44 +286,32 @@ pub fn build_leak_harness(design: &Design, cfg: &LeakHarnessConfig) -> LeakHarne
         ann.operand_regs.len() == 2,
         "leak harness expects two operand registers (rs1, rs2)"
     );
-    // Taint-introduction point: designs that read an architectural
-    // register file get taint *at the ARF registers while the transmitter
-    // occupies the decode/issue stage* (so decode-time operand uses, such
-    // as operand-packing eligibility, are covered); request-driven DUVs
-    // (the cache) get taint at their operand/request registers at issue.
-    let use_arf = design.rs_fields.is_some() && !ann.arf.is_empty();
-    let sources = if use_arf {
-        ann.arf.clone()
-    } else {
-        ann.operand_regs.clone()
-    };
+    let entry = TaintEntry::of(design);
     let inst = instrument(
         &design.netlist,
         &IftOptions {
-            sources,
+            sources: match entry {
+                TaintEntry::Arf(arf) => arf.to_vec(),
+                TaintEntry::Operands(rs1, rs2) => vec![rs1, rs2],
+            },
             persistent: {
                 let mut p = ann.amem.clone();
                 p.extend(ann.persistent.iter().copied());
                 p
             },
-            blocked: {
-                let mut v = ann.arf.clone();
-                v.extend(ann.amem.iter().copied());
-                v
-            },
+            blocked: ann.arch_state(),
         },
     );
     let mut b = Builder::from_netlist(inst.netlist.clone());
 
-    // PL table (shared by both trackers).
-    let mut pls = PlTable::new();
-    let mut classes = Vec::new();
-    for ufsm in &ann.ufsms {
-        for st in ufsm.candidate_states(&design.netlist) {
-            pls.add(st.name.clone());
-            classes.push(class_of(&st.name));
-        }
-    }
+    // PL and class tables (shared by both trackers).
+    let PlClasses {
+        pls,
+        labels: classes,
+        classes: class_table,
+        class_of: class_of_pl,
+        ..
+    } = PlClasses::of(design);
 
     // Shared fetch counter.
     let fetch_fire = b.wire(design.fetch_fire);
@@ -373,71 +393,74 @@ pub fn build_leak_harness(design: &Design, cfg: &LeakHarnessConfig) -> LeakHarne
         let x = b.xor(en, to);
         b.not(x)
     };
-    let (taint_rs1, taint_rs2) = if use_arf {
-        // ARF mode: while iT occupies the decode/issue stage, the register
-        // named by its rs1 (resp. rs2) field is tainted; all other ARF
-        // registers' enables are held low.
-        let it_staged = b.wire(it.stage_now);
-        let (rs1_f, rs2_f) = design.rs_fields.expect("arf mode");
-        let rs1_field = b.wire(rs1_f);
-        let rs2_field = b.wire(rs2_f);
-        let mut per_operand = Vec::new();
-        for field in [rs1_field, rs2_field] {
-            let mut all_ok = b.one();
-            for (ix, &reg) in ann.arf.iter().enumerate() {
-                let en = b.wire(
-                    inst.source_enable(reg)
-                        .expect("arf register is a taint source"),
-                );
-                // Register indices start at 1 (r0 is hardwired zero).
-                let reads = b.eq_const(field, (ix + 1) as u64);
-                let want = b.and(it_staged, reads);
-                let ok = bind(&mut b, en, want);
-                all_ok = b.and(all_ok, ok);
+    let (taint_rs1, taint_rs2) = match entry {
+        TaintEntry::Arf(arf) => {
+            // ARF mode: while iT occupies the decode/issue stage, the register
+            // named by its rs1 (resp. rs2) field is tainted; all other ARF
+            // registers' enables are held low.
+            let it_staged = b.wire(it.stage_now);
+            let (rs1_f, rs2_f) = design.rs_fields.expect("arf mode");
+            let rs1_field = b.wire(rs1_f);
+            let rs2_field = b.wire(rs2_f);
+            let mut per_operand = Vec::new();
+            for field in [rs1_field, rs2_field] {
+                let mut all_ok = b.one();
+                for (ix, &reg) in arf.iter().enumerate() {
+                    let en = b.wire(
+                        inst.source_enable(reg)
+                            .expect("arf register is a taint source"),
+                    );
+                    // Register indices start at 1 (r0 is hardwired zero).
+                    let reads = b.eq_const(field, (ix + 1) as u64);
+                    let want = b.and(it_staged, reads);
+                    let ok = bind(&mut b, en, want);
+                    all_ok = b.and(all_ok, ok);
+                }
+                per_operand.push(all_ok);
             }
-            per_operand.push(all_ok);
-        }
-        let rs1 = b.name(per_operand[0], "assume_taint_rs1");
-        // For per-operand attribution, the rs2 query additionally requires
-        // the two source fields to name distinct registers — otherwise an
-        // encoding with rs1 == rs2 would let rs1-driven behaviour masquerade
-        // as an rs2 leak (a per-operand aliasing false positive).
-        let rs2 = {
-            let distinct = {
-                let same = b.eq(rs1_field, rs2_field);
-                let diff = b.not(same);
-                let ns = b.not(it_staged);
-                b.or(ns, diff)
+            let rs1 = b.name(per_operand[0], "assume_taint_rs1");
+            // For per-operand attribution, the rs2 query additionally requires
+            // the two source fields to name distinct registers — otherwise an
+            // encoding with rs1 == rs2 would let rs1-driven behaviour masquerade
+            // as an rs2 leak (a per-operand aliasing false positive).
+            let rs2 = {
+                let distinct = {
+                    let same = b.eq(rs1_field, rs2_field);
+                    let diff = b.not(same);
+                    let ns = b.not(it_staged);
+                    b.or(ns, diff)
+                };
+                let both = b.and(per_operand[1], distinct);
+                b.name(both, "assume_taint_rs2")
             };
-            let both = b.and(per_operand[1], distinct);
-            b.name(both, "assume_taint_rs2")
-        };
-        (rs1, rs2)
-    } else {
-        // Request-driven DUVs: taint the operand registers at issue.
-        let it_issue = b.wire(it.issue_now);
-        let en_a = b.wire(
-            inst.source_enable(ann.operand_regs[0])
-                .expect("rs1 operand register is a taint source"),
-        );
-        let en_b = b.wire(
-            inst.source_enable(ann.operand_regs[1])
-                .expect("rs2 operand register is a taint source"),
-        );
-        let zero1 = b.zero();
-        let a_is_issue = bind(&mut b, en_a, it_issue);
-        let b_is_zero = bind(&mut b, en_b, zero1);
-        let b_is_issue = bind(&mut b, en_b, it_issue);
-        let a_is_zero = bind(&mut b, en_a, zero1);
-        let rs1 = {
-            let both = b.and(a_is_issue, b_is_zero);
-            b.name(both, "assume_taint_rs1")
-        };
-        let rs2 = {
-            let both = b.and(b_is_issue, a_is_zero);
-            b.name(both, "assume_taint_rs2")
-        };
-        (rs1, rs2)
+            (rs1, rs2)
+        }
+        TaintEntry::Operands(rs1_reg, rs2_reg) => {
+            // Request-driven DUVs: taint the operand registers at issue.
+            let it_issue = b.wire(it.issue_now);
+            let en_a = b.wire(
+                inst.source_enable(rs1_reg)
+                    .expect("rs1 operand register is a taint source"),
+            );
+            let en_b = b.wire(
+                inst.source_enable(rs2_reg)
+                    .expect("rs2 operand register is a taint source"),
+            );
+            let zero1 = b.zero();
+            let a_is_issue = bind(&mut b, en_a, it_issue);
+            let b_is_zero = bind(&mut b, en_b, zero1);
+            let b_is_issue = bind(&mut b, en_b, it_issue);
+            let a_is_zero = bind(&mut b, en_a, zero1);
+            let rs1 = {
+                let both = b.and(a_is_issue, b_is_zero);
+                b.name(both, "assume_taint_rs1")
+            };
+            let rs2 = {
+                let both = b.and(b_is_issue, a_is_zero);
+                b.name(both, "assume_taint_rs2")
+            };
+            (rs1, rs2)
+        }
     };
 
     // Flush binding.
@@ -455,15 +478,6 @@ pub fn build_leak_harness(design: &Design, cfg: &LeakHarnessConfig) -> LeakHarne
     };
 
     // Class-level transponder occupancy + taint bits.
-    let mut class_table = PlTable::new();
-    let mut class_of_pl: Vec<PlId> = Vec::new();
-    for pl in pls.ids() {
-        let cname = &classes[pl.index()];
-        let cid = class_table
-            .find(cname)
-            .unwrap_or_else(|| class_table.add(cname.clone()));
-        class_of_pl.push(cid);
-    }
     // Per-PL µFSM taint bit.
     let mut pl_fsm_taint: Vec<Wire> = Vec::new();
     for ufsm in &ann.ufsms {

@@ -2,11 +2,14 @@
 //! transponder's decisions to typed transmitters' unsafe operands via
 //! symbolic IFT queries, then assemble leakage signatures (§IV-D).
 
-use crate::harness::{build_leak_harness, LeakHarness, LeakHarnessConfig, Operand, TxKind};
+use crate::harness::{
+    build_leak_harness, LeakHarness, LeakHarnessConfig, Operand, TaintEntry, TxKind,
+};
 use isa::Opcode;
-use mc::{CheckStats, Checker, Elab, FaultKind, McConfig, UndeterminedReason};
+use mc::{CheckStats, Checker, JobRecord};
 use mupath::{
-    synthesize_isa_with, EngineOptions, InstrSynthesis, IsaSynthesis, RobustOptions, SynthConfig,
+    synthesize_isa_with, EngineOptions, InstrSynthesis, IsaSynthesis, PlClasses, RobustOptions,
+    SynthConfig,
 };
 use sat::BudgetPool;
 use std::collections::{BTreeMap, BTreeSet};
@@ -251,16 +254,6 @@ impl LeakConfig {
             robust: RobustOptions::default(),
         }
     }
-
-    fn mc_config(&self) -> McConfig {
-        McConfig {
-            bound: self.bound,
-            conflict_budget: self.conflict_budget,
-            bound_is_complete: true,
-            try_induction: false,
-            induction_depth: 0,
-        }
-    }
 }
 
 /// PL classes in which µPATH variability is a *shared-structure stall*
@@ -297,46 +290,19 @@ struct StaticPrune {
 }
 
 impl StaticPrune {
-    fn build(design: &Design) -> Self {
-        let ann = &design.annotations;
-        let blocked: Vec<netlist::SignalId> =
-            ann.arf.iter().chain(ann.amem.iter()).copied().collect();
-        // Taint-introduction registers per operand, mirroring
-        // `build_leak_harness`: ARF designs taint the register named by the
-        // rs field (any ARF register), request-driven DUVs taint the
-        // per-operand request register.
-        let use_arf = design.rs_fields.is_some() && !ann.arf.is_empty();
-        let (src1, src2) = if use_arf {
-            (ann.arf.clone(), ann.arf.clone())
-        } else {
-            (vec![ann.operand_regs[0]], vec![ann.operand_regs[1]])
-        };
-        let reach = [
-            ift::taint_reachable(&design.netlist, &src1, &blocked),
-            ift::taint_reachable(&design.netlist, &src2, &blocked),
-        ];
-        // Class table built exactly like the harness's: candidate-state
-        // names with trailing digits trimmed, first-seen order.
-        let mut class_table = uhb::PlTable::new();
-        let mut class_regs: Vec<Vec<netlist::SignalId>> = Vec::new();
-        for ufsm in &ann.ufsms {
-            for st in ufsm.candidate_states(&design.netlist) {
-                let cname = st
-                    .name
-                    .trim_end_matches(|c: char| c.is_ascii_digit())
-                    .to_owned();
-                let cid = match class_table.find(&cname) {
-                    Some(c) => c,
-                    None => {
-                        class_regs.push(Vec::new());
-                        class_table.add(cname)
-                    }
-                };
-                let regs = &mut class_regs[cid.index()];
-                for &r in ufsm.vars.iter().chain(std::iter::once(&ufsm.pcr)) {
-                    if !regs.contains(&r) {
-                        regs.push(r);
-                    }
+    fn build(design: &Design, plc: &PlClasses) -> Self {
+        let blocked = design.annotations.arch_state();
+        // Taint enters where the leak harness introduces it.
+        let entry = TaintEntry::of(design);
+        let reach = [Operand::Rs1, Operand::Rs2]
+            .map(|op| ift::taint_reachable(&design.netlist, &entry.sources(op), &blocked));
+        let mut class_regs: Vec<Vec<netlist::SignalId>> = vec![Vec::new(); plc.classes.len()];
+        for pl in plc.pls.ids() {
+            let ufsm = &design.annotations.ufsms[plc.ufsm_of[pl.index()]];
+            let regs = &mut class_regs[plc.class_of[pl.index()].index()];
+            for &r in ufsm.vars.iter().chain(std::iter::once(&ufsm.pcr)) {
+                if !regs.contains(&r) {
+                    regs.push(r);
                 }
             }
         }
@@ -356,13 +322,113 @@ impl StaticPrune {
     }
 }
 
+/// One IFT unit's verdict: its leaking tag set plus the query stats.
+#[derive(Clone, Debug)]
+struct IftUnit {
+    tags: Vec<Tag>,
+    stats: CheckStats,
+}
+
+impl JobRecord for IftUnit {
+    /// Serializes one IFT unit verdict for the journal (durations excluded:
+    /// nondeterministic). Tags are `[decision_ix, opcode, operand, kind,
+    /// primary]` rows with enum discriminants as the stable encoding.
+    fn encode(&self) -> String {
+        use jsonio::Json;
+        let tags: Vec<Json> = self
+            .tags
+            .iter()
+            .map(|t| {
+                Json::Arr(vec![
+                    Json::Int(t.decision_ix as u64),
+                    Json::Int(t.tx.opcode as u64),
+                    Json::Int(match t.tx.operand {
+                        Operand::Rs1 => 0,
+                        Operand::Rs2 => 1,
+                    }),
+                    Json::Int(match t.tx.kind {
+                        TxKind::Intrinsic => 0,
+                        TxKind::DynamicOlder => 1,
+                        TxKind::DynamicYounger => 2,
+                        TxKind::Static => 3,
+                    }),
+                    Json::Bool(t.primary),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            // v2: records live under cone-fingerprint keys. v1 records
+            // (whole-design keys) decode as cache misses.
+            ("v".into(), Json::Int(2)),
+            ("tags".into(), Json::Arr(tags)),
+            ("stats".into(), self.stats.encode()),
+        ])
+        .render_compact()
+    }
+
+    /// `None` (a cache miss) on any mismatch.
+    fn decode(s: &str) -> Option<Self> {
+        let j = jsonio::Json::parse(s).ok()?;
+        if j.field("v")?.as_u64()? != 2 {
+            return None;
+        }
+        let mut tags = Vec::new();
+        for t in j.field("tags")?.as_arr()? {
+            let t = t.as_arr()?;
+            if t.len() != 5 {
+                return None;
+            }
+            let opcode_n = t[1].as_u64()?;
+            let opcode = Opcode::ALL
+                .iter()
+                .copied()
+                .find(|&o| o as u64 == opcode_n)?;
+            tags.push(Tag {
+                decision_ix: t[0].as_u64()? as usize,
+                tx: TypedTransmitter {
+                    opcode,
+                    operand: match t[2].as_u64()? {
+                        0 => Operand::Rs1,
+                        1 => Operand::Rs2,
+                        _ => return None,
+                    },
+                    kind: match t[3].as_u64()? {
+                        0 => TxKind::Intrinsic,
+                        1 => TxKind::DynamicOlder,
+                        2 => TxKind::DynamicYounger,
+                        3 => TxKind::Static,
+                        _ => return None,
+                    },
+                },
+                primary: t[4].as_bool()?,
+            });
+        }
+        Some(IftUnit {
+            tags,
+            stats: CheckStats::decode(j.field("stats")?)?,
+        })
+    }
+
+    fn stats(&self) -> &CheckStats {
+        &self.stats
+    }
+
+    /// No tags.
+    fn panicked() -> Self {
+        IftUnit {
+            tags: Vec::new(),
+            stats: CheckStats::job_panicked(),
+        }
+    }
+}
+
 /// Runs the IFT queries of one (transponder, slot arrangement, transmitter
 /// typing) job. The harness is shared immutably across every job of its
 /// slot arrangement; the checker — unrolling + SAT solver over the
 /// pairing's merged decision-cover netlist — is the pairing's context
-/// chain's ([`mc::run_chains`]), shared in job order across *every* unit
-/// of the pairing, so learnt clauses carry between transponders and
-/// typings. All per-unit state lives in the assumptions.
+/// chain's ([`mc::Fleet`]), shared in job order across *every* unit of the
+/// pairing, so learnt clauses carry between transponders and typings. All
+/// per-unit state lives in the assumptions.
 #[allow(clippy::too_many_arguments)]
 fn ift_kind_job(
     p: Opcode,
@@ -373,7 +439,7 @@ fn ift_kind_job(
     checker: &mut Checker<'_>,
     prune: Option<&StaticPrune>,
     cfg: &LeakConfig,
-) -> (Vec<Tag>, CheckStats) {
+) -> IftUnit {
     let mut tags = Vec::new();
     let t_candidates: Vec<Opcode> = if kind == TxKind::Intrinsic {
         vec![p]
@@ -434,7 +500,10 @@ fn ift_kind_job(
             }
         }
     }
-    (tags, checker.stats())
+    IftUnit {
+        tags,
+        stats: checker.stats(),
+    }
 }
 
 /// Runs the complete SynthLC flow (Fig. 6 bottom): µPATH synthesis, then
@@ -542,13 +611,7 @@ pub fn synthesize_leakage(
         /// only invalidates the transponders whose cones it touches.
         unit_fps: Vec<mc::ConeFingerprint>,
     }
-    let free: Vec<netlist::SignalId> = design
-        .annotations
-        .arf
-        .iter()
-        .chain(design.annotations.amem.iter())
-        .copied()
-        .collect();
+    let free = design.annotations.arch_state();
     let cover_nets: Vec<CoverNet> = {
         let free = &free;
         mc::run_jobs((0..pairings.len()).collect(), threads, |_, pi| {
@@ -575,7 +638,15 @@ pub fn synthesize_leakage(
     };
 
     // Phase 2c: the query jobs — one per (transponder, arrangement,
-    // typing), all of an arrangement sharing its checker.
+    // typing), all of an arrangement sharing its checker. Replay is *per
+    // unit* ([`mc::Replay::Job`]): each unit's record is keyed by its own
+    // cone fingerprint, so after a local design edit only the units whose
+    // cones the edit touched re-solve. The misses of a pairing form its
+    // context chain, run in job order — the shared solver's query stream
+    // is a pure function of the miss set, independent of worker count.
+    // (Verdicts are per-unit pure; only solver-history counters can differ
+    // between a partially replayed run and a cold one, and those never
+    // enter the verdict report.)
     let units: Vec<(usize, usize, TxKind)> = (0..work.len())
         .flat_map(|wi| {
             pairings
@@ -584,171 +655,70 @@ pub fn synthesize_leakage(
                 .flat_map(move |(pi, (_, kinds))| kinds.iter().map(move |&k| (wi, pi, k)))
         })
         .collect();
+    let plc = PlClasses::of(design);
     // Built on the first miss that needs it: a fully replayed run never
     // computes it.
     let prune = std::sync::OnceLock::new();
-    // Resolve journal hits on the coordinating thread (counting them).
-    // Replay is *per unit*: each unit's record is keyed by its own cone
-    // fingerprint, so after a local design edit only the units whose
-    // cones the edit touched re-solve. The misses of a pairing form its
-    // context chain, run in job order — the shared solver's query stream
-    // is a pure function of the miss set, independent of worker count.
-    // (Verdicts are per-unit pure; only solver-history counters can differ
-    // between a partially replayed run and a cold one, and those never
-    // enter the verdict report.)
-    let unit_keys: Vec<Option<String>> = units
-        .iter()
-        .map(|&(wi, pi, kind)| {
-            cfg.robust.journal.as_ref().map(|_| {
-                ift_job_key(
-                    cover_nets[pi].unit_fps[wi],
-                    cfg,
-                    work[wi].p,
-                    &work[wi].decisions,
-                    pairings[pi].0,
-                    kind,
-                )
+    let fleet = mc::Fleet {
+        phase: "ift",
+        chains: cover_nets
+            .iter()
+            .map(|cn| mc::ChainNet {
+                netlist: &cn.netlist,
+                coi: cfg.coi.then_some(cn.targets.as_slice()),
             })
-        })
-        .collect();
-    // One replayed IFT unit: its leaking tag set plus the query stats.
-    type IftUnitRecord = (Vec<Tag>, CheckStats);
-    let cached: Vec<Option<IftUnitRecord>> = units
-        .iter()
-        .enumerate()
-        .map(|(ui, _)| {
-            let journal = cfg.robust.journal.as_deref()?;
-            let k = unit_keys[ui].as_deref()?;
-            let rec = match journal.get(k).as_deref().and_then(decode_ift_record) {
-                Some(rec) => rec,
-                None => {
-                    report.cone_misses += 1;
-                    return None;
-                }
-            };
-            report.resumed_jobs += 1;
-            Some(rec)
-        })
-        .collect();
-    let chain_of: Vec<Option<usize>> = units
-        .iter()
-        .zip(&cached)
-        .map(|(&(_, pi, _), rec)| rec.is_none().then_some(pi))
-        .collect();
-    let retries = mc::Retries {
-        max: cfg.robust.retries,
-        cancel: cfg.robust.cancel.as_deref(),
-        degraded: |r: &IftUnitRecord| r.1.degraded() > 0,
+            .collect(),
+        free: &free,
+        bound: cfg.bound,
+        conflict_budget: cfg.conflict_budget,
+        replay: mc::Replay::Job,
     };
-    let (supervised, retried) = mc::run_chains(&chain_of, threads, retries, |ix, attempt, ctx| {
-        if let Some(rec) = &cached[ix] {
-            return rec.clone();
-        }
-        let (wi, pi, kind) = units[ix];
-        let fault = cfg.robust.faults.fault_for_attempt("ift", ix, attempt);
-        let cn = &cover_nets[pi];
-        let ctx = ctx.get_or_insert_with(|| {
-            let mut c = Checker::with_coi(
-                &cn.netlist,
-                McConfig {
-                    bound: 0,
-                    ..cfg.mc_config()
-                },
-                &free,
-                Arc::new(Elab::new(&cn.netlist)),
-                cfg.coi
-                    .then(|| Arc::new(mc::CoiSlice::compute(&cn.netlist, &cn.targets))),
-            );
-            if let Some(p) = &cfg.budget_pool {
-                c.set_budget_pool(Arc::clone(p));
-            }
-            if let Some(token) = &cfg.robust.cancel {
-                c.set_cancel_token(Arc::clone(token));
-            }
-            c
-        });
-        ctx.begin_batch();
-        ctx.ensure_bound(cfg.bound);
-        // An injected panic discards the checker; the pairing's next unit
-        // deterministically rebuilds it.
-        if fault == Some(FaultKind::Panic) {
-            panic!("injected fault: panic in ift job {ix}");
-        }
-        match fault {
-            Some(FaultKind::ForceUnknown) => ctx.set_fault(UndeterminedReason::FaultInjected),
-            Some(FaultKind::DeadlineExpired) => ctx.set_fault(UndeterminedReason::Deadline),
-            _ => {}
-        }
-        let w = &work[wi];
-        let prune = cfg
-            .static_prune
-            .then(|| prune.get_or_init(|| StaticPrune::build(design)));
-        let r = ift_kind_job(
-            w.p,
-            &w.decisions,
-            kind,
-            &harnesses[pi],
-            &cn.covers[wi],
-            ctx,
-            prune,
-            cfg,
-        );
-        // Only clean verdicts are journaled (degraded jobs rerun on
-        // resume), so a resumed run converges to the uninterrupted result.
-        if fault.is_none() && r.1.degraded() == 0 {
-            if let (Some(j), Some(k)) = (cfg.robust.journal.as_deref(), unit_keys[ix].as_deref()) {
-                j.put(k, &encode_ift_record(&r.0, &r.1));
-            }
-        }
-        r
-    });
-    report.retried_jobs += retried;
-    let results: Vec<(Vec<Tag>, CheckStats)> = supervised
-        .into_iter()
-        .map(|r| match r {
-            Ok(r) => {
-                if r.1.degraded() > 0 {
-                    report.degraded_jobs += 1;
-                }
-                r
-            }
-            Err(_) => {
-                report.degraded_jobs += 1;
-                let mut stats = CheckStats {
-                    properties: 1,
-                    ..Default::default()
-                };
-                stats.count_undetermined(UndeterminedReason::JobPanicked);
-                (Vec::new(), stats)
-            }
-        })
-        .collect();
+    let chain_of: Vec<usize> = units.iter().map(|&(_, pi, _)| pi).collect();
+    let run = fleet.run(
+        &chain_of,
+        |ix| {
+            let (wi, pi, kind) = units[ix];
+            ift_job_key(
+                cover_nets[pi].unit_fps[wi],
+                cfg,
+                work[wi].p,
+                &work[wi].decisions,
+                pairings[pi].0,
+                kind,
+            )
+        },
+        &engine,
+        |ix, checker| {
+            let (wi, pi, kind) = units[ix];
+            let w = &work[wi];
+            let prune = cfg
+                .static_prune
+                .then(|| prune.get_or_init(|| StaticPrune::build(design, &plc)));
+            ift_kind_job(
+                w.p,
+                &w.decisions,
+                kind,
+                &harnesses[pi],
+                &cover_nets[pi].covers[wi],
+                checker,
+                prune,
+                cfg,
+            )
+        },
+    );
+    report.degraded_jobs += run.degraded_jobs;
+    report.resumed_jobs += run.resumed_jobs;
+    report.cone_misses += run.cone_misses;
+    report.retried_jobs += run.retried_jobs;
 
     // Phase 3: assemble signatures.
-    // A dummy class table lookup: recompute names from one harness-free
-    // source — the decisions carry class PlIds; rebuild the class table the
-    // same way the harness does.
-    let class_table = {
-        let mut pls = uhb::PlTable::new();
-        for ufsm in &design.annotations.ufsms {
-            for st in ufsm.candidate_states(&design.netlist) {
-                let cname = st
-                    .name
-                    .trim_end_matches(|c: char| c.is_ascii_digit())
-                    .to_owned();
-                if pls.find(&cname).is_none() {
-                    pls.add(cname);
-                }
-            }
-        }
-        pls
-    };
+    let class_table = &plc.classes;
     // Merge job results back per transponder, in job order — the merged
     // tag lists are identical for every worker count.
     let mut tags_per_work: Vec<Vec<Tag>> = work.iter().map(|_| Vec::new()).collect();
-    for (&(w_ix, _, _), (tags, st)) in units.iter().zip(results) {
-        report.ift_stats.absorb(&st);
-        tags_per_work[w_ix].extend(tags);
+    for (&(w_ix, _, _), unit) in units.iter().zip(run.results) {
+        report.ift_stats.absorb(&unit.stats);
+        tags_per_work[w_ix].extend(unit.tags);
     }
     for (w, tags) in work.iter().zip(tags_per_work) {
         // Group tags per decision source.
@@ -852,87 +822,11 @@ fn ift_job_key(
     )
 }
 
-/// Serializes one IFT unit verdict for the journal (durations excluded:
-/// nondeterministic). Tags are `[decision_ix, opcode, operand, kind,
-/// primary]` rows with enum discriminants as the stable encoding.
-fn encode_ift_record(tags: &[Tag], stats: &CheckStats) -> String {
-    use jsonio::Json;
-    let tags: Vec<Json> = tags
-        .iter()
-        .map(|t| {
-            Json::Arr(vec![
-                Json::Int(t.decision_ix as u64),
-                Json::Int(t.tx.opcode as u64),
-                Json::Int(match t.tx.operand {
-                    Operand::Rs1 => 0,
-                    Operand::Rs2 => 1,
-                }),
-                Json::Int(match t.tx.kind {
-                    TxKind::Intrinsic => 0,
-                    TxKind::DynamicOlder => 1,
-                    TxKind::DynamicYounger => 2,
-                    TxKind::Static => 3,
-                }),
-                Json::Bool(t.primary),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        // v2: records live under cone-fingerprint keys. v1 records
-        // (whole-design keys) decode as cache misses.
-        ("v".into(), Json::Int(2)),
-        ("tags".into(), Json::Arr(tags)),
-        ("stats".into(), stats.encode()),
-    ])
-    .render_compact()
-}
-
-/// Parses a journaled [`encode_ift_record`]; `None` (a cache miss) on any
-/// mismatch.
-fn decode_ift_record(s: &str) -> Option<(Vec<Tag>, CheckStats)> {
-    let j = jsonio::Json::parse(s).ok()?;
-    if j.field("v")?.as_u64()? != 2 {
-        return None;
-    }
-    let mut tags = Vec::new();
-    for t in j.field("tags")?.as_arr()? {
-        let t = t.as_arr()?;
-        if t.len() != 5 {
-            return None;
-        }
-        let opcode_n = t[1].as_u64()?;
-        let opcode = Opcode::ALL
-            .iter()
-            .copied()
-            .find(|&o| o as u64 == opcode_n)?;
-        tags.push(Tag {
-            decision_ix: t[0].as_u64()? as usize,
-            tx: TypedTransmitter {
-                opcode,
-                operand: match t[2].as_u64()? {
-                    0 => Operand::Rs1,
-                    1 => Operand::Rs2,
-                    _ => return None,
-                },
-                kind: match t[3].as_u64()? {
-                    0 => TxKind::Intrinsic,
-                    1 => TxKind::DynamicOlder,
-                    2 => TxKind::DynamicYounger,
-                    3 => TxKind::Static,
-                    _ => return None,
-                },
-            },
-            primary: t[4].as_bool()?,
-        });
-    }
-    Some((tags, CheckStats::decode(j.field("stats")?)?))
-}
-
 #[cfg(test)]
 mod codec_tests {
     use super::*;
 
-    fn sample() -> (Vec<Tag>, CheckStats) {
+    fn sample() -> IftUnit {
         let tags = vec![
             Tag {
                 decision_ix: 0,
@@ -961,7 +855,7 @@ mod codec_tests {
             coi_bits_after: 17,
             ..Default::default()
         };
-        (tags, stats)
+        IftUnit { tags, stats }
     }
 
     /// The IFT journal codec is a golden fixed point (encode ∘ decode ∘
@@ -969,18 +863,22 @@ mod codec_tests {
     /// records without churning the journal file.
     #[test]
     fn ift_record_round_trip_is_byte_identical() {
-        let (tags, stats) = sample();
-        let once = encode_ift_record(&tags, &stats);
-        let (dtags, dstats) = decode_ift_record(&once).expect("own encoding decodes");
-        assert_eq!(encode_ift_record(&dtags, &dstats), once);
-        assert_eq!(dtags, tags);
-        assert_eq!(dstats.properties, stats.properties);
-        assert_eq!(dstats.coi_bits_after, stats.coi_bits_after);
+        let unit = sample();
+        let once = unit.encode();
+        let decoded = IftUnit::decode(&once).expect("own encoding decodes");
+        assert_eq!(decoded.encode(), once);
+        assert_eq!(decoded.tags, unit.tags);
+        assert_eq!(decoded.stats.properties, unit.stats.properties);
+        assert_eq!(decoded.stats.coi_bits_after, unit.stats.coi_bits_after);
         // The empty record is also a fixed point (units with no tags).
-        let empty = encode_ift_record(&[], &CheckStats::default());
-        let (et, es) = decode_ift_record(&empty).unwrap();
-        assert!(et.is_empty());
-        assert_eq!(encode_ift_record(&et, &es), empty);
+        let empty = IftUnit {
+            tags: Vec::new(),
+            stats: CheckStats::default(),
+        }
+        .encode();
+        let decoded = IftUnit::decode(&empty).unwrap();
+        assert!(decoded.tags.is_empty());
+        assert_eq!(decoded.encode(), empty);
     }
 
     /// A torn journal tail must read as a cache miss, never as a wrong
@@ -988,23 +886,22 @@ mod codec_tests {
     /// rejected rather than coerced.
     #[test]
     fn ift_record_corrupt_tail_is_rejected() {
-        let (tags, stats) = sample();
-        let full = encode_ift_record(&tags, &stats);
+        let full = sample().encode();
         for cut in 1..=40.min(full.len() - 1) {
             assert!(
-                decode_ift_record(&full[..full.len() - cut]).is_none(),
+                IftUnit::decode(&full[..full.len() - cut]).is_none(),
                 "accepted a record torn {cut} bytes short"
             );
         }
         let mut trailing = full.clone();
         trailing.push_str("{}");
-        assert!(decode_ift_record(&trailing).is_none());
-        assert!(decode_ift_record(&full.replacen("\"v\":2", "\"v\":7", 1)).is_none());
+        assert!(IftUnit::decode(&trailing).is_none());
+        assert!(IftUnit::decode(&full.replacen("\"v\":2", "\"v\":7", 1)).is_none());
         // The pre-cone-cache v1 schema (whole-design keys) is a miss too.
-        assert!(decode_ift_record(&full.replacen("\"v\":2", "\"v\":1", 1)).is_none());
+        assert!(IftUnit::decode(&full.replacen("\"v\":2", "\"v\":1", 1)).is_none());
         // Operand discriminant 2 does not exist.
         let bad = full.replacen(",1,2,", ",2,2,", 1);
         assert_ne!(bad, full);
-        assert!(decode_ift_record(&bad).is_none());
+        assert!(IftUnit::decode(&bad).is_none());
     }
 }

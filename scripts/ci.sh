@@ -81,7 +81,37 @@ if ! grep -q '^{"k":"mupath:' "$JOURNAL"; then
 fi
 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   paths tinycore add --resume "$JOURNAL" >/dev/null
-echo "fault-smoke OK (degrade -> journal -> resume clean)"
+# tinycore has no candidate transponder, so no IFT job ran above. Seed 3
+# at rate 0.5 leaves leak minicache lw's two µPATH jobs clean and faults
+# two of its four IFT units (a panic and an expired deadline): the run
+# must degrade, journal a clean IFT verdict, and a --resume replay must
+# exit 0 with the golden report's signatures and contracts.
+LEAK_JOURNAL=$(mktemp -t synthlc-fault-smoke-leak.XXXXXX)
+LEAK_ERR=$(mktemp -t synthlc-fault-smoke-leak-err.XXXXXX)
+trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR"' EXIT
+rm -f "$LEAK_JOURNAL"
+set +e
+SYNTHLC_FAULT_SEED=3 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  leak minicache lw --fault-rate 0.5 --journal "$LEAK_JOURNAL" >/dev/null 2>"$LEAK_ERR"
+FAULT_EXIT=$?
+set -e
+if [ "$FAULT_EXIT" != 2 ]; then
+  echo "fault-smoke: expected exit 2 from the faulted leak run, got $FAULT_EXIT" >&2
+  cat "$LEAK_ERR" >&2
+  exit 1
+fi
+if ! grep -q '^{"k":"ift:' "$LEAK_JOURNAL"; then
+  echo "fault-smoke: leak journal has no IFT record:" >&2
+  cat "$LEAK_JOURNAL" >&2
+  exit 1
+fi
+if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  leak minicache lw --resume "$LEAK_JOURNAL" | sed -n '/^leakage signatures/,$p' |
+  diff -u <(sed -n '/^leakage signatures/,$p' tests/golden/leak_minicache_lw.txt) -; then
+  echo "fault-smoke: resumed leak run drifted from tests/golden/leak_minicache_lw.txt" >&2
+  exit 1
+fi
+echo "fault-smoke OK (degrade -> journal -> resume clean, µPATH and IFT phases)"
 
 echo "== incremental-smoke (cone-granular re-verification after an edit) =="
 # The edit-locality contract of the cone-granular verdict cache
@@ -92,7 +122,7 @@ echo "== incremental-smoke (cone-granular re-verification after an edit) =="
 # 0 misses); the cones the edit does not touch are never re-solved.
 EDIT_JOURNAL=$(mktemp -t synthlc-edit-smoke.XXXXXX)
 EDIT_NL=$(mktemp -t synthlc-edit-smoke-XXXXXX.nl)
-trap 'rm -f "$JOURNAL" "$EDIT_JOURNAL" "$EDIT_NL"' EXIT
+trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$EDIT_JOURNAL" "$EDIT_NL"' EXIT
 rm -f "$EDIT_JOURNAL"
 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   leak examples/minicache.nl lw --journal "$EDIT_JOURNAL" >/dev/null
@@ -202,7 +232,7 @@ echo "== serve-smoke (daemon: retry a worker panic, cache hit, drain) =="
 #   4. a client `shutdown` must drain the queue and exit the daemon 0.
 SERVE_JOURNAL=$(mktemp -t synthlc-serve-smoke.XXXXXX)
 SERVE_LOG=$(mktemp -t synthlc-serve-log.XXXXXX)
-trap 'rm -f "$JOURNAL" "$EDIT_JOURNAL" "$EDIT_NL" "$SERVE_JOURNAL" "$SERVE_LOG"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
+trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$EDIT_JOURNAL" "$EDIT_NL" "$SERVE_JOURNAL" "$SERVE_LOG"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
 rm -f "$SERVE_JOURNAL"
 SYNTHLC_FAULT_SEED=209 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   serve --port 0 --workers 1 --retries 2 --fault-rate 0.5 \

@@ -306,6 +306,58 @@ fn identical_resubmission_is_served_from_cache_byte_identically() {
     std::fs::remove_file(path).ok();
 }
 
+/// `stats`' `cache_hits` counts every store hit: whole jobs answered from
+/// the verdict store *and* the cones the engines replay from it (the store
+/// is their journal). Job-level reuse is therefore `cache_hits −
+/// cone_hits`.
+#[test]
+fn cache_hits_count_cone_replays_and_store_served_jobs() {
+    let path = tmp_path("cache-hit-arithmetic");
+    let store = Arc::new(Journal::create(&path).unwrap());
+    let server = Server::start(
+        one_worker(FaultPlan::disabled(), 0),
+        Some(Arc::clone(&store)),
+    );
+    let stat = |name: &str| {
+        server
+            .stats_json()
+            .field(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats lack {name}"))
+    };
+    let (tx, rx) = mpsc::channel();
+    let mut leak = paths_req("leak");
+    leak.op = Op::Leak;
+    for req in [paths_req("paths"), leak.clone()] {
+        assert!(matches!(
+            server.submit(req, tx.clone()),
+            Submit::Accepted(_)
+        ));
+        server.drain();
+    }
+    // The leak job replays the two µPATH slot cones the paths job solved
+    // (tinycore has no candidate transponder, so no IFT cone), and no job
+    // was served whole.
+    assert_eq!((stat("cache_hits"), stat("cone_hits")), (2, 2));
+    leak.id = "leak-again".into();
+    assert!(matches!(
+        server.submit(leak, tx.clone()),
+        Submit::Accepted(_)
+    ));
+    server.drain();
+    assert_eq!(stat("cache_hits") - stat("cone_hits"), 1);
+    drop(tx);
+    server.join();
+    let (_, notes) = collect_events(rx);
+    let served = |id: &str| {
+        notes
+            .get(id)
+            .is_some_and(|ns| ns.iter().any(|n| n.contains("verdict store")))
+    };
+    assert!(!served("paths") && !served("leak") && served("leak-again"));
+    std::fs::remove_file(path).ok();
+}
+
 /// The job-level store key covers the whole design, not just its netlist:
 /// the same RTL with one µFSM annotation fewer is a different question,
 /// so it must be solved, never answered with the first design's verdict.
