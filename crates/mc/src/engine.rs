@@ -114,6 +114,21 @@ impl Default for McConfig {
     }
 }
 
+impl McConfig {
+    /// The synthesis drivers' configuration: BMC to `bound` under
+    /// `conflict_budget`, with the bound declared complete and no
+    /// induction attempt.
+    pub fn bounded(bound: usize, conflict_budget: Option<u64>) -> Self {
+        Self {
+            bound,
+            conflict_budget,
+            bound_is_complete: true,
+            try_induction: false,
+            induction_depth: 0,
+        }
+    }
+}
+
 /// Declares [`CheckStats`] from one row per field —
 /// `name: Type = merge [, sat source] [, key "k"] => "doc";` — and
 /// generates the struct, [`CheckStats::absorb`], the solver fold, and the

@@ -146,10 +146,9 @@ pub struct Fleet<'n> {
     pub chains: Vec<ChainNet<'n>>,
     /// Registers with a symbolic initial value.
     pub free: &'n [SignalId],
-    /// The bound every job extends its chain's checker to.
-    pub bound: usize,
-    /// Conflict budget per property.
-    pub conflict_budget: Option<u64>,
+    /// The checker configuration: every job extends its chain's checker
+    /// to `mc.bound`.
+    pub mc: McConfig,
     /// Replay granularity.
     pub replay: Replay,
 }
@@ -220,10 +219,7 @@ impl<'n> Fleet<'n> {
         let missed_chains: Vec<usize> = missed.iter().map(|&ix| chain_of[ix]).collect();
         let mc = McConfig {
             bound: 0,
-            conflict_budget: self.conflict_budget,
-            bound_is_complete: true,
-            try_induction: false,
-            induction_depth: 0,
+            ..self.mc
         };
         let attempt = |ix: usize, attempt: u32, ctx: &mut Option<Checker<'n>>| {
             let fault = robust.faults.fault_for_attempt(self.phase, ix, attempt);
@@ -243,7 +239,7 @@ impl<'n> Fleet<'n> {
                 c
             });
             checker.begin_batch();
-            checker.ensure_bound(self.bound);
+            checker.ensure_bound(self.mc.bound);
             // An injected panic discards the checker; the chain's next job
             // rebuilds it.
             if let Some(kind) = fault {
@@ -399,8 +395,7 @@ mod tests {
                 })
                 .collect(),
             free: &[],
-            bound: 4,
-            conflict_budget: None,
+            mc: McConfig::bounded(4, None),
             replay,
         }
     }

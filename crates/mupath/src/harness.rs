@@ -118,7 +118,7 @@ impl PlClasses {
         };
         for (ui, ufsm) in design.annotations.ufsms.iter().enumerate() {
             for st in ufsm.candidate_states(&design.netlist) {
-                let label = st.name.trim_end_matches(|c: char| c.is_ascii_digit());
+                let label = class_label(&st.name);
                 let class = t
                     .classes
                     .find(label)
@@ -131,6 +131,11 @@ impl PlClasses {
         }
         t
     }
+}
+
+/// A PL's class label: its state name minus any trailing entry index.
+fn class_label(name: &str) -> &str {
+    name.trim_end_matches(|c: char| c.is_ascii_digit())
 }
 
 /// Builds the IUV harness for a single opcode. The opcode's encoding
@@ -400,6 +405,10 @@ mod tests {
 
     #[test]
     fn class_labels_strip_entry_indices() {
+        assert_eq!(class_label("scbIss0"), "scbIss");
+        assert_eq!(class_label("scbIss12"), "scbIss");
+        assert_eq!(class_label("ldFin"), "ldFin");
+        assert_eq!(class_label("ID"), "ID");
         let t = PlClasses::of(&uarch::build_core(&uarch::CoreConfig::default()));
         let class = |pl: &str| {
             let pl = t.pls.find(pl).unwrap();

@@ -151,8 +151,7 @@ pub fn synthesize_isa_with(
             })
             .collect(),
         free: &free_regs,
-        bound: cfg.bound,
-        conflict_budget: cfg.conflict_budget,
+        mc: cfg.mc_config(),
         replay: mc::Replay::Chain,
     };
     let chain_of: Vec<usize> = jobs.iter().map(|&(_, si)| si).collect();

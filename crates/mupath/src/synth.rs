@@ -76,13 +76,7 @@ impl SynthConfig {
     }
 
     pub(crate) fn mc_config(&self) -> McConfig {
-        McConfig {
-            bound: self.bound,
-            conflict_budget: self.conflict_budget,
-            bound_is_complete: true,
-            try_induction: false,
-            induction_depth: 0,
-        }
+        McConfig::bounded(self.bound, self.conflict_budget)
     }
 }
 

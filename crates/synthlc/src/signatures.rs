@@ -6,7 +6,7 @@ use crate::harness::{
     build_leak_harness, LeakHarness, LeakHarnessConfig, Operand, TaintEntry, TxKind,
 };
 use isa::Opcode;
-use mc::{CheckStats, Checker, JobRecord};
+use mc::{CheckStats, Checker, JobRecord, McConfig};
 use mupath::{
     synthesize_isa_with, EngineOptions, InstrSynthesis, IsaSynthesis, PlClasses, RobustOptions,
     SynthConfig,
@@ -669,8 +669,7 @@ pub fn synthesize_leakage(
             })
             .collect(),
         free: &free,
-        bound: cfg.bound,
-        conflict_budget: cfg.conflict_budget,
+        mc: McConfig::bounded(cfg.bound, cfg.conflict_budget),
         replay: mc::Replay::Job,
     };
     let chain_of: Vec<usize> = units.iter().map(|&(_, pi, _)| pi).collect();
