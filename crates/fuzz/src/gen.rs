@@ -16,7 +16,7 @@
 //! The single 1-bit `cover` signal — an equality test against a genome
 //! constant — is the reachability target every oracle queries.
 
-use netlist::lint::{LintContext, LintReport, Linter};
+use netlist::lint::{LintContext, LintReport};
 use netlist::{Builder, Netlist, SignalId, Wire};
 use prng::Rng;
 
@@ -313,7 +313,7 @@ pub fn lint(d: &BuiltDesign) -> LintReport {
         roots: vec![d.out, d.cover],
         strobes: vec![],
     };
-    Linter::new().run(&cx)
+    netlist::lint::run(&cx)
 }
 
 #[cfg(test)]

@@ -95,11 +95,6 @@ pub struct OracleOpts {
     pub brute_cap: u64,
     /// Cycles simulated by the IFT low-equivalence runs.
     pub ift_cycles: usize,
-    /// After the baseline CDCL-vs-DPLL comparison, re-solve the same CNF
-    /// under every [`sat::SolverConfig`] knob combination and demand the
-    /// verdict never moves (off by default — it multiplies the SAT
-    /// oracle's work by the sweep size).
-    pub knob_sweep: bool,
     /// A deliberately planted engine defect (tests only).
     pub seeded_bug: Option<SeededBug>,
 }
@@ -111,7 +106,6 @@ impl Default for OracleOpts {
             dpll_step_cap: 2_000_000,
             brute_cap: 300_000,
             ift_cycles: 8,
-            knob_sweep: false,
             seeded_bug: None,
         }
     }
@@ -329,85 +323,32 @@ fn oracle_sat(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
     // Nothing below needs the unrolling; free it before DPLL runs.
     drop(u);
     let bug = opts.seeded_bug == Some(SeededBug::DpllBadSat);
-    let reference = match dpll::solve(num_vars, &clauses, opts.dpll_step_cap, bug) {
-        None => return CaseResult::Skipped("dpll-cap"),
-        Some(r) => r,
+    let Some(reference) = dpll::solve(num_vars, &clauses, opts.dpll_step_cap, bug) else {
+        return CaseResult::Skipped("dpll-cap");
     };
     let detail = format!("{num_vars} vars, {} clauses", clauses.len());
-    let baseline = match (&reference, cdcl) {
+    match (reference, cdcl) {
         (DpllResult::Sat(model), r) if r.is_sat() => {
-            if !dpll::model_satisfies(model, &clauses) {
-                return CaseResult::Mismatch {
+            if dpll::model_satisfies(&model, &clauses) {
+                CaseResult::Agree("sat".into())
+            } else {
+                CaseResult::Mismatch {
                     expected: "sat(model-valid)".into(),
                     actual: "sat(model-invalid)".into(),
                     detail,
-                };
+                }
             }
-            CaseResult::Agree("sat".into())
         }
         (DpllResult::Unsat, r) if r.is_unsat() => CaseResult::Agree("unsat".into()),
-        (dp, r) => {
-            return CaseResult::Mismatch {
-                expected: match dp {
-                    DpllResult::Sat(_) => "sat".into(),
-                    DpllResult::Unsat => "unsat".into(),
-                },
-                actual: format!("{r:?}").to_lowercase(),
-                detail,
-            }
-        }
-    };
-    if !opts.knob_sweep {
-        return baseline;
+        (dp, r) => CaseResult::Mismatch {
+            expected: match dp {
+                DpllResult::Sat(_) => "sat".into(),
+                DpllResult::Unsat => "unsat".into(),
+            },
+            actual: format!("{r:?}").to_lowercase(),
+            detail,
+        },
     }
-    // Knob sweep: the verdict must be invariant under every heuristic
-    // configuration, and every Sat leg must hand back a valid model.
-    for cfg in sat::SolverConfig::all_combinations() {
-        if let Some(mismatch) = sweep_one_config(cfg, num_vars, &clauses, &reference, &detail) {
-            return mismatch;
-        }
-    }
-    match baseline {
-        CaseResult::Agree(v) => CaseResult::Agree(format!("{v}+sweep")),
-        other => other,
-    }
-}
-
-/// Re-solves `clauses` under one knob configuration; `Some(mismatch)`
-/// when its verdict departs from the DPLL reference or its model is
-/// invalid.
-fn sweep_one_config(
-    cfg: sat::SolverConfig,
-    num_vars: usize,
-    clauses: &[Vec<sat::Lit>],
-    reference: &DpllResult,
-    detail: &str,
-) -> Option<CaseResult> {
-    let mut s = sat::Solver::with_config(cfg);
-    let vars: Vec<sat::Var> = (0..num_vars).map(|_| s.new_var()).collect();
-    for c in clauses {
-        s.add_clause(c);
-    }
-    let r = s.solve();
-    let expected_sat = matches!(reference, DpllResult::Sat(_));
-    if expected_sat != r.is_sat() || (!expected_sat && !r.is_unsat()) {
-        return Some(CaseResult::Mismatch {
-            expected: if expected_sat { "sat" } else { "unsat" }.into(),
-            actual: format!("{}({r:?})", cfg.label()).to_lowercase(),
-            detail: format!("{detail}; knob sweep config {}", cfg.label()),
-        });
-    }
-    if r.is_sat() {
-        let model: Vec<bool> = vars.iter().map(|&v| s.value(v).unwrap_or(false)).collect();
-        if !dpll::model_satisfies(&model, clauses) {
-            return Some(CaseResult::Mismatch {
-                expected: "sat(model-valid)".into(),
-                actual: format!("{}(model-invalid)", cfg.label()),
-                detail: format!("{detail}; knob sweep config {}", cfg.label()),
-            });
-        }
-    }
-    None
 }
 
 /// (b) BMC vs. simulation: `Reachable` witnesses must replay; an

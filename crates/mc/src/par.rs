@@ -2,12 +2,12 @@
 //!
 //! The engine's unit of parallelism is a *job*: an independent piece of
 //! property-evaluation work (one instruction/slot enumeration, one
-//! transponder/typing IFT sweep). Jobs are drained from a shared queue by
-//! scoped worker threads and their results land in slots indexed by job
-//! id, so the merged output is a pure function of the job list —
-//! independent of worker count and scheduling. `threads == 1` runs the
-//! jobs inline on the calling thread, byte-identical to the parallel path
-//! (the `--jobs 1` baseline).
+//! transponder/typing IFT sweep). One scoped worker pool, [`run_ordered`],
+//! claims job indices in order and folds their results in index order,
+//! so the merged output is a pure function of the job list — independent
+//! of worker count and scheduling. `threads == 1` runs the jobs inline on
+//! the calling thread, byte-identical to the parallel path (the `--jobs
+//! 1` baseline); [`run_jobs`] is that pool collecting every result.
 //!
 //! Jobs that share a persistent solver context (DESIGN.md §12) run as one
 //! *context chain* (`run_chains`, driven by [`Fleet::run`]): in job
@@ -28,7 +28,6 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The worker count selected by the environment: `SYNTHLC_THREADS` when set
@@ -46,60 +45,29 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f(job_index, job)` for every job and returns the results in job
-/// order. With `threads > 1`, jobs are executed by that many scoped worker
-/// threads pulling from an atomic queue index, in list order; results are
-/// merged by job id, so the returned vector is identical to the sequential
-/// one.
+/// Runs `f(job_index, &job)` for every job and returns the results in job
+/// order: [`run_ordered`] with a fold that collects them, so the returned
+/// vector is the sequential one for every `threads`.
 ///
 /// # Panics
-/// A panic in any job propagates to the caller (via `std::thread::scope`).
-pub fn run_jobs<J, R, F>(jobs: Vec<J>, threads: usize, f: F) -> Vec<R>
+/// A panic in a job is resumed on the caller, as [`run_ordered`] does.
+pub fn run_jobs<J, R, F>(jobs: &[J], threads: usize, f: F) -> Vec<R>
 where
-    J: Send,
+    J: Sync,
     R: Send,
-    F: Fn(usize, J) -> R + Sync,
+    F: Fn(usize, &J) -> R + Sync,
 {
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads == 1 {
-        return jobs
-            .into_iter()
-            .enumerate()
-            .map(|(ix, j)| f(ix, j))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<R>>> = slots.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let ix = next.fetch_add(1, Ordering::Relaxed);
-                if ix >= slots.len() {
-                    break;
-                }
-                // Recover poisoned slots instead of double-panicking: a
-                // sibling worker may have panicked (e.g. under fault
-                // injection) and poisoning is per-mutex state, not data
-                // corruption — each slot is touched by exactly one worker.
-                let job = slots[ix]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("each job taken exactly once");
-                let r = f(ix, job);
-                *results[ix].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every job produced a result")
-        })
-        .collect()
+    let mut out = Vec::with_capacity(jobs.len());
+    run_ordered(
+        jobs.len(),
+        threads,
+        |ix| f(ix, &jobs[ix]),
+        |_, r| {
+            out.push(r);
+            ControlFlow::Continue(())
+        },
+    );
+    out
 }
 
 /// The shared state of a parallel [`run_ordered`].
@@ -264,16 +232,16 @@ where
         }
         r
     };
-    let ran = run_jobs(chains, threads, |_, chain| {
+    let ran = run_jobs(&chains, threads, |_, chain| {
         let mut ctx = None;
         let results: Vec<_> = chain.iter().map(|&ix| run_one(ix, 0, &mut ctx)).collect();
         let keep = retries.max > 0 && results.iter().any(needs_retry);
-        (chain, results, if keep { ctx } else { None })
+        (results, if keep { ctx } else { None })
     });
     let mut results: Vec<Option<Option<R>>> = chain_of.iter().map(|_| None).collect();
     let mut chain_ix = vec![0; chain_of.len()];
     let mut ctxs = Vec::with_capacity(ran.len());
-    for (ci, (chain, rs, ctx)) in ran.into_iter().enumerate() {
+    for (ci, (chain, (rs, ctx))) in chains.into_iter().zip(ran).enumerate() {
         for (ix, r) in chain.into_iter().zip(rs) {
             results[ix] = Some(r);
             chain_ix[ix] = ci;
@@ -300,23 +268,23 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn results_are_in_job_order_regardless_of_threads() {
         let jobs: Vec<usize> = (0..64).collect();
-        let seq = run_jobs(jobs.clone(), 1, |ix, j| {
+        let seq = run_jobs(&jobs, 1, |ix, &j| {
             assert_eq!(ix, j);
             j * 3
         });
-        let par = run_jobs(jobs, 5, |_, j| j * 3);
+        let par = run_jobs(&jobs, 5, |_, &j| j * 3);
         assert_eq!(seq, par);
         assert_eq!(seq[10], 30);
     }
 
     #[test]
     fn empty_job_list_is_fine() {
-        let out: Vec<u32> = run_jobs(Vec::<u32>::new(), 8, |_, j| j);
+        let out: Vec<u32> = run_jobs(&[], 8, |_, &j: &u32| j);
         assert!(out.is_empty());
         let (out, retried) = run_chains::<(), u32, _>(&[], 8, no_retries(), |_, _, _| 0);
         assert!(out.is_empty());
@@ -325,7 +293,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_jobs_is_fine() {
-        let out = run_jobs(vec![1u32, 2], 16, |_, j| j + 1);
+        let out = run_jobs(&[1u32, 2], 16, |_, &j| j + 1);
         assert_eq!(out, vec![2, 3]);
     }
 

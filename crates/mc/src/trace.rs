@@ -9,7 +9,7 @@ use std::collections::HashMap;
 /// Stores the value of *every* signal at every frame (the designs here are
 /// small, and downstream analyses — µPATH extraction in particular — read
 /// many signals per frame), plus the primary-input script needed to replay
-/// the trace on [`sim::Simulator`].
+/// the trace on `sim::Simulator`.
 #[derive(Clone, Debug)]
 pub struct Trace {
     /// `values[t][sig.index()]` = value of the signal at cycle `t`.
@@ -60,7 +60,7 @@ impl Trace {
         self.values.iter().map(|row| row[sig.index()]).collect()
     }
 
-    /// The primary-input script, suitable for [`sim::replay`].
+    /// The primary-input script, suitable for `sim::replay`.
     pub fn input_script(&self) -> Vec<HashMap<SignalId, u64>> {
         self.inputs.clone()
     }

@@ -550,6 +550,19 @@ mod tests {
         })
         .unwrap();
         assert!(matches!(nl.validate(), Err(NetlistError::CombCycle(_))));
+
+        // x = !q outside the loop p = !q, q = !p: the DFS starts at x and
+        // enters the loop at q, so q (not the lower-id p) is named.
+        let mut nl = Netlist::new();
+        for (name, src) in [("x", 2), ("p", 2), ("q", 1)] {
+            nl.push(Node {
+                name: Some(name.into()),
+                width: 1,
+                op: Op::Unary(UnOp::Not, SignalId(src)),
+            })
+            .unwrap();
+        }
+        assert_eq!(nl.validate(), Err(NetlistError::CombCycle("q".into())));
     }
 
     #[test]

@@ -581,7 +581,6 @@ impl Netlist {
     /// # Errors
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        let n = self.nodes.len();
         let check = |s: SignalId| -> Result<&Node, NetlistError> {
             self.nodes.get(s.index()).ok_or(NetlistError::BadSignal(s))
         };
@@ -668,45 +667,10 @@ impl Netlist {
                 }
             }
         }
-        // Combinational cycle detection via iterative DFS over comb edges.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Grey,
-            Black,
+        match crate::analysis::find_comb_cycle(self) {
+            Some(cycle) => Err(NetlistError::CombCycle(self.display_name(cycle.path[0]))),
+            None => Ok(()),
         }
-        let mut marks = vec![Mark::White; n];
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for start in 0..n {
-            if marks[start] != Mark::White {
-                continue;
-            }
-            stack.push((start, 0));
-            marks[start] = Mark::Grey;
-            while let Some(&mut (node_ix, ref mut child_ix)) = stack.last_mut() {
-                let fanin = self.nodes[node_ix].op.comb_fanin();
-                if *child_ix < fanin.len() {
-                    let child = fanin[*child_ix].index();
-                    *child_ix += 1;
-                    match marks[child] {
-                        Mark::White => {
-                            marks[child] = Mark::Grey;
-                            stack.push((child, 0));
-                        }
-                        Mark::Grey => {
-                            return Err(NetlistError::CombCycle(
-                                self.display_name(SignalId(child as u32)),
-                            ));
-                        }
-                        Mark::Black => {}
-                    }
-                } else {
-                    marks[node_ix] = Mark::Black;
-                    stack.pop();
-                }
-            }
-        }
-        Ok(())
     }
 }
 

@@ -1,4 +1,4 @@
-//! Netlist lint: a static-analysis pass framework over (possibly
+//! Netlist lint: a fixed suite of static-analysis passes over (possibly
 //! not-yet-validated) netlists and their annotations.
 //!
 //! The paper's synthesis loop is front-loaded with static analysis (§IV:
@@ -10,9 +10,9 @@
 //! vacuously unreachable — are reported here as [`Diagnostic`]s before a
 //! single SAT call.
 //!
-//! [`Linter::run`] runs the seven built-in [`LintPass`]es in a fixed order
-//! and produces a [`LintReport`]; `--deny-warnings` is applied to the
-//! report by [`LintReport::exit_code`]. Passes run on the raw node table,
+//! [`run`] runs the seven built-in passes in a fixed order and produces a
+//! [`LintReport`]; `--deny-warnings` is applied to the report by
+//! [`LintReport::exit_code`]. Passes run on the raw node table,
 //! so they work on unvalidated netlists (that is the point: several passes
 //! re-audit exactly what `Netlist::validate` would reject, but report *all*
 //! violations instead of bailing at the first).
@@ -58,41 +58,17 @@ impl<'a> LintContext<'a> {
     }
 }
 
-/// A lint pass: a named analysis producing diagnostics.
-pub trait LintPass {
-    /// Stable pass name, carried by each of the pass's diagnostics.
-    fn name(&self) -> &'static str;
-    /// Runs the pass, appending findings to `out`.
-    fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>);
-}
-
-/// The lint suite: the seven built-in passes, run in a fixed order.
-#[derive(Default)]
-pub struct Linter;
-
-impl Linter {
-    /// The linter with every built-in pass.
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Runs every built-in pass, in order.
-    pub fn run(&self, cx: &LintContext<'_>) -> LintReport {
-        let passes: [&dyn LintPass; 7] = [
-            &CombLoopPass,
-            &UndrivenPass,
-            &WidthAuditPass,
-            &RegResetPass,
-            &DeadLogicPass,
-            &UfsmReachPass,
-            &AnnotationConstPass,
-        ];
-        let mut diagnostics = Vec::new();
-        for pass in passes {
-            pass.run(cx, &mut diagnostics);
-        }
-        LintReport { diagnostics }
-    }
+/// Runs the seven built-in passes, in a fixed order, over `cx`.
+pub fn run(cx: &LintContext<'_>) -> LintReport {
+    let mut diagnostics = Vec::new();
+    comb_loop(cx, &mut diagnostics);
+    undriven(cx, &mut diagnostics);
+    width_audit(cx, &mut diagnostics);
+    reg_reset(cx, &mut diagnostics);
+    dead_logic(cx, &mut diagnostics);
+    ufsm_reach(cx, &mut diagnostics);
+    annotation_const(cx, &mut diagnostics);
+    LintReport { diagnostics }
 }
 
 // --------------------------------------------------------------------------
@@ -100,229 +76,208 @@ impl Linter {
 // --------------------------------------------------------------------------
 
 /// L001: combinational loops, reported with the full cycle path.
-pub struct CombLoopPass;
-
-impl LintPass for CombLoopPass {
-    fn name(&self) -> &'static str {
-        "comb-loop"
-    }
-    fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        if let Some(cycle) = analysis::find_comb_cycle(cx.netlist) {
-            out.push(Diagnostic {
-                severity: Severity::Error,
-                code: "L001",
-                pass: self.name(),
-                signal: cycle.path.first().copied(),
-                message: format!("combinational cycle: {}", cycle.render(cx.netlist)),
-                ..Default::default()
-            });
-        }
+fn comb_loop(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    if let Some(cycle) = analysis::find_comb_cycle(cx.netlist) {
+        out.push(Diagnostic {
+            severity: Severity::Error,
+            code: "L001",
+            pass: "comb-loop",
+            signal: cycle.path.first().copied(),
+            message: format!("combinational cycle: {}", cycle.render(cx.netlist)),
+            ..Default::default()
+        });
     }
 }
 
 /// L002/L003: undriven registers and floating (never-read) inputs.
-pub struct UndrivenPass;
-
-impl LintPass for UndrivenPass {
-    fn name(&self) -> &'static str {
-        "undriven"
-    }
-    fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let nl = cx.netlist;
-        let mut read: HashSet<SignalId> = HashSet::new();
-        for (_, node) in nl.iter() {
-            read.extend(node.op.comb_fanin());
-            if let Op::Reg { next: Some(nx), .. } = node.op {
-                read.insert(nx);
-            }
+fn undriven(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    let nl = cx.netlist;
+    let mut read: HashSet<SignalId> = HashSet::new();
+    for (_, node) in nl.iter() {
+        read.extend(node.op.comb_fanin());
+        if let Op::Reg { next: Some(nx), .. } = node.op {
+            read.insert(nx);
         }
-        for (id, node) in nl.iter() {
-            match node.op {
-                Op::Reg { next: None, .. } => out.push(Diagnostic {
-                    severity: Severity::Error,
-                    code: "L002",
-                    pass: self.name(),
+    }
+    for (id, node) in nl.iter() {
+        match node.op {
+            Op::Reg { next: None, .. } => out.push(Diagnostic {
+                severity: Severity::Error,
+                code: "L002",
+                pass: "undriven",
+                signal: Some(id),
+                message: format!("register `{}` has no next connection", nl.display_name(id)),
+                ..Default::default()
+            }),
+            Op::Input if !read.contains(&id) && !cx.roots.contains(&id) => {
+                out.push(Diagnostic {
+                    severity: Severity::Warning,
+                    code: "L003",
+                    pass: "undriven",
                     signal: Some(id),
-                    message: format!("register `{}` has no next connection", nl.display_name(id)),
+                    message: format!("input `{}` is never read", nl.display_name(id)),
                     ..Default::default()
-                }),
-                Op::Input if !read.contains(&id) && !cx.roots.contains(&id) => {
-                    out.push(Diagnostic {
-                        severity: Severity::Warning,
-                        code: "L003",
-                        pass: self.name(),
-                        signal: Some(id),
-                        message: format!("input `{}` is never read", nl.display_name(id)),
-                        ..Default::default()
-                    });
-                }
-                _ => {}
+                });
             }
+            _ => {}
         }
     }
 }
 
 /// L004: width-rule audit at every use site. `Netlist::validate` stops at
 /// the first violation; this pass reports them all.
-pub struct WidthAuditPass;
-
-impl LintPass for WidthAuditPass {
-    fn name(&self) -> &'static str {
-        "width-audit"
-    }
-    fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let nl = cx.netlist;
-        let mut emit = |id: SignalId, msg: String| {
-            out.push(Diagnostic {
-                severity: Severity::Error,
-                code: "L004",
-                pass: self.name(),
-                signal: Some(id),
-                message: msg,
-                ..Default::default()
-            });
-        };
-        let w_of = |s: SignalId| -> Option<u8> { (s.index() < nl.len()).then(|| nl.width(s)) };
-        for (id, node) in nl.iter() {
-            let name = nl.display_name(id);
-            // Dangling references are reported once, here, and the width
-            // rule is skipped for them.
-            let mut dangling = false;
-            for src in node.op.comb_fanin() {
-                if src.index() >= nl.len() {
-                    emit(id, format!("`{name}` references out-of-range signal {src}"));
-                    dangling = true;
+fn width_audit(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    let nl = cx.netlist;
+    let mut emit = |id: SignalId, msg: String| {
+        out.push(Diagnostic {
+            severity: Severity::Error,
+            code: "L004",
+            pass: "width-audit",
+            signal: Some(id),
+            message: msg,
+            ..Default::default()
+        });
+    };
+    let w_of = |s: SignalId| -> Option<u8> { (s.index() < nl.len()).then(|| nl.width(s)) };
+    for (id, node) in nl.iter() {
+        let name = nl.display_name(id);
+        // Dangling references are reported once, here, and the width
+        // rule is skipped for them.
+        let mut dangling = false;
+        for src in node.op.comb_fanin() {
+            if src.index() >= nl.len() {
+                emit(id, format!("`{name}` references out-of-range signal {src}"));
+                dangling = true;
+            }
+        }
+        if dangling {
+            continue;
+        }
+        match &node.op {
+            Op::Input | Op::Reg { .. } => {}
+            Op::Const(v) => {
+                if *v & !mask(node.width) != 0 {
+                    emit(
+                        id,
+                        format!(
+                            "constant `{name}` value {v:#x} does not fit in {} bits",
+                            node.width
+                        ),
+                    );
                 }
             }
-            if dangling {
-                continue;
+            Op::Unary(op, a) => {
+                let aw = w_of(*a).unwrap();
+                let expect = if op.is_reduction() { 1 } else { aw };
+                if node.width != expect {
+                    emit(
+                        id,
+                        format!(
+                            "`{name}` = {op}(...): result width {} != expected {expect}",
+                            node.width
+                        ),
+                    );
+                }
             }
-            match &node.op {
-                Op::Input | Op::Reg { .. } => {}
-                Op::Const(v) => {
-                    if *v & !mask(node.width) != 0 {
-                        emit(
-                            id,
-                            format!(
-                                "constant `{name}` value {v:#x} does not fit in {} bits",
-                                node.width
-                            ),
-                        );
+            Op::Binary(op, a, b) => {
+                let (aw, bw) = (w_of(*a).unwrap(), w_of(*b).unwrap());
+                match op {
+                    BinOp::Shl | BinOp::Shr => {
+                        if node.width != aw {
+                            emit(
+                                id,
+                                format!(
+                                    "`{name}` = {op}(...): result width {} != operand width {aw}",
+                                    node.width
+                                ),
+                            );
+                        }
                     }
-                }
-                Op::Unary(op, a) => {
-                    let aw = w_of(*a).unwrap();
-                    let expect = if op.is_reduction() { 1 } else { aw };
-                    if node.width != expect {
-                        emit(
-                            id,
-                            format!(
-                                "`{name}` = {op}(...): result width {} != expected {expect}",
-                                node.width
-                            ),
-                        );
-                    }
-                }
-                Op::Binary(op, a, b) => {
-                    let (aw, bw) = (w_of(*a).unwrap(), w_of(*b).unwrap());
-                    match op {
-                        BinOp::Shl | BinOp::Shr => {
-                            if node.width != aw {
+                    _ => {
+                        if aw != bw {
+                            emit(
+                                id,
+                                format!(
+                                    "`{name}` = {op}(...): operand widths {aw} and {bw} differ"
+                                ),
+                            );
+                        } else {
+                            let expect = if op.is_comparison() { 1 } else { aw };
+                            if node.width != expect {
                                 emit(
                                     id,
                                     format!(
-                                        "`{name}` = {op}(...): result width {} != operand width {aw}",
+                                        "`{name}` = {op}(...): result width {} != expected {expect}",
                                         node.width
                                     ),
                                 );
                             }
                         }
-                        _ => {
-                            if aw != bw {
-                                emit(
-                                    id,
-                                    format!(
-                                        "`{name}` = {op}(...): operand widths {aw} and {bw} differ"
-                                    ),
-                                );
-                            } else {
-                                let expect = if op.is_comparison() { 1 } else { aw };
-                                if node.width != expect {
-                                    emit(
-                                        id,
-                                        format!(
-                                            "`{name}` = {op}(...): result width {} != expected {expect}",
-                                            node.width
-                                        ),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                Op::Mux { sel, a, b } => {
-                    let (sw, aw, bw) = (w_of(*sel).unwrap(), w_of(*a).unwrap(), w_of(*b).unwrap());
-                    if sw != 1 {
-                        emit(id, format!("`{name}`: mux select is {sw} bits, not 1"));
-                    }
-                    if aw != bw || node.width != aw {
-                        emit(
-                            id,
-                            format!(
-                                "`{name}`: mux arm widths {aw}/{bw} vs result width {}",
-                                node.width
-                            ),
-                        );
-                    }
-                }
-                Op::Slice { src, hi, lo } => {
-                    let sw = w_of(*src).unwrap();
-                    if hi < lo || *hi >= sw {
-                        emit(
-                            id,
-                            format!("`{name}`: slice [{hi}:{lo}] out of range for {sw}-bit source"),
-                        );
-                    } else if node.width != hi - lo + 1 {
-                        emit(
-                            id,
-                            format!(
-                                "`{name}`: slice [{hi}:{lo}] yields {} bits but node is {} bits",
-                                hi - lo + 1,
-                                node.width
-                            ),
-                        );
-                    }
-                }
-                Op::Concat { hi, lo } => {
-                    let (hw, lw) = (w_of(*hi).unwrap(), w_of(*lo).unwrap());
-                    if node.width as u16 != hw as u16 + lw as u16 {
-                        emit(
-                            id,
-                            format!(
-                                "`{name}`: concat of {hw}+{lw} bits but node is {} bits",
-                                node.width
-                            ),
-                        );
                     }
                 }
             }
-            // Register next-width rule (init-value fit is the reg-reset
-            // pass's business).
-            if let Op::Reg { next: Some(nx), .. } = &node.op {
-                match w_of(*nx) {
-                    None => emit(
-                        id,
-                        format!("register `{name}` next references out-of-range signal {nx}"),
-                    ),
-                    Some(nw) if nw != node.width => emit(
+            Op::Mux { sel, a, b } => {
+                let (sw, aw, bw) = (w_of(*sel).unwrap(), w_of(*a).unwrap(), w_of(*b).unwrap());
+                if sw != 1 {
+                    emit(id, format!("`{name}`: mux select is {sw} bits, not 1"));
+                }
+                if aw != bw || node.width != aw {
+                    emit(
                         id,
                         format!(
-                            "register `{name}` is {} bits but its next is {nw} bits",
+                            "`{name}`: mux arm widths {aw}/{bw} vs result width {}",
                             node.width
                         ),
-                    ),
-                    _ => {}
+                    );
                 }
+            }
+            Op::Slice { src, hi, lo } => {
+                let sw = w_of(*src).unwrap();
+                if hi < lo || *hi >= sw {
+                    emit(
+                        id,
+                        format!("`{name}`: slice [{hi}:{lo}] out of range for {sw}-bit source"),
+                    );
+                } else if node.width != hi - lo + 1 {
+                    emit(
+                        id,
+                        format!(
+                            "`{name}`: slice [{hi}:{lo}] yields {} bits but node is {} bits",
+                            hi - lo + 1,
+                            node.width
+                        ),
+                    );
+                }
+            }
+            Op::Concat { hi, lo } => {
+                let (hw, lw) = (w_of(*hi).unwrap(), w_of(*lo).unwrap());
+                if node.width as u16 != hw as u16 + lw as u16 {
+                    emit(
+                        id,
+                        format!(
+                            "`{name}`: concat of {hw}+{lw} bits but node is {} bits",
+                            node.width
+                        ),
+                    );
+                }
+            }
+        }
+        // Register next-width rule (init-value fit is the reg-reset
+        // pass's business).
+        if let Op::Reg { next: Some(nx), .. } = &node.op {
+            match w_of(*nx) {
+                None => emit(
+                    id,
+                    format!("register `{name}` next references out-of-range signal {nx}"),
+                ),
+                Some(nw) if nw != node.width => emit(
+                    id,
+                    format!(
+                        "register `{name}` is {} bits but its next is {nw} bits",
+                        node.width
+                    ),
+                ),
+                _ => {}
             }
         }
     }
@@ -331,30 +286,23 @@ impl LintPass for WidthAuditPass {
 /// L005: reset values that do not fit the register's width. In this IR
 /// every register *has* a reset value, so "register without reset" means a
 /// malformed one — the reset would silently truncate in real RTL.
-pub struct RegResetPass;
-
-impl LintPass for RegResetPass {
-    fn name(&self) -> &'static str {
-        "reg-reset"
-    }
-    fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let nl = cx.netlist;
-        for (id, node) in nl.iter() {
-            if let Op::Reg { init, .. } = node.op {
-                if init & !mask(node.width) != 0 {
-                    out.push(Diagnostic {
-                        severity: Severity::Error,
-                        code: "L005",
-                        pass: self.name(),
-                        signal: Some(id),
-                        message: format!(
-                            "register `{}` reset value {init:#x} does not fit in {} bits",
-                            nl.display_name(id),
-                            node.width
-                        ),
-                        ..Default::default()
-                    });
-                }
+fn reg_reset(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    let nl = cx.netlist;
+    for (id, node) in nl.iter() {
+        if let Op::Reg { init, .. } = node.op {
+            if init & !mask(node.width) != 0 {
+                out.push(Diagnostic {
+                    severity: Severity::Error,
+                    code: "L005",
+                    pass: "reg-reset",
+                    signal: Some(id),
+                    message: format!(
+                        "register `{}` reset value {init:#x} does not fit in {} bits",
+                        nl.display_name(id),
+                        node.width
+                    ),
+                    ..Default::default()
+                });
             }
         }
     }
@@ -363,72 +311,59 @@ impl LintPass for RegResetPass {
 /// L006: dead logic — signals outside the transitive fan-in (through
 /// registers, across cycles) of every root and annotation signal. Skipped
 /// when the context supplies no roots.
-pub struct DeadLogicPass;
-
-impl LintPass for DeadLogicPass {
-    fn name(&self) -> &'static str {
-        "dead-logic"
+fn dead_logic(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    let nl = cx.netlist;
+    let mut roots: Vec<SignalId> = cx.roots.clone();
+    if let Some(ann) = cx.annotations {
+        roots.extend(annotation_signals(ann));
     }
-    fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let nl = cx.netlist;
-        let mut roots: Vec<SignalId> = cx.roots.clone();
-        if let Some(ann) = cx.annotations {
-            roots.extend(annotation_signals(ann));
+    roots.extend(cx.strobes.iter().map(|(_, s)| *s));
+    roots.retain(|s| s.index() < nl.len());
+    if roots.is_empty() {
+        return;
+    }
+    // Backward closure over combinational fan-in plus register next
+    // edges — the same edge relation as mc's cone-of-influence slice.
+    let mut live: HashSet<SignalId> = HashSet::new();
+    let mut queue: VecDeque<SignalId> = roots.into_iter().collect();
+    while let Some(s) = queue.pop_front() {
+        if !live.insert(s) {
+            continue;
         }
-        roots.extend(cx.strobes.iter().map(|(_, s)| *s));
-        roots.retain(|s| s.index() < nl.len());
-        if roots.is_empty() {
-            return;
+        let node = nl.node(s);
+        queue.extend(node.op.comb_fanin());
+        if let Op::Reg { next: Some(nx), .. } = node.op {
+            queue.push_back(nx);
         }
-        // Backward closure over combinational fan-in plus register next
-        // edges — the same edge relation as mc's cone-of-influence slice.
-        let mut live: HashSet<SignalId> = HashSet::new();
-        let mut queue: VecDeque<SignalId> = roots.into_iter().collect();
-        while let Some(s) = queue.pop_front() {
-            if !live.insert(s) {
-                continue;
-            }
-            let node = nl.node(s);
-            queue.extend(node.op.comb_fanin());
-            if let Op::Reg { next: Some(nx), .. } = node.op {
-                queue.push_back(nx);
-            }
+    }
+    let mut anonymous = 0usize;
+    for (id, node) in nl.iter() {
+        if live.contains(&id) || matches!(node.op, Op::Const(_)) {
+            continue;
         }
-        let mut anonymous = 0usize;
-        for (id, node) in nl.iter() {
-            if live.contains(&id) || matches!(node.op, Op::Const(_)) {
-                continue;
-            }
-            match &node.name {
-                Some(name) => out.push(Diagnostic {
-                    severity: Severity::Warning,
-                    code: "L006",
-                    pass: self.name(),
-                    signal: Some(id),
-                    message: format!("`{name}` drives no root or annotation cone"),
-                    ..Default::default()
-                }),
-                None => anonymous += 1,
-            }
-        }
-        if anonymous > 0 {
-            out.push(Diagnostic {
+        match &node.name {
+            Some(name) => out.push(Diagnostic {
                 severity: Severity::Warning,
                 code: "L006",
-                pass: self.name(),
-                signal: None,
-                message: format!(
-                    "{anonymous} anonymous signal(s) drive no root or annotation cone"
-                ),
+                pass: "dead-logic",
+                signal: Some(id),
+                message: format!("`{name}` drives no root or annotation cone"),
                 ..Default::default()
-            });
+            }),
+            None => anonymous += 1,
         }
     }
+    if anonymous > 0 {
+        out.push(Diagnostic {
+            severity: Severity::Warning,
+            code: "L006",
+            pass: "dead-logic",
+            signal: None,
+            message: format!("{anonymous} anonymous signal(s) drive no root or annotation cone"),
+            ..Default::default()
+        });
+    }
 }
-
-/// L007: µFSM states that no transition function can produce from reset,
-/// computed from the annotated state registers' update cones.
-pub struct UfsmReachPass;
 
 /// The set of values a register's next-state logic can structurally
 /// produce: constant leaves of its mux tree plus its reset value; `None`
@@ -468,46 +403,43 @@ fn producible_values(nl: &Netlist, comb: &[Option<u64>], var: SignalId) -> Optio
     Some(vals)
 }
 
-impl LintPass for UfsmReachPass {
-    fn name(&self) -> &'static str {
-        "ufsm-reach"
-    }
-    fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(ann) = cx.annotations else { return };
-        let nl = cx.netlist;
-        let Ok(comb) = analysis::comb_consts(nl) else {
-            return; // comb-loop pass already reports the cycle
-        };
-        for ufsm in &ann.ufsms {
-            if ufsm.vars.iter().any(|v| v.index() >= nl.len()) {
-                continue; // annotation-consistency pass reports this
-            }
-            let sets: Vec<Option<BTreeSet<u64>>> = ufsm
-                .vars
-                .iter()
-                .map(|&v| producible_values(nl, &comb, v))
-                .collect();
-            for st in ufsm.candidate_states(nl) {
-                for (vi, set) in sets.iter().enumerate() {
-                    let Some(set) = set else { continue };
-                    let want = st.state.0[vi];
-                    if !set.contains(&want) {
-                        out.push(Diagnostic {
-                            severity: Severity::Warning,
-                            code: "L007",
-                            pass: self.name(),
-                            signal: Some(ufsm.vars[vi]),
-                            message: format!(
-                                "µFSM `{}` state `{}` is structurally unreachable: \
-                                 var `{}` can only take {:?}, not {want}",
-                                ufsm.name,
-                                st.name,
-                                nl.display_name(ufsm.vars[vi]),
-                                set.iter().collect::<Vec<_>>()
-                            ),
-                            ..Default::default()
-                        });
-                    }
+/// L007: µFSM states that no transition function can produce from reset,
+/// computed from the annotated state registers' update cones.
+fn ufsm_reach(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(ann) = cx.annotations else { return };
+    let nl = cx.netlist;
+    let Ok(comb) = analysis::comb_consts(nl) else {
+        return; // comb-loop pass already reports the cycle
+    };
+    for ufsm in &ann.ufsms {
+        if ufsm.vars.iter().any(|v| v.index() >= nl.len()) {
+            continue; // annotation-consistency pass reports this
+        }
+        let sets: Vec<Option<BTreeSet<u64>>> = ufsm
+            .vars
+            .iter()
+            .map(|&v| producible_values(nl, &comb, v))
+            .collect();
+        for st in ufsm.candidate_states(nl) {
+            for (vi, set) in sets.iter().enumerate() {
+                let Some(set) = set else { continue };
+                let want = st.state.0[vi];
+                if !set.contains(&want) {
+                    out.push(Diagnostic {
+                        severity: Severity::Warning,
+                        code: "L007",
+                        pass: "ufsm-reach",
+                        signal: Some(ufsm.vars[vi]),
+                        message: format!(
+                            "µFSM `{}` state `{}` is structurally unreachable: \
+                             var `{}` can only take {:?}, not {want}",
+                            ufsm.name,
+                            st.name,
+                            nl.display_name(ufsm.vars[vi]),
+                            set.iter().collect::<Vec<_>>()
+                        ),
+                        ..Default::default()
+                    });
                 }
             }
         }
@@ -517,61 +449,54 @@ impl LintPass for UfsmReachPass {
 /// L008/L009: annotation consistency — `Annotations::validate` failures
 /// plus performing/fetch strobes that are structurally constant (by the
 /// sequential constant propagation of [`analysis::seq_consts`]).
-pub struct AnnotationConstPass;
-
-impl LintPass for AnnotationConstPass {
-    fn name(&self) -> &'static str {
-        "annotation-const"
+fn annotation_const(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(ann) = cx.annotations else { return };
+    let nl = cx.netlist;
+    if let Err(e) = ann.validate(nl) {
+        out.push(Diagnostic {
+            severity: Severity::Error,
+            code: "L008",
+            pass: "annotation-const",
+            signal: None,
+            message: format!("inconsistent annotations: {e}"),
+            ..Default::default()
+        });
+        return;
     }
-    fn run(&self, cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(ann) = cx.annotations else { return };
-        let nl = cx.netlist;
-        if let Err(e) = ann.validate(nl) {
-            out.push(Diagnostic {
+    let Ok(consts) = analysis::seq_consts(nl) else {
+        return; // comb-loop pass already reports the cycle
+    };
+    let mut strobes: Vec<(String, SignalId)> = vec![
+        ("fetch_valid".into(), ann.fetch_valid),
+        ("commit".into(), ann.commit),
+    ];
+    strobes.extend(cx.strobes.iter().cloned());
+    for (label, sig) in strobes {
+        match consts[sig.index()] {
+            Some(0) => out.push(Diagnostic {
                 severity: Severity::Error,
-                code: "L008",
-                pass: self.name(),
-                signal: None,
-                message: format!("inconsistent annotations: {e}"),
+                code: "L009",
+                pass: "annotation-const",
+                signal: Some(sig),
+                message: format!(
+                    "strobe {label} (`{}`) is structurally constant 0 — \
+                     every property over it is vacuous",
+                    nl.display_name(sig)
+                ),
                 ..Default::default()
-            });
-            return;
-        }
-        let Ok(consts) = analysis::seq_consts(nl) else {
-            return; // comb-loop pass already reports the cycle
-        };
-        let mut strobes: Vec<(String, SignalId)> = vec![
-            ("fetch_valid".into(), ann.fetch_valid),
-            ("commit".into(), ann.commit),
-        ];
-        strobes.extend(cx.strobes.iter().cloned());
-        for (label, sig) in strobes {
-            match consts[sig.index()] {
-                Some(0) => out.push(Diagnostic {
-                    severity: Severity::Error,
-                    code: "L009",
-                    pass: self.name(),
-                    signal: Some(sig),
-                    message: format!(
-                        "strobe {label} (`{}`) is structurally constant 0 — \
-                         every property over it is vacuous",
-                        nl.display_name(sig)
-                    ),
-                    ..Default::default()
-                }),
-                Some(_) => out.push(Diagnostic {
-                    severity: Severity::Warning,
-                    code: "L009",
-                    pass: self.name(),
-                    signal: Some(sig),
-                    message: format!(
-                        "strobe {label} (`{}`) is structurally constant 1",
-                        nl.display_name(sig)
-                    ),
-                    ..Default::default()
-                }),
-                None => {}
-            }
+            }),
+            Some(_) => out.push(Diagnostic {
+                severity: Severity::Warning,
+                code: "L009",
+                pass: "annotation-const",
+                signal: Some(sig),
+                message: format!(
+                    "strobe {label} (`{}`) is structurally constant 1",
+                    nl.display_name(sig)
+                ),
+                ..Default::default()
+            }),
+            None => {}
         }
     }
 }
@@ -605,7 +530,7 @@ mod tests {
     use crate::ir::Node;
 
     fn lint(nl: &Netlist) -> LintReport {
-        Linter::new().run(&LintContext::netlist_only(nl))
+        run(&LintContext::netlist_only(nl))
     }
 
     fn codes(r: &LintReport) -> Vec<&'static str> {
@@ -622,7 +547,7 @@ mod tests {
         let nl = b.finish().unwrap();
         let mut cx = LintContext::netlist_only(&nl);
         cx.roots = vec![nl.find("r").unwrap()];
-        let report = Linter::new().run(&cx);
+        let report = run(&cx);
         assert!(report.is_clean(), "{}", report.render());
     }
 
@@ -752,7 +677,7 @@ mod tests {
         let nl = b.finish().unwrap();
         let mut cx = LintContext::netlist_only(&nl);
         cx.roots = vec![nl.find("live").unwrap()];
-        let report = Linter::new().run(&cx);
+        let report = run(&cx);
         let dead_diags: Vec<_> = report
             .diagnostics
             .iter()
@@ -764,7 +689,7 @@ mod tests {
             report.render()
         );
         // Without roots the pass stays silent.
-        let silent = Linter::new().run(&LintContext::netlist_only(&nl));
+        let silent = run(&LintContext::netlist_only(&nl));
         assert!(!codes(&silent).contains(&"L006"));
     }
 
@@ -832,7 +757,7 @@ mod tests {
         let (nl, ann) = annotated_fsm();
         let mut cx = LintContext::netlist_only(&nl);
         cx.annotations = Some(&ann);
-        let report = Linter::new().run(&cx);
+        let report = run(&cx);
         let d = report
             .diagnostics
             .iter()
@@ -860,7 +785,7 @@ mod tests {
         ann.commit = nl.find("stuck").unwrap();
         let mut cx = LintContext::netlist_only(&nl);
         cx.annotations = Some(&ann);
-        let report = Linter::new().run(&cx);
+        let report = run(&cx);
         let d = report
             .diagnostics
             .iter()

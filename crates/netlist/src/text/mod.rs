@@ -2,7 +2,7 @@
 //! language, plus the canonical emitter that inverts it.
 //!
 //! The pipeline is the classic shape — every pass appends to one shared
-//! [`Report`](crate::diag::Report) so a single run surfaces everything it
+//! [`Report`] so a single run surfaces everything it
 //! can:
 //!
 //! 1. [`lexer`] — tokens with byte spans (`E001`),
@@ -13,7 +13,7 @@
 //! 5. [`lower`] — AST → [`Netlist`] IR, only when error-free (`W001`,
 //!    `E014`),
 //!
-//! and [`emit`] renders IR (plus optional annotation/harness metadata)
+//! and [`emit`](mod@emit) renders IR (plus optional annotation/harness metadata)
 //! back to canonical text. `emit → compile → emit` is byte-identical; the
 //! sixth differential-fuzz oracle and `tests/frontend_roundtrip.rs` hold
 //! the toolchain to that.
@@ -35,7 +35,7 @@ pub use lower::{HarnessData, LoweredModule};
 
 use crate::diag::{Report, SourceFile};
 use crate::ir::Netlist;
-use crate::lint::{LintContext, Linter};
+use crate::lint::{self, LintContext};
 
 /// Everything a frontend run produced: the lowered module (absent when
 /// errors stopped the pipeline), the diagnostic stream, and the source
@@ -107,7 +107,7 @@ pub fn check(src: &str, file_name: &str) -> CompileResult {
                 ..LintContext::netlist_only(&module.netlist)
             },
         };
-        let lint_report = Linter::new().run(&cx);
+        let lint_report = lint::run(&cx);
         for mut d in lint_report.diagnostics {
             if d.primary.is_none() {
                 if let Some(span) = d.signal.and_then(|s| module.span_of(s)) {

@@ -3,11 +3,12 @@
 //!
 //! Features: two-literal watching with a dedicated binary-clause fast
 //! path, first-UIP clause learning, VSIDS with phase saving, adaptive
-//! (Glucose) or Luby restarts, an LBD-tiered learnt-clause database with
-//! in-place deletion, root-level inprocessing between queries,
-//! incremental solving under assumptions (one unrolled circuit, thousands
-//! of per-property queries), and conflict budgets that surface as the
-//! paper's *undetermined* property outcomes.
+//! (Glucose) restarts, an LBD-tiered learnt-clause database with in-place
+//! deletion, root-level inprocessing between queries, incremental solving
+//! under assumptions (one unrolled circuit, thousands of per-property
+//! queries), and conflict budgets that surface as the paper's
+//! *undetermined* property outcomes. Every front end runs the same search:
+//! the solver has no heuristic switches.
 //!
 //! # Examples
 //!
@@ -26,7 +27,6 @@
 
 mod budget;
 mod cancel;
-mod config;
 pub mod dimacs;
 mod heap;
 mod solver;
@@ -34,6 +34,5 @@ mod types;
 
 pub use budget::{BudgetPool, ClientBudgets};
 pub use cancel::{CancelReason, CancelToken};
-pub use config::{ReduceStrategy, RestartMode, SolverConfig};
 pub use solver::{Solver, SolverStats, StopCause};
 pub use types::{Lit, SolveResult, Var};

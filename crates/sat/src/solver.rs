@@ -1,9 +1,11 @@
 //! A CDCL SAT solver: watched literals with a dedicated binary-clause
 //! fast path, first-UIP learning with clause minimization, VSIDS with
-//! phase saving, LBD-tiered learnt-clause reduction, adaptive (Glucose)
-//! or Luby restarts, root-level inprocessing between queries, and
-//! conflict budgets (which produce the `Unknown` outcomes that surface
-//! as *undetermined* model-checking results, §V-B of the paper).
+//! phase saving, LBD-tiered learnt-clause reduction on a conflict
+//! schedule, adaptive (Glucose) restarts, assumption-trail retention and
+//! root-level inprocessing between queries, and conflict budgets (which
+//! produce the `Unknown` outcomes that surface as *undetermined*
+//! model-checking results, §V-B of the paper). There is one search
+//! path: no heuristic is switchable.
 //!
 //! Long clauses live in a flat `u32` arena (header word, activity word,
 //! LBD word, then literal codes) so the propagation loop touches one
@@ -14,7 +16,6 @@
 
 use crate::budget::BudgetPool;
 use crate::cancel::{CancelReason, CancelToken};
-use crate::config::{ReduceStrategy, RestartMode, SolverConfig};
 use crate::heap::ActivityHeap;
 use crate::types::{Lit, SolveResult, Var};
 use std::sync::Arc;
@@ -29,7 +30,6 @@ const RESCALE_LIMIT: f64 = 1e100;
 const STOP_CHECK_INTERVAL: u64 = 128;
 
 // Restart policy.
-const LUBY_RESTART_BASE: u64 = 100;
 /// Minimum conflicts between adaptive restarts (the Glucose queue length).
 const GLUCOSE_MIN_INTERVAL: u64 = 50;
 /// Restart when the fast LBD average exceeds the slow one by this factor.
@@ -336,9 +336,7 @@ pub struct Solver {
     ok: bool,
     model: Vec<i8>,
     stats: SolverStats,
-    cfg: SolverConfig,
     conflict_budget: Option<u64>,
-    num_original: usize,
     num_binary: u64,
     num_binary_learnt: u64,
     /// Dead arena words (deleted clauses, stripped literals).
@@ -368,26 +366,15 @@ pub struct Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with the default configuration.
+    /// Creates an empty solver.
     pub fn new() -> Self {
-        Self::with_config(SolverConfig::new())
-    }
-
-    /// Creates an empty solver with an explicit heuristic configuration.
-    pub fn with_config(cfg: SolverConfig) -> Self {
         Self {
             var_inc: 1.0,
             clause_inc: 1.0,
             ok: true,
-            cfg,
             next_reduce: REDUCE_BASE,
             ..Self::default()
         }
-    }
-
-    /// The active heuristic configuration.
-    pub fn config(&self) -> SolverConfig {
-        self.cfg
     }
 
     /// Allocates a fresh variable.
@@ -446,20 +433,20 @@ impl Solver {
         self.conflict_budget = budget;
     }
 
-    /// Attaches a cancellation token polled every [`STOP_CHECK_INTERVAL`]
-    /// conflicts (and once at solve entry, so an already-fired token stops
-    /// a query before any search). `None` detaches — the default, with no
-    /// per-conflict cost beyond one `Option` test.
+    /// Attaches a cancellation token polled every 128 conflicts (and once
+    /// at solve entry, so an already-fired token stops a query before any
+    /// search). `None` detaches — the default, with no per-conflict cost
+    /// beyond one `Option` test.
     pub fn set_cancel_token(&mut self, token: Option<Arc<CancelToken>>) {
         self.cancel = token;
     }
 
     /// Attaches a shared budget pool whose *global* conflict cap the solve
-    /// loop honors mid-query: every [`STOP_CHECK_INTERVAL`] conflicts the
-    /// solver asks whether its own un-charged delta would exhaust the
-    /// pool, bounding cap overshoot to one interval. Attach only pools
-    /// with a cap — an uncapped pool never fires, and skipping the watch
-    /// keeps capless runs byte-deterministic by construction.
+    /// loop honors mid-query: every 128 conflicts the solver asks whether
+    /// its own un-charged delta would exhaust the pool, bounding cap
+    /// overshoot to one interval. Attach only pools with a cap — an
+    /// uncapped pool never fires, and skipping the watch keeps capless
+    /// runs byte-deterministic by construction.
     pub fn set_pool_watch(&mut self, pool: Option<Arc<BudgetPool>>) {
         self.pool_watch = pool;
     }
@@ -583,7 +570,6 @@ impl Solver {
                     } else {
                         self.attach_long(out, false, 0);
                     }
-                    self.num_original += 1;
                     return true;
                 }
                 // Falsified or unit under the retained trail: unwind to
@@ -606,12 +592,10 @@ impl Solver {
                 }
                 2 => {
                     self.attach_binary(out[0], out[1], false);
-                    self.num_original += 1;
                     true
                 }
                 _ => {
                     self.attach_long(out, false, 0);
-                    self.num_original += 1;
                     true
                 }
             };
@@ -1107,7 +1091,7 @@ impl Solver {
     /// level: core clauses (LBD ≤ 2) are permanent, mid-tier clauses
     /// (LBD ≤ 6) survive while they keep participating in conflicts, and
     /// the local tier is sorted worst-first (high LBD, low activity) and
-    /// partially collected. Victims are detached watcher-by-watcher — no
+    /// its worse half collected. Victims are detached watcher-by-watcher — no
     /// watch-list rebuild, no backtrack.
     fn reduce_db(&mut self) {
         let mut victims: Vec<ClauseRef> = Vec::new();
@@ -1137,11 +1121,7 @@ impl Solver {
                 })
                 .then_with(|| a.cmp(&b))
         });
-        let cut = match self.cfg.reduce {
-            ReduceStrategy::Aggressive => victims.len() / 2,
-            ReduceStrategy::Lazy => victims.len() / 3,
-        };
-        for &c in &victims[..cut] {
+        for &c in &victims[..victims.len() / 2] {
             self.remove_long(c);
             self.stats.clauses_deleted += 1;
         }
@@ -1190,7 +1170,7 @@ impl Solver {
     /// is implied by it.
     fn simplify(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
-        if !self.cfg.inprocessing || !self.ok {
+        if !self.ok {
             return;
         }
         if self.trail.len() > self.simplified_trail {
@@ -1490,33 +1470,12 @@ impl Solver {
         if self.wasted > 1024 && self.wasted * 2 >= self.arena.data.len() {
             return true;
         }
-        if !self.cfg.inprocessing {
-            return false;
-        }
         // Root-trail growth (new top-level units) or enough new learnts
         // for a subsumption pass — the same gates `simplify` applies.
         let root_trail = self.trail_lim.first().copied().unwrap_or(self.trail.len());
         let min_new = SUBSUME_MIN_NEW.max(self.learnt_refs.len() as u64 / 8);
         root_trail > self.simplified_trail
             || self.stats.lbd_count >= self.last_subsume_count + min_new
-    }
-
-    fn luby(i: u64) -> u64 {
-        let mut size = 1u64;
-        let mut seq = 0u32;
-        while size < i + 1 {
-            seq += 1;
-            size = 2 * size + 1;
-        }
-        let mut x = i;
-        let mut sz = size;
-        let mut sq = seq;
-        while sz - 1 != x {
-            sz = (sz - 1) / 2;
-            sq -= 1;
-            x %= sz;
-        }
-        1u64 << sq
     }
 
     /// Solves the current formula.
@@ -1549,7 +1508,7 @@ impl Solver {
         // Root-only maintenance forces a full unwind, as does any clause
         // addition the retained trail could not absorb (`add_clause`).
         let mut keep = 0u32;
-        if self.cfg.retain_trail && !self.root_work_due() {
+        if !self.root_work_due() {
             let max = (self.decision_level() as usize)
                 .min(self.retained.len())
                 .min(assumptions.len());
@@ -1574,8 +1533,6 @@ impl Solver {
         }
         let budget_start = self.stats.conflicts;
         let mut conflicts_since_restart = 0u64;
-        let mut restart_threshold = LUBY_RESTART_BASE * Self::luby(self.stats.restarts);
-        let mut lazy_limit = (self.num_original as u64 / 3).max(2000);
 
         let result = loop {
             if let Some(confl) = self.propagate() {
@@ -1627,8 +1584,7 @@ impl Solver {
                 self.ema_fast += EMA_FAST * (l - self.ema_fast);
                 self.ema_slow += EMA_SLOW * (l - self.ema_slow);
                 self.ema_trail += EMA_TRAIL * (trail_at_conflict as f64 - self.ema_trail);
-                if self.cfg.restart == RestartMode::Glucose
-                    && self.stats.conflicts >= BLOCK_MIN_CONFLICTS
+                if self.stats.conflicts >= BLOCK_MIN_CONFLICTS
                     && conflicts_since_restart >= GLUCOSE_MIN_INTERVAL
                     && self.ema_fast > RESTART_MARGIN * self.ema_slow
                     && trail_at_conflict as f64 > BLOCK_MARGIN * self.ema_trail
@@ -1667,42 +1623,20 @@ impl Solver {
             } else {
                 // No conflict: maybe restart / reduce, then extend the
                 // assignment.
-                let restart_due = match self.cfg.restart {
-                    RestartMode::Luby => conflicts_since_restart >= restart_threshold,
-                    RestartMode::Glucose => {
-                        conflicts_since_restart >= GLUCOSE_MIN_INTERVAL
-                            && self.ema_fast > RESTART_MARGIN * self.ema_slow
-                    }
-                };
-                if restart_due {
+                if conflicts_since_restart >= GLUCOSE_MIN_INTERVAL
+                    && self.ema_fast > RESTART_MARGIN * self.ema_slow
+                {
                     self.stats.restarts += 1;
                     conflicts_since_restart = 0;
-                    match self.cfg.restart {
-                        RestartMode::Luby => {
-                            restart_threshold = LUBY_RESTART_BASE * Self::luby(self.stats.restarts);
-                        }
-                        RestartMode::Glucose => self.ema_fast = self.ema_slow,
-                    }
+                    self.ema_fast = self.ema_slow;
                     self.restart_backtrack(assumptions.len() as u32);
                     continue;
                 }
-                let reduce_due = !self.learnt_refs.is_empty()
-                    && match self.cfg.reduce {
-                        ReduceStrategy::Aggressive => self.stats.conflicts >= self.next_reduce,
-                        ReduceStrategy::Lazy => {
-                            self.learnt_refs.len() as u64 > lazy_limit + self.trail.len() as u64
-                        }
-                    };
-                if reduce_due {
+                if !self.learnt_refs.is_empty() && self.stats.conflicts >= self.next_reduce {
                     self.reduce_db();
-                    match self.cfg.reduce {
-                        ReduceStrategy::Aggressive => {
-                            self.reduces += 1;
-                            self.next_reduce =
-                                self.stats.conflicts + REDUCE_BASE + REDUCE_INC * self.reduces;
-                        }
-                        ReduceStrategy::Lazy => lazy_limit += lazy_limit / 2,
-                    }
+                    self.reduces += 1;
+                    self.next_reduce =
+                        self.stats.conflicts + REDUCE_BASE + REDUCE_INC * self.reduces;
                 }
                 // Assumption cursor: decision level k asserts assumption k.
                 let dl = self.decision_level() as usize;
@@ -1727,7 +1661,7 @@ impl Solver {
         // Keep the asserted assumption levels standing for the next
         // query; drop search decisions above them. The next solve (or a
         // clause addition) unwinds whatever it cannot reuse.
-        let keep = if self.cfg.retain_trail && self.ok {
+        let keep = if self.ok {
             self.decision_level().min(assumptions.len() as u32)
         } else {
             0
@@ -1847,44 +1781,37 @@ mod tests {
     #[test]
     fn trail_retention_reuses_shared_prefixes() {
         // An implication-chain formula queried under a fixed assumption
-        // prefix with a varying last literal: the retaining solver must
-        // reuse the prefix levels (observable in the stats) and agree
-        // with a non-retaining twin on every verdict.
-        let mut on = Solver::new();
-        let mut off = Solver::with_config(SolverConfig {
-            retain_trail: false,
-            ..SolverConfig::new()
-        });
-        let v_on = lits(&mut on, 40);
-        let v_off = lits(&mut off, 40);
-        let build = |s: &mut Solver, v: &[Var]| {
+        // prefix with a varying last literal: the solver must reuse the
+        // prefix levels (observable in the stats) and agree on every
+        // verdict with a fresh solver holding the same clauses.
+        let build = |s: &mut Solver| {
+            let v = lits(s, 40);
             for w in v.windows(2) {
                 s.add_clause(&[Lit::neg(w[0]), Lit::pos(w[1])]);
             }
             // The chain makes v39 true whenever v0 is, so this clause
             // just forces !v0 whenever v39 holds.
             s.add_clause(&[Lit::neg(v[39]), Lit::neg(v[0])]);
+            v
         };
-        build(&mut on, &v_on);
-        build(&mut off, &v_off);
-        let prefix_on: Vec<Lit> = (5..15).map(|i| Lit::pos(v_on[i])).collect();
-        let prefix_off: Vec<Lit> = (5..15).map(|i| Lit::pos(v_off[i])).collect();
-        for i in 15..40 {
+        let mut s = Solver::new();
+        let v = build(&mut s);
+        let prefix: Vec<Lit> = (5..15).map(|i| Lit::pos(v[i])).collect();
+        for (i, &last) in v.iter().enumerate().skip(15) {
             for pos in [true, false] {
-                let mut a_on = prefix_on.clone();
-                a_on.push(Lit::new(v_on[i], pos));
-                let mut a_off = prefix_off.clone();
-                a_off.push(Lit::new(v_off[i], pos));
+                let mut a = prefix.clone();
+                a.push(Lit::new(last, pos));
+                let mut fresh = Solver::new();
+                build(&mut fresh);
                 assert_eq!(
-                    on.solve_assuming(&a_on).is_sat(),
-                    off.solve_assuming(&a_off).is_sat(),
+                    s.solve_assuming(&a),
+                    fresh.solve_assuming(&a),
                     "query {i} pos={pos}"
                 );
             }
         }
-        assert!(on.stats().trail_reuses > 0, "retention never fired");
-        assert!(on.stats().reused_levels >= on.stats().trail_reuses);
-        assert_eq!(off.stats().trail_reuses, 0);
+        assert!(s.stats().trail_reuses > 0, "retention never fired");
+        assert!(s.stats().reused_levels >= s.stats().trail_reuses);
     }
 
     #[test]
@@ -2078,24 +2005,20 @@ mod tests {
     }
 
     #[test]
-    fn all_knob_combinations_agree() {
-        for cfg in SolverConfig::all_combinations() {
-            let mut s = Solver::with_config(cfg);
-            pigeonhole(&mut s, 6, 5);
-            assert!(s.solve().is_unsat(), "unsat under {}", cfg.label());
+    fn pigeonhole_is_unsat_and_random_3sat_has_a_valid_model() {
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 6, 5);
+        assert!(s.solve().is_unsat());
 
-            let mut s = Solver::with_config(cfg);
-            let v = lits(&mut s, 30);
-            let cls = random_3sat(&mut s, &v, 90, 0xdeadbeef);
-            let r = s.solve();
-            assert!(r.is_sat(), "sat under {}", cfg.label());
-            for c in &cls {
-                assert!(
-                    c.iter().any(|&l| s.lit_model(l) == Some(true)),
-                    "model violates clause under {}",
-                    cfg.label()
-                );
-            }
+        let mut s = Solver::new();
+        let v = lits(&mut s, 30);
+        let cls = random_3sat(&mut s, &v, 90, 0xdeadbeef);
+        assert!(s.solve().is_sat());
+        for c in &cls {
+            assert!(
+                c.iter().any(|&l| s.lit_model(l) == Some(true)),
+                "model violates clause"
+            );
         }
     }
 
@@ -2128,32 +2051,40 @@ mod tests {
     }
 
     #[test]
-    fn incremental_queries_agree_with_and_without_inprocessing() {
-        // The same sequence of assumption queries, with units added
-        // between queries to feed root-level simplification, must give
-        // identical verdicts whether inprocessing is on or off.
-        let mut verdicts: Vec<Vec<SolveResult>> = Vec::new();
-        for inprocessing in [false, true] {
-            let cfg = SolverConfig {
-                inprocessing,
-                ..SolverConfig::new()
-            };
-            let mut s = Solver::with_config(cfg);
-            let v = lits(&mut s, 40);
-            random_3sat(&mut s, &v, 130, 0xabcdef01);
-            let mut seq = Vec::new();
-            for q in 0..10usize {
-                let a = Lit::new(v[q * 3], q % 2 == 0);
-                let b = Lit::new(v[q * 3 + 1], q % 3 == 0);
-                seq.push(s.solve_assuming(&[a, b]));
-                // Feed a level-0 fact between queries.
-                if q == 4 {
-                    s.add_clause(&[Lit::pos(v[39])]);
+    fn inprocessed_queries_agree_with_fresh_solvers() {
+        // A sequence of assumption queries on one solver, with a unit
+        // added midway to feed root-level simplification, must give each
+        // query the verdict of a fresh solver holding the same clauses,
+        // and every Sat model must satisfy all of them.
+        let mut s = Solver::new();
+        let v = lits(&mut s, 40);
+        let mut cls = random_3sat(&mut s, &v, 130, 0xabcdef01);
+        for q in 0..10usize {
+            let a = [
+                Lit::new(v[q * 3], q % 2 == 0),
+                Lit::new(v[q * 3 + 1], q % 3 == 0),
+            ];
+            let mut fresh = Solver::new();
+            lits(&mut fresh, 40);
+            for c in &cls {
+                fresh.add_clause(c);
+            }
+            let r = s.solve_assuming(&a);
+            assert_eq!(r, fresh.solve_assuming(&a), "query {q}");
+            if r.is_sat() {
+                for c in &cls {
+                    assert!(
+                        c.iter().any(|&l| s.lit_model(l) == Some(true)),
+                        "query {q}: model violates clause"
+                    );
                 }
             }
-            verdicts.push(seq);
+            // Feed a level-0 fact between queries.
+            if q == 4 {
+                s.add_clause(&[Lit::pos(v[39])]);
+                cls.push(vec![Lit::pos(v[39])]);
+            }
         }
-        assert_eq!(verdicts[0], verdicts[1]);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Regression corpus: every DIMACS file under `tests/corpus/` encodes its
 //! brute-force-verified status in its filename (`*-sat.cnf` /
-//! `*-unsat.cnf`). The solver must reproduce that status under every
-//! heuristic knob combination, and every Sat verdict must come with a
-//! model that satisfies the formula.
+//! `*-unsat.cnf`). The solver must reproduce that status, and every Sat
+//! verdict must come with a model that satisfies the formula.
 
-use sat::{dimacs, SolveResult, Solver, SolverConfig};
+use sat::{dimacs, SolveResult, Solver};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -41,37 +40,30 @@ fn corpus_files() -> Vec<(PathBuf, bool)> {
 }
 
 #[test]
-fn corpus_verdicts_match_filenames_under_every_config() {
+fn corpus_verdicts_match_filenames() {
     for (path, expect_sat) in corpus_files() {
         let text = std::fs::read_to_string(&path).expect("corpus file reads");
         let cnf = dimacs::parse_dimacs(&text).expect("corpus file parses");
-        for cfg in SolverConfig::all_combinations() {
-            let mut s = Solver::with_config(cfg);
-            let vars: Vec<_> = (0..cnf.num_vars).map(|_| s.new_var()).collect();
-            for c in &cnf.clauses {
-                s.add_clause(c);
-            }
-            let r = s.solve();
-            let expected = if expect_sat {
-                SolveResult::Sat
-            } else {
-                SolveResult::Unsat
-            };
-            assert_eq!(r, expected, "{} under {}", path.display(), cfg.label());
-            if r.is_sat() {
-                let ok = cnf.clauses.iter().all(|c| {
-                    c.iter()
-                        .any(|l| s.value(l.var()).is_some_and(|v| v == l.is_pos()))
-                });
-                assert!(
-                    ok,
-                    "{} under {}: model does not satisfy the formula",
-                    path.display(),
-                    cfg.label()
-                );
-                // Models must cover every variable of the file.
-                assert!(vars.iter().all(|&v| s.value(v).is_some()));
-            }
+        let mut s = Solver::new();
+        let vars: Vec<_> = (0..cnf.num_vars).map(|_| s.new_var()).collect();
+        for c in &cnf.clauses {
+            s.add_clause(c);
+        }
+        let r = s.solve();
+        let expected = if expect_sat {
+            SolveResult::Sat
+        } else {
+            SolveResult::Unsat
+        };
+        assert_eq!(r, expected, "{}", path.display());
+        if r.is_sat() {
+            let ok = cnf.clauses.iter().all(|c| {
+                c.iter()
+                    .any(|l| s.value(l.var()).is_some_and(|v| v == l.is_pos()))
+            });
+            assert!(ok, "{}: model does not satisfy the formula", path.display());
+            // Models must cover every variable of the file.
+            assert!(vars.iter().all(|&v| s.value(v).is_some()));
         }
     }
 }

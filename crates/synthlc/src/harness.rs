@@ -96,7 +96,8 @@ pub struct LeakHarness {
     /// The transmitter tracker (same monitors as `ip` when intrinsic).
     pub it: Tracked,
     /// Base assumes that hold for every query (slot opcode binding is *not*
-    /// included — see [`LeakHarness::opcode_assume`]).
+    /// included — see [`LeakHarness::p_opcode_assume`] and
+    /// [`LeakHarness::t_opcode_assume`]).
     pub base_assumes: Vec<SignalId>,
     /// Assume: `taint_flush` is held at zero (Assumptions 1/2).
     pub flush_zero: SignalId,

@@ -576,10 +576,8 @@ pub fn synthesize_leakage(
         by_slots.into_iter().collect()
     };
     let p_opcodes: Vec<Opcode> = work.iter().map(|w| w.p).collect();
-    let harnesses: Vec<Arc<LeakHarness>> = mc::run_jobs(
-        pairings.iter().map(|(s, _)| *s).collect(),
-        threads,
-        |_, (slot_p, slot_t)| {
+    let harnesses: Vec<Arc<LeakHarness>> =
+        mc::run_jobs(&pairings, threads, |_, &((slot_p, slot_t), _)| {
             Arc::new(build_leak_harness(
                 design,
                 &LeakHarnessConfig {
@@ -590,8 +588,7 @@ pub fn synthesize_leakage(
                     no_cf_context: true,
                 },
             ))
-        },
-    );
+        });
 
     // Phase 2b: one merged decision-cover netlist per arrangement, holding
     // *every* transponder's covers side by side. All of a pairing's units
@@ -614,10 +611,10 @@ pub fn synthesize_leakage(
     let free = design.annotations.arch_state();
     let cover_nets: Vec<CoverNet> = {
         let free = &free;
-        mc::run_jobs((0..pairings.len()).collect(), threads, |_, pi| {
+        mc::run_jobs(&harnesses, threads, |_, harness| {
             let works: Vec<&[Decision]> = work.iter().map(|w| w.decisions.as_slice()).collect();
-            let (netlist, covers) = harnesses[pi].decision_covers_multi(&works);
-            let assume_universe = harnesses[pi].assume_signal_universe();
+            let (netlist, covers) = harness.decision_covers_multi(&works);
+            let assume_universe = harness.assume_signal_universe();
             let mut targets: Vec<netlist::SignalId> = covers.iter().flatten().copied().collect();
             targets.extend(assume_universe.iter().copied());
             let unit_fps: Vec<mc::ConeFingerprint> = covers

@@ -185,5 +185,5 @@ pub fn lint_design(design: &Design) -> netlist::lint::LintReport {
             ("issue_fire".to_owned(), design.issue_fire),
         ],
     };
-    netlist::lint::Linter::new().run(&cx)
+    netlist::lint::run(&cx)
 }

@@ -39,9 +39,8 @@
 //! 1 = errors.
 //!
 //! `fuzz` options: --seed S --cases N --max-cells N --bound N
-//! --deadline-secs N --knob-sweep (sweep every solver heuristic
-//! configuration inside the SAT oracle) --oracles a,b,c (restrict to a
-//! subset of: sat, bmc, induction, reductions, ift, text). The report (JSON,
+//! --deadline-secs N --oracles a,b,c (restrict to a subset of: sat, bmc,
+//! induction, reductions, ift, text, incremental, cone). The report (JSON,
 //! byte-deterministic per seed) goes to stdout. Exit codes: 0 = all
 //! oracles agreed; 1 = cross-engine mismatch (minimized repros are in the
 //! report); 2 = deadline truncated the run before any mismatch was found.
@@ -502,7 +501,6 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
                     secs,
                 ))));
             }
-            "--knob-sweep" => cfg.knob_sweep = true,
             "--oracles" => {
                 cfg.oracles = val("--oracles")?
                     .split(',')
@@ -923,7 +921,7 @@ fn run() -> Result<ExitCode, String> {
                  synthlc-cli check <file.nl> [--deny-warnings] [--diag-json] [--emit]\n  \
                  synthlc-cli pls <design> [opts]\n  \
                  synthlc-cli paths <design> <instr> [opts]\n  synthlc-cli leak <design> <instr> [opts]\n  \
-                 synthlc-cli fuzz [--seed S] [--cases N] [--max-cells N] [--bound N] [--deadline-secs N] [--knob-sweep] [--oracles a,b]\n  \
+                 synthlc-cli fuzz [--seed S] [--cases N] [--max-cells N] [--bound N] [--deadline-secs N] [--oracles a,b]\n  \
                  synthlc-cli sat <file.cnf>... [--incremental] [--stats] [--budget N]  (exit 10 SAT / 20 UNSAT / 0 unknown)\n  \
                  synthlc-cli serve [--port P] [--workers N] [--queue-cap N] [--retries N]\n      \
                  [--deadline-secs N] [--fault-rate F] [--backoff-ms N] [--client-budget N]\n      \
