@@ -238,7 +238,6 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let opts = OracleOpts {
         bound: cfg.bound,
         seeded_bug: cfg.seeded_bug,
-        ..Default::default()
     };
     let genome = |case: u64| sample_genome(&mut Rng::new(case_seed(cfg.seed, case)), &cfg.gen);
     let threads = if cfg.threads == 0 {

@@ -83,32 +83,22 @@ impl OracleKind {
     }
 }
 
-/// Per-case resource knobs. Defaults keep a case well under a millisecond
-/// on typical generated sizes while skipping (not hanging on) outliers.
+/// Reference-DPLL clause-scan cap before a case is skipped. With the
+/// brute-force cap below, keeps a case well under a millisecond on typical
+/// generated sizes while skipping (not hanging on) outliers.
+const DPLL_STEP_CAP: u64 = 2_000_000;
+/// Brute-force (state, input) expansion cap before a case is skipped.
+const BRUTE_CAP: u64 = 300_000;
+/// Cycles simulated by the IFT low-equivalence runs.
+const IFT_CYCLES: usize = 8;
+
+/// Per-case knobs.
 #[derive(Clone, Debug)]
 pub struct OracleOpts {
     /// BMC bound (frames `0..bound` are checked).
     pub bound: usize,
-    /// Reference-DPLL clause-scan cap before the case is skipped.
-    pub dpll_step_cap: u64,
-    /// Brute-force (state, input) expansion cap before the case is skipped.
-    pub brute_cap: u64,
-    /// Cycles simulated by the IFT low-equivalence runs.
-    pub ift_cycles: usize,
     /// A deliberately planted engine defect (tests only).
     pub seeded_bug: Option<SeededBug>,
-}
-
-impl Default for OracleOpts {
-    fn default() -> Self {
-        Self {
-            bound: 4,
-            dpll_step_cap: 2_000_000,
-            brute_cap: 300_000,
-            ift_cycles: 8,
-            seeded_bug: None,
-        }
-    }
 }
 
 /// Outcome of running one oracle over one design.
@@ -145,7 +135,7 @@ pub fn run_oracle(kind: OracleKind, d: &BuiltDesign, opts: &OracleOpts) -> CaseR
         OracleKind::Bmc => oracle_bmc(d, opts),
         OracleKind::Induction => oracle_induction(d, opts),
         OracleKind::Reductions => oracle_reductions(d, opts),
-        OracleKind::Ift => oracle_ift(d, opts),
+        OracleKind::Ift => oracle_ift(d),
         OracleKind::Text => oracle_text(d),
         OracleKind::Incremental => oracle_incremental(d, opts),
         OracleKind::Cone => oracle_cone(d, opts),
@@ -323,7 +313,7 @@ fn oracle_sat(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
     // Nothing below needs the unrolling; free it before DPLL runs.
     drop(u);
     let bug = opts.seeded_bug == Some(SeededBug::DpllBadSat);
-    let Some(reference) = dpll::solve(num_vars, &clauses, opts.dpll_step_cap, bug) else {
+    let Some(reference) = dpll::solve(num_vars, &clauses, DPLL_STEP_CAP, bug) else {
         return CaseResult::Skipped("dpll-cap");
     };
     let detail = format!("{num_vars} vars, {} clauses", clauses.len());
@@ -385,7 +375,7 @@ fn oracle_bmc(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         }
         Outcome::Undetermined(_) => return CaseResult::Skipped("undetermined"),
     };
-    match brute_reach(&d.netlist, d.cover, opts.bound, opts.brute_cap) {
+    match brute_reach(&d.netlist, d.cover, opts.bound, BRUTE_CAP) {
         None => CaseResult::Skipped("brute-cap"),
         Some(Some(t)) => CaseResult::Mismatch {
             expected: format!("reachable@{t}"),
@@ -420,17 +410,15 @@ fn oracle_induction(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
                 detail: why,
             },
         },
-        Outcome::Unreachable => {
-            match brute_reach(&d.netlist, d.cover, usize::MAX, opts.brute_cap) {
-                None => CaseResult::Skipped("brute-cap"),
-                Some(Some(t)) => CaseResult::Mismatch {
-                    expected: format!("reachable@{t}"),
-                    actual: "unreachable(induction)".into(),
-                    detail: format!("fixpoint enumeration fires the cover at frame {t}"),
-                },
-                Some(None) => CaseResult::Agree("unreachable(induction)".into()),
-            }
-        }
+        Outcome::Unreachable => match brute_reach(&d.netlist, d.cover, usize::MAX, BRUTE_CAP) {
+            None => CaseResult::Skipped("brute-cap"),
+            Some(Some(t)) => CaseResult::Mismatch {
+                expected: format!("reachable@{t}"),
+                actual: "unreachable(induction)".into(),
+                detail: format!("fixpoint enumeration fires the cover at frame {t}"),
+            },
+            Some(None) => CaseResult::Agree("unreachable(induction)".into()),
+        },
         Outcome::Undetermined(_) => CaseResult::Skipped("induction-failed"),
     }
 }
@@ -446,7 +434,7 @@ fn oracle_reductions(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         try_induction: false,
         ..Default::default()
     };
-    let legs = run_reduction_legs(d, cfg, opts);
+    let legs = run_reduction_legs(d, cfg);
     let (baseline, _) = &legs[0];
     for (verdict, name) in &legs[1..] {
         if verdict != baseline {
@@ -463,25 +451,25 @@ fn oracle_reductions(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
 /// Runs the four reduction legs, returning `(verdict-line, leg-name)`
 /// pairs; a failed witness replay is folded into the verdict line so it
 /// can never be mistaken for agreement.
-fn run_reduction_legs(
-    d: &BuiltDesign,
-    cfg: McConfig,
-    _opts: &OracleOpts,
-) -> Vec<(String, &'static str)> {
+fn run_reduction_legs(d: &BuiltDesign, cfg: McConfig) -> Vec<(String, &'static str)> {
     let mut legs: Vec<(String, &'static str)> = Vec::new();
     // Leg 0: plain checker (the baseline), queried twice — the second
     // query exercises the cover-activation cache.
     let mut plain = Checker::new(&d.netlist, cfg);
     let first = plain.check_cover(d.cover, &[]);
-    legs.push((leg_verdict(d, &first, None), "plain"));
+    legs.push((replayed_verdict(&d.netlist, d.cover, &first, None), "plain"));
     let second = plain.check_cover(d.cover, &[]);
-    legs.push((leg_verdict(d, &second, None), "cached-requery"));
+    legs.push((
+        replayed_verdict(&d.netlist, d.cover, &second, None),
+        "cached-requery",
+    ));
     // Leg 2: cone-of-influence slice.
     let elab = Arc::new(mc::Elab::new(&d.netlist));
     let coi = Arc::new(CoiSlice::compute(&d.netlist, &[d.cover]));
     let mut sliced = Checker::with_coi(&d.netlist, cfg, &[], elab, Some(Arc::clone(&coi)));
     let sliced_out = sliced.check_cover(d.cover, &[]);
-    legs.push((leg_verdict(d, &sliced_out, Some(&coi)), "coi"));
+    let verdict = replayed_verdict(&d.netlist, d.cover, &sliced_out, Some(&coi));
+    legs.push((verdict, "coi"));
     // Leg 3: static prune — when the cover's cone contains no input and no
     // register, its reset-time simulated value decides the query without
     // any solver call.
@@ -507,12 +495,18 @@ fn run_reduction_legs(
     legs
 }
 
-/// Canonical per-leg verdict: `Reachable` legs must replay (the frame is
-/// folded out of the line so legs with different-but-valid witnesses
-/// still compare equal).
-fn leg_verdict(d: &BuiltDesign, outcome: &Outcome, coi: Option<&CoiSlice>) -> String {
+/// Canonical verdict of `cover`'s query on `nl`: a `Reachable` witness
+/// must replay (in-cone only when `coi` is given), and its firing frame is
+/// folded out so queries with different-but-valid witnesses still compare
+/// equal.
+fn replayed_verdict(
+    nl: &Netlist,
+    cover: SignalId,
+    outcome: &Outcome,
+    coi: Option<&CoiSlice>,
+) -> String {
     match outcome {
-        Outcome::Reachable(trace) => match replay_witness(&d.netlist, trace, d.cover, coi) {
+        Outcome::Reachable(trace) => match replay_witness(nl, trace, cover, coi) {
             Ok(_) => "reachable".to_string(),
             Err(why) => format!("reachable(bad-witness: {why})"),
         },
@@ -520,11 +514,26 @@ fn leg_verdict(d: &BuiltDesign, outcome: &Outcome, coi: Option<&CoiSlice>) -> St
     }
 }
 
+/// The cover fleet of the incremental and cone oracles: the design's cover
+/// plus up to seven other 1-bit signals, in id order.
+fn cover_fleet(d: &BuiltDesign) -> Vec<SignalId> {
+    let mut fleet: Vec<SignalId> = vec![d.cover];
+    for (id, _) in d.netlist.iter() {
+        if fleet.len() >= 8 {
+            break;
+        }
+        if id != d.cover && d.netlist.width(id) == 1 {
+            fleet.push(id);
+        }
+    }
+    fleet
+}
+
 /// (e) IFT soundness: any signal whose value differs between two runs
 /// that disagree only in the taint source's initial value must carry
 /// taint, and no signal outside the static forward closure may ever
 /// carry taint.
-fn oracle_ift(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
+fn oracle_ift(d: &BuiltDesign) -> CaseResult {
     let regs = d.netlist.regs();
     let Some(&src) = regs.first() else {
         return CaseResult::Skipped("no-register");
@@ -545,7 +554,7 @@ fn oracle_ift(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
     // Deterministic per-case input script.
     let inputs = d.netlist.inputs();
     let mut script_rng = prng::Rng::new(0x1f7_0000 ^ d.netlist.len() as u64);
-    let script: Vec<Vec<(SignalId, u64)>> = (0..opts.ift_cycles)
+    let script: Vec<Vec<(SignalId, u64)>> = (0..IFT_CYCLES)
         .map(|_| {
             inputs
                 .iter()
@@ -577,7 +586,7 @@ fn oracle_ift(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
     let mut ts = Simulator::new(&inst.netlist);
     ts.poke_reg(src, val_a);
     ts.set_input(inst.flush_input, 0);
-    let mut taint_rows: Vec<Vec<u64>> = Vec::with_capacity(opts.ift_cycles);
+    let mut taint_rows: Vec<Vec<u64>> = Vec::with_capacity(IFT_CYCLES);
     for (t, frame) in script.iter().enumerate() {
         ts.set_input(en, u64::from(t == 0));
         for &(i, v) in frame {
@@ -591,7 +600,7 @@ fn oracle_ift(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         );
         ts.step();
     }
-    for t in 0..opts.ift_cycles {
+    for t in 0..IFT_CYCLES {
         for (ix, (id, _)) in d.netlist.iter().enumerate() {
             let differs = rows_a[t][ix] != rows_b[t][ix];
             let tainted = taint_rows[t][ix] != 0;
@@ -633,15 +642,7 @@ fn oracle_ift(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
 /// replayable witness, and the pooled context must actually have been
 /// reused rather than silently rebuilt.
 fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
-    let mut fleet: Vec<SignalId> = vec![d.cover];
-    for (id, _) in d.netlist.iter() {
-        if fleet.len() >= 8 {
-            break;
-        }
-        if id != d.cover && d.netlist.width(id) == 1 {
-            fleet.push(id);
-        }
-    }
+    let fleet = cover_fleet(d);
     let cfg = |bound| McConfig {
         bound,
         bound_is_complete: true,
@@ -656,7 +657,7 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         .iter()
         .map(|&c| {
             let mut chk = checker(opts.bound);
-            incremental_verdict(d, c, &chk.check_cover(c, &[]))
+            replayed_verdict(&d.netlist, c, &chk.check_cover(c, &[]), None)
         })
         .collect();
     // Pooled leg: one persistent context answers the whole fleet at the
@@ -676,7 +677,7 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
             ctx.begin_batch();
             ctx.ensure_bound(opts.bound);
             reused &= ctx.stats().ctx_reused > 0;
-            incremental_verdict(d, c, &ctx.check_cover(c, &[]))
+            replayed_verdict(&d.netlist, c, &ctx.check_cover(c, &[]), None)
         })
         .collect();
     for ((&c, fresh_v), pooled_v) in fleet.iter().zip(&fresh).zip(&pooled) {
@@ -714,15 +715,7 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
 /// the cone is bit-for-bit unchanged, so the pre-edit witness is still a
 /// witness.
 fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
-    let mut fleet: Vec<SignalId> = vec![d.cover];
-    for (id, _) in d.netlist.iter() {
-        if fleet.len() >= 8 {
-            break;
-        }
-        if id != d.cover && d.netlist.width(id) == 1 {
-            fleet.push(id);
-        }
-    }
+    let fleet = cover_fleet(d);
     let cfg = McConfig {
         bound: opts.bound,
         bound_is_complete: true,
@@ -784,11 +777,11 @@ fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
             None => {
                 misses += 1;
                 let mut chk = Checker::with_elab(&edited, cfg, &[], Arc::clone(&edited_elab));
-                incremental_verdict_on(&edited, c, &chk.check_cover(c, &[]))
+                replayed_verdict(&edited, c, &chk.check_cover(c, &[]), None)
             }
         };
         let mut fresh_chk = Checker::with_elab(&edited, cfg, &[], Arc::clone(&edited_elab));
-        let fresh = incremental_verdict_on(&edited, c, &fresh_chk.check_cover(c, &[]));
+        let fresh = replayed_verdict(&edited, c, &fresh_chk.check_cover(c, &[]), None);
         if warm != fresh {
             return CaseResult::Mismatch {
                 expected: format!("fresh:{fresh}"),
@@ -941,23 +934,4 @@ fn random_inplace_edit(nl: &Netlist, rng: &mut prng::Rng) -> Option<Netlist> {
         }
     }
     None
-}
-
-/// Canonical fleet-member verdict: `Reachable` must replay (the firing
-/// frame is folded out so a shallow-then-deep context with a different
-/// but valid witness still compares equal).
-fn incremental_verdict(d: &BuiltDesign, cover: SignalId, outcome: &Outcome) -> String {
-    incremental_verdict_on(&d.netlist, cover, outcome)
-}
-
-/// [`incremental_verdict`] generalized to any netlist (the cone oracle
-/// verifies the *edited* design, not the built one).
-fn incremental_verdict_on(nl: &Netlist, cover: SignalId, outcome: &Outcome) -> String {
-    match outcome {
-        Outcome::Reachable(trace) => match replay_witness(nl, trace, cover, None) {
-            Ok(_) => "reachable".to_string(),
-            Err(why) => format!("reachable(bad-witness: {why})"),
-        },
-        _ => outcome_label(outcome),
-    }
 }

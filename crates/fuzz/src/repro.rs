@@ -176,7 +176,6 @@ impl Repro {
         let opts = OracleOpts {
             bound: self.bound as usize,
             seeded_bug,
-            ..Default::default()
         };
         run_oracle(self.oracle, &build(&self.genome), &opts)
     }

@@ -14,7 +14,7 @@
 //! to Boolean-outcome queries (reachability/tagging), never to the
 //! trace-enumerating µPATH shape loop. See `DESIGN.md` §7.
 
-use netlist::{Netlist, Op, SignalId};
+use netlist::{Netlist, SignalId};
 
 /// The canonical fingerprint of a property's sliced cone: an FNV-1a hash
 /// of the cone's canonical form (deterministic topological renumbering
@@ -45,7 +45,8 @@ impl std::fmt::Display for ConeFingerprint {
 /// A cone-of-influence slice: which nodes to keep, plus size accounting.
 #[derive(Clone, Debug)]
 pub struct CoiSlice {
-    keep: Vec<bool>,
+    /// Each node's canonical id in the cone, `None` outside it.
+    keep: Vec<Option<u32>>,
     /// Nodes kept by the slice.
     pub kept_nodes: usize,
     /// Total nodes in the netlist.
@@ -54,11 +55,6 @@ pub struct CoiSlice {
     pub kept_bits: u64,
     /// Total signal bits in the netlist.
     pub total_bits: u64,
-    /// The canonical fingerprint of the sliced cone (structural only:
-    /// computed with an empty free set — callers whose verdicts depend
-    /// on symbolic initial state should key on
-    /// [`ConeFingerprint::compute`] with their free registers instead).
-    pub fingerprint: ConeFingerprint,
 }
 
 impl CoiSlice {
@@ -69,42 +65,21 @@ impl CoiSlice {
     /// outside the cone, so `Unrolling::lits` returns an empty slice for it
     /// and `Unrolling::lit` panics naming it.
     pub fn compute(nl: &Netlist, targets: &[SignalId]) -> Self {
-        let mut keep = vec![false; nl.len()];
-        let mut stack: Vec<SignalId> = targets.to_vec();
-        while let Some(s) = stack.pop() {
-            if std::mem::replace(&mut keep[s.index()], true) {
-                continue;
-            }
-            let node = nl.node(s);
-            stack.extend(node.op.comb_fanin());
-            if let Op::Reg { next: Some(nx), .. } = node.op {
-                stack.push(nx);
-            }
-        }
-        let mut kept_nodes = 0;
-        let mut kept_bits = 0u64;
-        let mut total_bits = 0u64;
-        for (id, node) in nl.iter() {
-            total_bits += node.width as u64;
-            if keep[id.index()] {
-                kept_nodes += 1;
-                kept_bits += node.width as u64;
-            }
-        }
+        let (keep, order) = netlist::cone::canonical_order(nl, targets);
+        let width = |&s: &SignalId| nl.width(s) as u64;
         Self {
             keep,
-            kept_nodes,
+            kept_nodes: order.len(),
             total_nodes: nl.len(),
-            kept_bits,
-            total_bits,
-            fingerprint: ConeFingerprint::compute(nl, targets, &[]),
+            kept_bits: order.iter().map(width).sum(),
+            total_bits: nl.iter().map(|(_, n)| n.width as u64).sum(),
         }
     }
 
     /// Whether the slice keeps `id`.
     #[inline]
     pub fn keeps(&self, id: SignalId) -> bool {
-        self.keep[id.index()]
+        self.keep[id.index()].is_some()
     }
 }
 
@@ -166,21 +141,20 @@ mod tests {
     }
 
     #[test]
-    fn slice_exposes_the_canonical_cone_fingerprint() {
+    fn cone_fingerprint_is_canonical_and_keys_on_frees() {
         let nl = two_counters();
         let a5 = nl.find("a_at5").unwrap();
         let b5 = nl.find("b_at5").unwrap();
-        let ca = CoiSlice::compute(&nl, &[a5]);
-        let cb = CoiSlice::compute(&nl, &[b5]);
+        let fa = ConeFingerprint::compute(&nl, &[a5], &[]);
         // The two counters are structurally identical modulo names, so
         // their cones canonicalize to the same fingerprint.
-        assert_eq!(ca.fingerprint, cb.fingerprint);
-        assert_eq!(ca.fingerprint, ConeFingerprint::compute(&nl, &[a5], &[]));
+        assert_eq!(fa, ConeFingerprint::compute(&nl, &[b5], &[]));
+        assert_eq!(fa.0, netlist::cone::fingerprint(&nl, &[a5], &[]));
         // Free registers are part of the key.
         let a = nl.find("a").unwrap();
-        assert_ne!(ca.fingerprint, ConeFingerprint::compute(&nl, &[a5], &[a]));
+        assert_ne!(fa, ConeFingerprint::compute(&nl, &[a5], &[a]));
         // Display is the fixed-width hex used in cache keys.
-        assert_eq!(ca.fingerprint.to_string().len(), 16);
+        assert_eq!(fa.to_string().len(), 16);
     }
 
     #[test]

@@ -145,9 +145,8 @@ impl<'a> Unrolling<'a> {
         if ls.is_empty() {
             let coi = self.coi.as_ref().expect("only a slice drops signals");
             panic!(
-                "signal `{}` is outside the cone-of-influence slice {} ({} of {} nodes kept)",
+                "signal `{}` is outside the cone-of-influence slice ({} of {} nodes kept)",
                 self.nl.display_name(sig),
-                coi.fingerprint,
                 coi.kept_nodes,
                 coi.total_nodes
             );

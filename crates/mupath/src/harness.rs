@@ -61,10 +61,6 @@ pub struct IuvHarness {
     pub netlist: Netlist,
     /// Performing locations, labelled by their declared state names.
     pub pls: PlTable,
-    /// Per-PL class label (the state name with any trailing entry index
-    /// stripped, e.g. `scbIss0` → `scbIss`), used to merge structurally
-    /// identical µFSMs for decision analysis.
-    pub classes: Vec<String>,
     /// Per-PL monitor signals (indexed by [`PlId::index`]).
     pub monitors: Vec<PlMonitors>,
     /// Assume signals that must hold in every cycle of every query.
@@ -253,11 +249,7 @@ pub fn build_harness_multi(
     }
 
     // --- per-PL visit monitors ------------------------------------------------
-    let PlClasses {
-        pls,
-        labels: classes,
-        ..
-    } = PlClasses::of(design);
+    let pls = PlClasses::of(design).pls;
     let mut monitors = Vec::new();
     let mut visit_now_all: Vec<Wire> = Vec::new();
     let mut visited_all: Vec<Wire> = Vec::new();
@@ -320,7 +312,6 @@ pub fn build_harness_multi(
     IuvHarness {
         netlist,
         pls,
-        classes,
         monitors,
         assumes,
         op_assumes,
@@ -350,15 +341,6 @@ impl IuvHarness {
             .find(|(o, _)| *o == op)
             .map(|&(_, s)| s)
             .unwrap_or_else(|| panic!("harness was not built for {op:?}"))
-    }
-
-    /// PL ids sharing the same class label as `pl` (including itself).
-    pub fn class_members(&self, pl: PlId) -> Vec<PlId> {
-        let class = &self.classes[pl.index()];
-        self.pls
-            .ids()
-            .filter(|p| &self.classes[p.index()] == class)
-            .collect()
     }
 }
 

@@ -46,7 +46,9 @@ impl std::error::Error for CycleError {}
 ///
 /// Returns the first cycle found (in a deterministic node-id order) or
 /// `None` when the combinational logic is acyclic. This is the engine behind
-/// [`topo_order`]'s error path and the `comb-loop` lint pass.
+/// [`topo_order`]'s error path and the `comb-loop` lint pass. An operand
+/// that names no node closes no cycle and is skipped; the width rule
+/// reports it.
 pub fn find_comb_cycle(nl: &Netlist) -> Option<CycleError> {
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
@@ -70,12 +72,12 @@ pub fn find_comb_cycle(nl: &Netlist) -> Option<CycleError> {
             if *child_ix < fanin.len() {
                 let child = fanin[*child_ix].index();
                 *child_ix += 1;
-                match marks[child] {
-                    Mark::White => {
+                match marks.get(child) {
+                    Some(Mark::White) => {
                         marks[child] = Mark::Grey;
                         stack.push((child, 0));
                     }
-                    Mark::Grey => {
+                    Some(Mark::Grey) => {
                         // The cycle is the stack suffix from `child` on.
                         let from = stack
                             .iter()
@@ -87,7 +89,7 @@ pub fn find_comb_cycle(nl: &Netlist) -> Option<CycleError> {
                             .collect();
                         return Some(CycleError { path });
                     }
-                    Mark::Black => {}
+                    _ => {}
                 }
             } else {
                 marks[node_ix] = Mark::Black;

@@ -129,12 +129,24 @@ impl Builder {
         self.constant(0, 1)
     }
 
+    /// Pushes a combinational node as wide as the netlist's width rule says
+    /// its operands make it.
+    ///
+    /// # Panics
+    /// Panics if the operands' widths break the rule.
+    fn derive(&mut self, name: Option<String>, op: Op) -> Wire {
+        let id = self
+            .nl
+            .push_derived(name, op)
+            .unwrap_or_else(|e| panic!("netlist construction error: {e}"));
+        self.wire(id)
+    }
+
     /// Attaches a name to an existing signal by inserting a named 1:1 alias
     /// (`Slice` of the full width). Returns the alias wire.
     pub fn name(&mut self, w: Wire, name: &str) -> Wire {
-        self.push(
+        self.derive(
             Some(name.to_owned()),
-            w.width,
             Op::Slice {
                 src: w.id,
                 hi: w.width - 1,
@@ -164,22 +176,7 @@ impl Builder {
     // ---- combinational operators -------------------------------------------
 
     fn binary(&mut self, op: BinOp, a: Wire, b: Wire) -> Wire {
-        let width = match op {
-            _ if op.is_comparison() => 1,
-            BinOp::Shl | BinOp::Shr => a.width,
-            _ => {
-                assert_eq!(
-                    a.width, b.width,
-                    "width mismatch in {op}: {} vs {}",
-                    a.width, b.width
-                );
-                a.width
-            }
-        };
-        if !matches!(op, BinOp::Shl | BinOp::Shr) {
-            assert_eq!(a.width, b.width, "width mismatch in {op}");
-        }
-        self.push(None, width, Op::Binary(op, a.id, b.id))
+        self.derive(None, Op::Binary(op, a.id, b.id))
     }
 
     /// Bitwise AND.
@@ -244,27 +241,27 @@ impl Builder {
 
     /// Bitwise NOT.
     pub fn not(&mut self, a: Wire) -> Wire {
-        self.push(None, a.width, Op::Unary(UnOp::Not, a.id))
+        self.derive(None, Op::Unary(UnOp::Not, a.id))
     }
 
     /// Two's-complement negation.
     pub fn neg(&mut self, a: Wire) -> Wire {
-        self.push(None, a.width, Op::Unary(UnOp::Neg, a.id))
+        self.derive(None, Op::Unary(UnOp::Neg, a.id))
     }
 
     /// OR-reduction: 1 iff any bit set.
     pub fn red_or(&mut self, a: Wire) -> Wire {
-        self.push(None, 1, Op::Unary(UnOp::RedOr, a.id))
+        self.derive(None, Op::Unary(UnOp::RedOr, a.id))
     }
 
     /// AND-reduction: 1 iff all bits set.
     pub fn red_and(&mut self, a: Wire) -> Wire {
-        self.push(None, 1, Op::Unary(UnOp::RedAnd, a.id))
+        self.derive(None, Op::Unary(UnOp::RedAnd, a.id))
     }
 
     /// XOR-reduction (parity).
     pub fn red_xor(&mut self, a: Wire) -> Wire {
-        self.push(None, 1, Op::Unary(UnOp::RedXor, a.id))
+        self.derive(None, Op::Unary(UnOp::RedXor, a.id))
     }
 
     /// 1 iff the value is zero.
@@ -278,11 +275,8 @@ impl Builder {
     /// # Panics
     /// Panics if `sel` is not 1 bit wide or `a`/`b` widths differ.
     pub fn mux(&mut self, sel: Wire, a: Wire, b: Wire) -> Wire {
-        assert_eq!(sel.width, 1, "mux select must be 1 bit");
-        assert_eq!(a.width, b.width, "mux arm width mismatch");
-        self.push(
+        self.derive(
             None,
-            a.width,
             Op::Mux {
                 sel: sel.id,
                 a: a.id,
@@ -292,11 +286,12 @@ impl Builder {
     }
 
     /// Bit slice `[hi:lo]` (inclusive).
+    ///
+    /// # Panics
+    /// Panics if the slice is inverted or outside `src`.
     pub fn slice(&mut self, src: Wire, hi: u8, lo: u8) -> Wire {
-        assert!(hi >= lo && hi < src.width, "invalid slice [{hi}:{lo}]");
-        self.push(
+        self.derive(
             None,
-            hi - lo + 1,
             Op::Slice {
                 src: src.id,
                 hi,
@@ -312,9 +307,8 @@ impl Builder {
 
     /// Concatenation with `hi` in the upper bits.
     pub fn concat(&mut self, hi: Wire, lo: Wire) -> Wire {
-        self.push(
+        self.derive(
             None,
-            hi.width + lo.width,
             Op::Concat {
                 hi: hi.id,
                 lo: lo.id,

@@ -375,6 +375,89 @@ pub fn mask(w: u8) -> u64 {
     }
 }
 
+/// How a node breaks its operator's width rule (see [`width_rule`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Fault {
+    /// An operand, or a register's `next`, names no node.
+    Dangling(SignalId),
+    /// The operator does not accept its operands' widths: binary operands
+    /// or mux arms that differ, a slice outside its source, a register
+    /// `next` of another width.
+    Operands,
+    /// A mux select that is not 1 bit wide.
+    Select,
+    /// The node is not as wide as the result width the rule gives.
+    Width(u8),
+    /// A constant or reset value that does not fit in the node's width.
+    Value(u64),
+    /// A register with no `next`.
+    Unconnected,
+}
+
+/// Every operator's width rule, written once. `width` is the node's own
+/// width, which only inputs, constants and registers read: theirs is
+/// declared, while every other operator's follows from its operands.
+/// `operand(s)` is operand `s`'s width, `None` when `s` names no node.
+/// Each fault goes to `fault`, in a fixed order; the return value is the
+/// width the node must have, or `None` when its operands give none.
+pub(crate) fn width_rule(
+    op: &Op,
+    width: u8,
+    operand: impl Fn(SignalId) -> Option<u8>,
+    mut fault: impl FnMut(Fault),
+) -> Option<u8> {
+    // Reports `f` unless `ok`; returns `ok`.
+    let mut require = |ok: bool, f: Fault| {
+        if !ok {
+            fault(f);
+        }
+        ok
+    };
+    let mut dangling = false;
+    for s in op.comb_fanin() {
+        dangling |= !require(operand(s).is_some(), Fault::Dangling(s));
+    }
+    if dangling {
+        return None;
+    }
+    let w = |s: SignalId| operand(s).unwrap_or_default();
+    let fits = |v: u64| v & !mask(width) == 0;
+    match *op {
+        Op::Input => Some(width),
+        Op::Const(v) => {
+            require(fits(v), Fault::Value(v));
+            Some(width)
+        }
+        Op::Unary(op, a) => Some(if op.is_reduction() { 1 } else { w(a) }),
+        Op::Binary(BinOp::Shl | BinOp::Shr, a, _) => Some(w(a)),
+        Op::Binary(op, a, b) => {
+            require(w(a) == w(b), Fault::Operands)
+                .then(|| if op.is_comparison() { 1 } else { w(a) })
+        }
+        Op::Mux { sel, a, b } => {
+            require(w(sel) == 1, Fault::Select);
+            require(w(a) == w(b), Fault::Operands).then(|| w(a))
+        }
+        Op::Slice { src, hi, lo } => {
+            require(lo <= hi && hi < w(src), Fault::Operands).then(|| hi - lo + 1)
+        }
+        Op::Concat { hi, lo } => Some(w(hi) + w(lo)),
+        Op::Reg { next, init } => {
+            match next {
+                None => require(false, Fault::Unconnected),
+                // The `next` must exist and be as wide as the register.
+                Some(n) => {
+                    let nw = operand(n);
+                    require(nw.is_some(), Fault::Dangling(n))
+                        && require(nw == Some(width), Fault::Operands)
+                }
+            };
+            require(fits(init), Fault::Value(init));
+            Some(width)
+        }
+    }
+}
+
 /// A flat, validated or under-construction synchronous netlist.
 ///
 /// Construct through [`crate::Builder`]; most consumers receive a finished,
@@ -493,6 +576,60 @@ impl Netlist {
         Ok(id)
     }
 
+    /// Width of `s`, or `None` when it names no node.
+    fn width_of(&self, s: SignalId) -> Option<u8> {
+        self.nodes.get(s.index()).map(|n| n.width)
+    }
+
+    /// Pushes a combinational node as wide as [`width_rule`] says its
+    /// operands make it. Shared by the [`crate::Builder`] operators and the
+    /// textual frontend's lowering pass.
+    ///
+    /// # Errors
+    /// The error [`Netlist::validate`] would report for the node, or
+    /// whatever [`Netlist::push`] rejects.
+    pub(crate) fn push_derived(
+        &mut self,
+        name: Option<String>,
+        op: Op,
+    ) -> Result<SignalId, NetlistError> {
+        let mut first = None;
+        let width = width_rule(&op, 0, |s| self.width_of(s), |f| first = first.or(Some(f)));
+        let Some(fault) = first else {
+            let width = width.expect("a rule that reports no fault gives a width");
+            return self.push(Node { name, width, op });
+        };
+        let name = name.unwrap_or_else(|| SignalId(self.nodes.len() as u32).to_string());
+        Err(self.fault_error(&op, 0, name, fault))
+    }
+
+    /// Every width-rule fault of node `id`, in a fixed order: those of
+    /// [`width_rule`], then a node width other than the rule's. Allocates
+    /// nothing; [`Netlist::validate`] and the lint suite both walk it.
+    pub(crate) fn node_faults(&self, id: SignalId, mut fault: impl FnMut(Fault)) {
+        let node = &self.nodes[id.index()];
+        match width_rule(&node.op, node.width, |s| self.width_of(s), &mut fault) {
+            Some(w) if w != node.width => fault(Fault::Width(w)),
+            _ => {}
+        }
+    }
+
+    /// The [`NetlistError`] for `fault` of node `name`, `width` bits wide
+    /// and defined by `op`.
+    fn fault_error(&self, op: &Op, width: u8, name: String, fault: Fault) -> NetlistError {
+        match (fault, op) {
+            (Fault::Dangling(s), _) => NetlistError::BadSignal(s),
+            (Fault::Value(value), _) => NetlistError::ConstTooWide { value, width },
+            (Fault::Unconnected, _) => NetlistError::UnconnectedReg(name),
+            (Fault::Operands, &Op::Slice { src, hi, lo }) => NetlistError::BadSlice {
+                src_width: self.width(src),
+                hi,
+                lo,
+            },
+            _ => NetlistError::WidthMismatch { context: name },
+        }
+    }
+
     /// Wires register `reg`'s next-state input to `next`. Shared by the
     /// [`crate::Builder`] DSL and the textual frontend's lowering pass.
     pub(crate) fn set_reg_next(
@@ -500,7 +637,13 @@ impl Netlist {
         reg: SignalId,
         next: SignalId,
     ) -> Result<(), NetlistError> {
-        if self.width(reg) != self.width(next) {
+        let op = Op::Reg {
+            next: Some(next),
+            init: 0,
+        };
+        let mut bad = false;
+        width_rule(&op, self.width(reg), |s| self.width_of(s), |_| bad = true);
+        if bad {
             return Err(NetlistError::WidthMismatch {
                 context: format!("set_next of {}", self.display_name(reg)),
             });
@@ -581,90 +724,11 @@ impl Netlist {
     /// # Errors
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        let check = |s: SignalId| -> Result<&Node, NetlistError> {
-            self.nodes.get(s.index()).ok_or(NetlistError::BadSignal(s))
-        };
         for (id, node) in self.iter() {
-            let ctx = || self.display_name(id);
-            match &node.op {
-                Op::Input => {}
-                Op::Const(v) => {
-                    if *v & !mask(node.width) != 0 {
-                        return Err(NetlistError::ConstTooWide {
-                            value: *v,
-                            width: node.width,
-                        });
-                    }
-                }
-                Op::Unary(op, a) => {
-                    let an = check(*a)?;
-                    let expect = if op.is_reduction() { 1 } else { an.width };
-                    if node.width != expect {
-                        return Err(NetlistError::WidthMismatch { context: ctx() });
-                    }
-                }
-                Op::Binary(op, a, b) => {
-                    let (an, bn) = (check(*a)?, check(*b)?);
-                    match op {
-                        BinOp::Shl | BinOp::Shr => {
-                            if node.width != an.width {
-                                return Err(NetlistError::WidthMismatch { context: ctx() });
-                            }
-                            let _ = bn;
-                        }
-                        _ => {
-                            if an.width != bn.width {
-                                return Err(NetlistError::WidthMismatch { context: ctx() });
-                            }
-                            let expect = if op.is_comparison() { 1 } else { an.width };
-                            if node.width != expect {
-                                return Err(NetlistError::WidthMismatch { context: ctx() });
-                            }
-                        }
-                    }
-                }
-                Op::Mux { sel, a, b } => {
-                    let (sn, an, bn) = (check(*sel)?, check(*a)?, check(*b)?);
-                    if sn.width != 1 || an.width != bn.width || node.width != an.width {
-                        return Err(NetlistError::WidthMismatch { context: ctx() });
-                    }
-                }
-                Op::Slice { src, hi, lo } => {
-                    let sn = check(*src)?;
-                    if hi < lo || *hi >= sn.width {
-                        return Err(NetlistError::BadSlice {
-                            src_width: sn.width,
-                            hi: *hi,
-                            lo: *lo,
-                        });
-                    }
-                    if node.width != hi - lo + 1 {
-                        return Err(NetlistError::WidthMismatch { context: ctx() });
-                    }
-                }
-                Op::Concat { hi, lo } => {
-                    let (hn, ln) = (check(*hi)?, check(*lo)?);
-                    if node.width as u16 != hn.width as u16 + ln.width as u16 {
-                        return Err(NetlistError::WidthMismatch { context: ctx() });
-                    }
-                }
-                Op::Reg { next, init } => {
-                    match next {
-                        None => return Err(NetlistError::UnconnectedReg(ctx())),
-                        Some(nx) => {
-                            let nn = check(*nx)?;
-                            if nn.width != node.width {
-                                return Err(NetlistError::WidthMismatch { context: ctx() });
-                            }
-                        }
-                    }
-                    if *init & !mask(node.width) != 0 {
-                        return Err(NetlistError::ConstTooWide {
-                            value: *init,
-                            width: node.width,
-                        });
-                    }
-                }
+            let mut first = None;
+            self.node_faults(id, |f| first = first.or(Some(f)));
+            if let Some(f) = first {
+                return Err(self.fault_error(&node.op, node.width, self.display_name(id), f));
             }
         }
         match crate::analysis::find_comb_cycle(self) {
@@ -704,5 +768,239 @@ mod tests {
         assert_eq!(mask(1), 1);
         assert_eq!(mask(8), 0xff);
         assert_eq!(mask(64), u64::MAX);
+    }
+
+    /// One netlist per width-rule violation: the exact error `validate`
+    /// returns and the exact findings of the lint suite, so the two readers
+    /// of the rule cannot drift apart.
+    #[test]
+    fn every_width_rule_violation_is_pinned() {
+        use crate::lint::{self, LintContext};
+        use NetlistError::*;
+        let s = SignalId;
+        let input = |name, width| (name, width, Op::Input);
+        let reg = |next, init| Op::Reg { next, init };
+        let mux = |sel, a, b| Op::Mux {
+            sel: s(sel),
+            a: s(a),
+            b: s(b),
+        };
+        let mismatch = |ctx: &str| WidthMismatch {
+            context: ctx.into(),
+        };
+        type Case = (
+            Vec<(&'static str, u8, Op)>,
+            NetlistError,
+            Vec<(&'static str, &'static str, u32, &'static str)>,
+        );
+        let l004 = |msg| ("L004", "width-audit", 1, msg);
+        let cases: Vec<Case> = vec![
+            (
+                vec![input("a", 4), ("y", 4, mux(7, 0, 8))],
+                BadSignal(s(7)),
+                vec![
+                    l004("`y` references out-of-range signal s7"),
+                    l004("`y` references out-of-range signal s8"),
+                ],
+            ),
+            (
+                vec![("r", 4, reg(Some(s(5)), 0))],
+                BadSignal(s(5)),
+                vec![(
+                    "L004",
+                    "width-audit",
+                    0,
+                    "register `r` next references out-of-range signal s5",
+                )],
+            ),
+            (
+                vec![("c", 4, Op::Const(0x1f))],
+                ConstTooWide {
+                    value: 0x1f,
+                    width: 4,
+                },
+                vec![(
+                    "L004",
+                    "width-audit",
+                    0,
+                    "constant `c` value 0x1f does not fit in 4 bits",
+                )],
+            ),
+            (
+                vec![input("a", 4), ("y", 2, Op::Unary(UnOp::Not, s(0)))],
+                mismatch("y"),
+                vec![l004("`y` = not(...): result width 2 != expected 4")],
+            ),
+            (
+                vec![input("a", 4), ("y", 4, Op::Unary(UnOp::RedOr, s(0)))],
+                mismatch("y"),
+                vec![l004("`y` = redor(...): result width 4 != expected 1")],
+            ),
+            (
+                vec![
+                    input("a", 4),
+                    ("y", 8, Op::Binary(BinOp::Shl, s(0), s(2))),
+                    input("b", 8),
+                ],
+                mismatch("y"),
+                vec![l004("`y` = shl(...): result width 8 != operand width 4")],
+            ),
+            (
+                vec![
+                    input("a", 4),
+                    ("y", 4, Op::Binary(BinOp::Add, s(0), s(2))),
+                    input("b", 8),
+                ],
+                mismatch("y"),
+                vec![l004("`y` = add(...): operand widths 4 and 8 differ")],
+            ),
+            (
+                vec![input("a", 4), ("y", 4, Op::Binary(BinOp::Eq, s(0), s(0)))],
+                mismatch("y"),
+                vec![l004("`y` = eq(...): result width 4 != expected 1")],
+            ),
+            (
+                vec![input("a", 4), ("y", 4, mux(2, 0, 0)), input("s", 2)],
+                mismatch("y"),
+                vec![l004("`y`: mux select is 2 bits, not 1")],
+            ),
+            (
+                vec![
+                    input("a", 4),
+                    ("y", 4, mux(2, 0, 3)),
+                    input("s", 1),
+                    input("b", 8),
+                ],
+                mismatch("y"),
+                vec![l004("`y`: mux arm widths 4/8 vs result width 4")],
+            ),
+            (
+                vec![
+                    input("a", 4),
+                    ("y", 4, mux(2, 0, 3)),
+                    input("s", 2),
+                    input("b", 8),
+                ],
+                mismatch("y"),
+                vec![
+                    l004("`y`: mux select is 2 bits, not 1"),
+                    l004("`y`: mux arm widths 4/8 vs result width 4"),
+                ],
+            ),
+            (
+                vec![
+                    input("a", 4),
+                    (
+                        "y",
+                        2,
+                        Op::Slice {
+                            src: s(0),
+                            hi: 5,
+                            lo: 4,
+                        },
+                    ),
+                ],
+                BadSlice {
+                    src_width: 4,
+                    hi: 5,
+                    lo: 4,
+                },
+                vec![l004("`y`: slice [5:4] out of range for 4-bit source")],
+            ),
+            (
+                vec![
+                    input("a", 4),
+                    (
+                        "y",
+                        3,
+                        Op::Slice {
+                            src: s(0),
+                            hi: 1,
+                            lo: 0,
+                        },
+                    ),
+                ],
+                mismatch("y"),
+                vec![l004("`y`: slice [1:0] yields 2 bits but node is 3 bits")],
+            ),
+            (
+                vec![
+                    input("a", 4),
+                    ("y", 8, Op::Concat { hi: s(0), lo: s(2) }),
+                    input("b", 8),
+                ],
+                mismatch("y"),
+                vec![l004("`y`: concat of 4+8 bits but node is 8 bits")],
+            ),
+            (
+                vec![("r", 4, reg(None, 0))],
+                UnconnectedReg("r".into()),
+                vec![("L002", "undriven", 0, "register `r` has no next connection")],
+            ),
+            (
+                vec![input("a", 8), ("r", 4, reg(Some(s(0)), 0))],
+                mismatch("r"),
+                vec![l004("register `r` is 4 bits but its next is 8 bits")],
+            ),
+            (
+                vec![("r", 2, reg(Some(s(0)), 9))],
+                ConstTooWide { value: 9, width: 2 },
+                vec![(
+                    "L005",
+                    "reg-reset",
+                    0,
+                    "register `r` reset value 0x9 does not fit in 2 bits",
+                )],
+            ),
+            (
+                vec![("r", 2, reg(None, 9))],
+                UnconnectedReg("r".into()),
+                vec![
+                    ("L002", "undriven", 0, "register `r` has no next connection"),
+                    (
+                        "L005",
+                        "reg-reset",
+                        0,
+                        "register `r` reset value 0x9 does not fit in 2 bits",
+                    ),
+                ],
+            ),
+            (
+                vec![input("a", 8), ("r", 2, reg(Some(s(0)), 9))],
+                mismatch("r"),
+                vec![
+                    l004("register `r` is 2 bits but its next is 8 bits"),
+                    (
+                        "L005",
+                        "reg-reset",
+                        1,
+                        "register `r` reset value 0x9 does not fit in 2 bits",
+                    ),
+                ],
+            ),
+        ];
+        for (nodes, error, diags) in cases {
+            let mut nl = Netlist::new();
+            for (name, width, op) in nodes {
+                nl.push(Node {
+                    name: Some(name.into()),
+                    width,
+                    op,
+                })
+                .unwrap();
+            }
+            assert_eq!(nl.validate(), Err(error), "{nl:?}");
+            let report = lint::run(&LintContext::netlist_only(&nl));
+            let got: Vec<_> = report
+                .diagnostics
+                .iter()
+                .map(|d| (d.code, d.pass, d.signal, d.message.as_str()))
+                .collect();
+            let want: Vec<_> = diags
+                .iter()
+                .map(|&(code, pass, sig, msg)| (code, pass, Some(s(sig)), msg))
+                .collect();
+            assert_eq!(got, want, "{nl:?}");
+        }
     }
 }

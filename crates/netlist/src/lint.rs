@@ -13,14 +13,17 @@
 //! [`run`] runs the seven built-in passes in a fixed order and produces a
 //! [`LintReport`]; `--deny-warnings` is applied to the report by
 //! [`LintReport::exit_code`]. Passes run on the raw node table,
-//! so they work on unvalidated netlists (that is the point: several passes
-//! re-audit exactly what `Netlist::validate` would reject, but report *all*
-//! violations instead of bailing at the first).
+//! so they work on unvalidated netlists. The undriven, width-audit and
+//! reg-reset passes read the same width rule as `Netlist::validate`,
+//! walking the same per-node faults, but report *all* of them where
+//! `validate` stops at the first.
 
 use crate::analysis;
 use crate::annotate::Annotations;
-use crate::ir::{mask, BinOp, Netlist, Op, SignalId};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use crate::cone::canonical_order;
+use crate::ir::{BinOp, Fault, Netlist, Op, SignalId};
+use crate::text::HarnessData;
+use std::collections::{BTreeSet, HashSet};
 
 // The lint suite shares one diagnostic type with the textual frontend
 // (`crate::diag`): lint codes are `L001`+, frontend codes `E001`+/`W001`+.
@@ -54,6 +57,47 @@ impl<'a> LintContext<'a> {
             annotations: None,
             roots: Vec::new(),
             strobes: Vec::new(),
+        }
+    }
+
+    /// The context a design or `.nl` module is linted in. With a
+    /// verification harness, its hook signals and extra outputs count as
+    /// roots, and its fetch and issue strobes must not be structurally
+    /// constant; without one, only the annotations join the structural
+    /// passes.
+    pub fn with_harness(
+        netlist: &'a Netlist,
+        annotations: Option<&'a Annotations>,
+        harness: Option<&HarnessData>,
+    ) -> Self {
+        let Some(h) = harness else {
+            return Self {
+                annotations,
+                ..Self::netlist_only(netlist)
+            };
+        };
+        let hooks = [
+            h.fetch_instr_input,
+            h.fetch_valid_input,
+            h.fetch_fire,
+            h.issue_fire,
+            h.issue_pc,
+            h.issue_valid,
+            h.pc,
+        ];
+        let rs = h.rs_fields.into_iter().flat_map(|(rs1, rs2)| [rs1, rs2]);
+        Self {
+            netlist,
+            annotations,
+            roots: hooks
+                .into_iter()
+                .chain(rs)
+                .chain(h.outputs.iter().copied())
+                .collect(),
+            strobes: vec![
+                ("fetch_fire".to_owned(), h.fetch_fire),
+                ("issue_fire".to_owned(), h.issue_fire),
+            ],
         }
     }
 }
@@ -100,186 +144,25 @@ fn undriven(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         }
     }
     for (id, node) in nl.iter() {
-        match node.op {
-            Op::Reg { next: None, .. } => out.push(Diagnostic {
-                severity: Severity::Error,
-                code: "L002",
+        if node.op.is_input() && !read.contains(&id) && !cx.roots.contains(&id) {
+            out.push(Diagnostic {
+                severity: Severity::Warning,
+                code: "L003",
                 pass: "undriven",
                 signal: Some(id),
-                message: format!("register `{}` has no next connection", nl.display_name(id)),
+                message: format!("input `{}` is never read", nl.display_name(id)),
                 ..Default::default()
-            }),
-            Op::Input if !read.contains(&id) && !cx.roots.contains(&id) => {
-                out.push(Diagnostic {
-                    severity: Severity::Warning,
-                    code: "L003",
-                    pass: "undriven",
-                    signal: Some(id),
-                    message: format!("input `{}` is never read", nl.display_name(id)),
-                    ..Default::default()
-                });
-            }
-            _ => {}
+            });
         }
+        rule_faults(nl, id, "undriven", out);
     }
 }
 
 /// L004: width-rule audit at every use site. `Netlist::validate` stops at
 /// the first violation; this pass reports them all.
 fn width_audit(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    let nl = cx.netlist;
-    let mut emit = |id: SignalId, msg: String| {
-        out.push(Diagnostic {
-            severity: Severity::Error,
-            code: "L004",
-            pass: "width-audit",
-            signal: Some(id),
-            message: msg,
-            ..Default::default()
-        });
-    };
-    let w_of = |s: SignalId| -> Option<u8> { (s.index() < nl.len()).then(|| nl.width(s)) };
-    for (id, node) in nl.iter() {
-        let name = nl.display_name(id);
-        // Dangling references are reported once, here, and the width
-        // rule is skipped for them.
-        let mut dangling = false;
-        for src in node.op.comb_fanin() {
-            if src.index() >= nl.len() {
-                emit(id, format!("`{name}` references out-of-range signal {src}"));
-                dangling = true;
-            }
-        }
-        if dangling {
-            continue;
-        }
-        match &node.op {
-            Op::Input | Op::Reg { .. } => {}
-            Op::Const(v) => {
-                if *v & !mask(node.width) != 0 {
-                    emit(
-                        id,
-                        format!(
-                            "constant `{name}` value {v:#x} does not fit in {} bits",
-                            node.width
-                        ),
-                    );
-                }
-            }
-            Op::Unary(op, a) => {
-                let aw = w_of(*a).unwrap();
-                let expect = if op.is_reduction() { 1 } else { aw };
-                if node.width != expect {
-                    emit(
-                        id,
-                        format!(
-                            "`{name}` = {op}(...): result width {} != expected {expect}",
-                            node.width
-                        ),
-                    );
-                }
-            }
-            Op::Binary(op, a, b) => {
-                let (aw, bw) = (w_of(*a).unwrap(), w_of(*b).unwrap());
-                match op {
-                    BinOp::Shl | BinOp::Shr => {
-                        if node.width != aw {
-                            emit(
-                                id,
-                                format!(
-                                    "`{name}` = {op}(...): result width {} != operand width {aw}",
-                                    node.width
-                                ),
-                            );
-                        }
-                    }
-                    _ => {
-                        if aw != bw {
-                            emit(
-                                id,
-                                format!(
-                                    "`{name}` = {op}(...): operand widths {aw} and {bw} differ"
-                                ),
-                            );
-                        } else {
-                            let expect = if op.is_comparison() { 1 } else { aw };
-                            if node.width != expect {
-                                emit(
-                                    id,
-                                    format!(
-                                        "`{name}` = {op}(...): result width {} != expected {expect}",
-                                        node.width
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            Op::Mux { sel, a, b } => {
-                let (sw, aw, bw) = (w_of(*sel).unwrap(), w_of(*a).unwrap(), w_of(*b).unwrap());
-                if sw != 1 {
-                    emit(id, format!("`{name}`: mux select is {sw} bits, not 1"));
-                }
-                if aw != bw || node.width != aw {
-                    emit(
-                        id,
-                        format!(
-                            "`{name}`: mux arm widths {aw}/{bw} vs result width {}",
-                            node.width
-                        ),
-                    );
-                }
-            }
-            Op::Slice { src, hi, lo } => {
-                let sw = w_of(*src).unwrap();
-                if hi < lo || *hi >= sw {
-                    emit(
-                        id,
-                        format!("`{name}`: slice [{hi}:{lo}] out of range for {sw}-bit source"),
-                    );
-                } else if node.width != hi - lo + 1 {
-                    emit(
-                        id,
-                        format!(
-                            "`{name}`: slice [{hi}:{lo}] yields {} bits but node is {} bits",
-                            hi - lo + 1,
-                            node.width
-                        ),
-                    );
-                }
-            }
-            Op::Concat { hi, lo } => {
-                let (hw, lw) = (w_of(*hi).unwrap(), w_of(*lo).unwrap());
-                if node.width as u16 != hw as u16 + lw as u16 {
-                    emit(
-                        id,
-                        format!(
-                            "`{name}`: concat of {hw}+{lw} bits but node is {} bits",
-                            node.width
-                        ),
-                    );
-                }
-            }
-        }
-        // Register next-width rule (init-value fit is the reg-reset
-        // pass's business).
-        if let Op::Reg { next: Some(nx), .. } = &node.op {
-            match w_of(*nx) {
-                None => emit(
-                    id,
-                    format!("register `{name}` next references out-of-range signal {nx}"),
-                ),
-                Some(nw) if nw != node.width => emit(
-                    id,
-                    format!(
-                        "register `{name}` is {} bits but its next is {nw} bits",
-                        node.width
-                    ),
-                ),
-                _ => {}
-            }
-        }
+    for (id, _) in cx.netlist.iter() {
+        rule_faults(cx.netlist, id, "width-audit", out);
     }
 }
 
@@ -287,24 +170,102 @@ fn width_audit(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
 /// every register *has* a reset value, so "register without reset" means a
 /// malformed one — the reset would silently truncate in real RTL.
 fn reg_reset(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    let nl = cx.netlist;
-    for (id, node) in nl.iter() {
-        if let Op::Reg { init, .. } = node.op {
-            if init & !mask(node.width) != 0 {
-                out.push(Diagnostic {
-                    severity: Severity::Error,
-                    code: "L005",
-                    pass: "reg-reset",
-                    signal: Some(id),
-                    message: format!(
-                        "register `{}` reset value {init:#x} does not fit in {} bits",
-                        nl.display_name(id),
-                        node.width
-                    ),
-                    ..Default::default()
-                });
-            }
+    for (id, _) in cx.netlist.iter() {
+        rule_faults(cx.netlist, id, "reg-reset", out);
+    }
+}
+
+/// Reports the width-rule faults of node `id` that `pass` owns: an
+/// unconnected register is the undriven pass's (L002), a reset value that
+/// does not fit the reg-reset pass's (L005), and every other fault the
+/// width-audit pass's (L004).
+fn rule_faults(nl: &Netlist, id: SignalId, pass: &'static str, out: &mut Vec<Diagnostic>) {
+    let op = &nl.node(id).op;
+    nl.node_faults(id, |f| {
+        let (code, owner) = match (f, op) {
+            (Fault::Unconnected, _) => ("L002", "undriven"),
+            (Fault::Value(_), Op::Reg { .. }) => ("L005", "reg-reset"),
+            _ => ("L004", "width-audit"),
+        };
+        if owner == pass {
+            out.push(Diagnostic {
+                severity: Severity::Error,
+                code,
+                pass,
+                signal: Some(id),
+                message: fault_message(nl, id, f),
+                ..Default::default()
+            });
         }
+    });
+}
+
+/// The message for width-rule `fault` of node `id`.
+fn fault_message(nl: &Netlist, id: SignalId, fault: Fault) -> String {
+    let node = nl.node(id);
+    let (name, width) = (nl.display_name(id), node.width);
+    let w = |s: &SignalId| nl.width(*s);
+    match (fault, &node.op) {
+        (Fault::Unconnected, _) => format!("register `{name}` has no next connection"),
+        (Fault::Value(v), Op::Reg { .. }) => {
+            format!("register `{name}` reset value {v:#x} does not fit in {width} bits")
+        }
+        (Fault::Value(v), _) => {
+            format!("constant `{name}` value {v:#x} does not fit in {width} bits")
+        }
+        (Fault::Dangling(s), Op::Reg { .. }) => {
+            format!("register `{name}` next references out-of-range signal {s}")
+        }
+        (Fault::Dangling(s), _) => format!("`{name}` references out-of-range signal {s}"),
+        (Fault::Width(expect), Op::Unary(op, _)) => {
+            format!("`{name}` = {op}(...): result width {width} != expected {expect}")
+        }
+        (Fault::Width(aw), Op::Binary(op @ (BinOp::Shl | BinOp::Shr), ..)) => {
+            format!("`{name}` = {op}(...): result width {width} != operand width {aw}")
+        }
+        (Fault::Width(expect), Op::Binary(op, ..)) => {
+            format!("`{name}` = {op}(...): result width {width} != expected {expect}")
+        }
+        (Fault::Operands, Op::Binary(op, a, b)) => {
+            format!(
+                "`{name}` = {op}(...): operand widths {} and {} differ",
+                w(a),
+                w(b)
+            )
+        }
+        (Fault::Select, Op::Mux { sel, .. }) => {
+            format!("`{name}`: mux select is {} bits, not 1", w(sel))
+        }
+        (_, Op::Mux { a, b, .. }) => {
+            format!(
+                "`{name}`: mux arm widths {}/{} vs result width {width}",
+                w(a),
+                w(b)
+            )
+        }
+        (Fault::Operands, Op::Slice { src, hi, lo }) => {
+            format!(
+                "`{name}`: slice [{hi}:{lo}] out of range for {}-bit source",
+                w(src)
+            )
+        }
+        (Fault::Width(expect), Op::Slice { hi, lo, .. }) => {
+            format!("`{name}`: slice [{hi}:{lo}] yields {expect} bits but node is {width} bits")
+        }
+        (_, Op::Concat { hi, lo }) => {
+            format!(
+                "`{name}`: concat of {}+{} bits but node is {width} bits",
+                w(hi),
+                w(lo)
+            )
+        }
+        (_, Op::Reg { next: Some(nx), .. }) => {
+            format!(
+                "register `{name}` is {width} bits but its next is {} bits",
+                w(nx)
+            )
+        }
+        _ => unreachable!("{fault:?} cannot arise from {:?}", node.op),
     }
 }
 
@@ -322,23 +283,13 @@ fn dead_logic(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     if roots.is_empty() {
         return;
     }
-    // Backward closure over combinational fan-in plus register next
-    // edges — the same edge relation as mc's cone-of-influence slice.
-    let mut live: HashSet<SignalId> = HashSet::new();
-    let mut queue: VecDeque<SignalId> = roots.into_iter().collect();
-    while let Some(s) = queue.pop_front() {
-        if !live.insert(s) {
-            continue;
-        }
-        let node = nl.node(s);
-        queue.extend(node.op.comb_fanin());
-        if let Op::Reg { next: Some(nx), .. } = node.op {
-            queue.push_back(nx);
-        }
-    }
+    // The live set is the roots' cone: the same backward walk over
+    // combinational fan-in and register next edges as mc's
+    // cone-of-influence slice.
+    let (live, _) = canonical_order(nl, &roots);
     let mut anonymous = 0usize;
     for (id, node) in nl.iter() {
-        if live.contains(&id) || matches!(node.op, Op::Const(_)) {
+        if live[id.index()].is_some() || matches!(node.op, Op::Const(_)) {
             continue;
         }
         match &node.name {

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use super::ast::{Item, Module, Name, UfsmBlock, WireOp};
 use crate::annotate::{Annotations, FsmState, NamedState, UFsm};
 use crate::diag::{Diagnostic, Report, Span};
-use crate::ir::{Netlist, Node, Op, SignalId};
+use crate::ir::{BinOp, Netlist, NetlistError, Node, Op, SignalId};
 
 /// Harness metadata in netlist-crate terms: hook signals resolved to ids,
 /// ISA mnemonics and type encodings kept as strings/values (the `uarch`
@@ -89,28 +89,37 @@ struct Lowerer<'r> {
     nl: Netlist,
     spans: Vec<Option<Span>>,
     map: HashMap<String, SignalId>,
-    /// Memory name → (word ids, word width, addr width needed).
-    mems: HashMap<String, (Vec<SignalId>, u8)>,
+    /// Memory name → word ids.
+    mems: HashMap<String, Vec<SignalId>>,
     report: &'r mut Report,
 }
 
 impl Lowerer<'_> {
-    /// Pushes an anonymous node.
-    fn push_anon(&mut self, width: u8, op: Op, span: Option<Span>) -> SignalId {
-        let id = self
-            .nl
-            .push(Node {
-                name: None,
-                width,
-                op,
-            })
-            .expect("lowering pushed an invalid node");
-        self.spans.push(span);
-        id
+    /// Pushes a node declared at `span`. `width` is the declared width of
+    /// an input, constant or register; `None` derives a combinational
+    /// node's width from its operands by the netlist's width rule.
+    fn push(
+        &mut self,
+        name: Option<String>,
+        width: Option<u8>,
+        op: Op,
+        span: Span,
+    ) -> Result<SignalId, NetlistError> {
+        let id = match width {
+            Some(width) => self.nl.push(Node { name, width, op }),
+            None => self.nl.push_derived(name, op),
+        }?;
+        self.spans.push(Some(span));
+        Ok(id)
     }
 
     /// Pushes a named declaration, applying the `_n` anonymity rule.
-    fn push_named(&mut self, name: &Name, width: u8, op: Op) -> SignalId {
+    fn push_named(
+        &mut self,
+        name: &Name,
+        width: Option<u8>,
+        op: Op,
+    ) -> Result<SignalId, NetlistError> {
         let next_index = self.nl.len() as u32;
         let ir_name = match anonymous_index(&name.node) {
             Some(idx) => {
@@ -132,100 +141,177 @@ impl Lowerer<'_> {
             }
             None => Some(name.node.clone()),
         };
-        let id = self
-            .nl
-            .push(Node {
-                name: ir_name,
-                width,
-                op,
-            })
-            .expect("lowering pushed an invalid node");
-        self.spans.push(Some(name.span));
+        let id = self.push(ir_name, width, op, name.span)?;
         self.map.insert(name.node.clone(), id);
-        id
+        Ok(id)
     }
 
     fn get(&self, name: &Name) -> SignalId {
         self.map[&name.node]
     }
 
-    fn width(&self, id: SignalId) -> u8 {
-        self.nl.width(id)
-    }
-
     /// Builds the read mux chain for `mem[addr]`.
-    fn lower_read(&mut self, name: &Name, mem_name: &str, addr: &Name) -> SignalId {
-        let (words, width) = self.mems[mem_name].clone();
+    fn lower_read(
+        &mut self,
+        name: &Name,
+        mem_name: &str,
+        addr: &Name,
+    ) -> Result<SignalId, NetlistError> {
+        let words = self.mems[mem_name].clone();
         let addr_id = self.get(addr);
-        let aw = self.width(addr_id);
+        let aw = self.nl.width(addr_id);
         let mut acc = words[0];
         for (i, &word) in words.iter().enumerate().skip(1) {
-            let idx = self.push_anon(aw, Op::Const(i as u64), Some(name.span));
-            let sel = self.push_anon(
-                1,
-                Op::Binary(crate::ir::BinOp::Eq, addr_id, idx),
-                Some(name.span),
-            );
-            acc = self.push_anon(
-                width,
+            let idx = self.push(None, Some(aw), Op::Const(i as u64), name.span)?;
+            let sel = self.push(None, None, Op::Binary(BinOp::Eq, addr_id, idx), name.span)?;
+            acc = self.push(
+                None,
+                None,
                 Op::Mux {
                     sel,
                     a: word,
                     b: acc,
                 },
-                Some(name.span),
-            );
+                name.span,
+            )?;
         }
         // The named result node: for multi-word memories the final mux
         // would do, but a single-word memory needs a fresh alias node, so
         // uniformly finish with a full-width slice carrying the name.
+        let hi = self.nl.width(acc) - 1;
         self.push_named(
             name,
-            width,
+            None,
             Op::Slice {
                 src: acc,
-                hi: width - 1,
+                hi,
                 lo: 0,
             },
         )
     }
 
     /// Expands one `write` statement into per-word next-state muxes.
-    fn lower_write(&mut self, mem: &Name, en: &Name, addr: &Name, data: &Name) {
-        let (words, width) = self.mems[&mem.node].clone();
+    fn lower_write(
+        &mut self,
+        mem: &Name,
+        en: &Name,
+        addr: &Name,
+        data: &Name,
+    ) -> Result<(), NetlistError> {
+        let words = self.mems[&mem.node].clone();
         let (en_id, addr_id, data_id) = (self.get(en), self.get(addr), self.get(data));
-        let aw = self.width(addr_id);
+        let aw = self.nl.width(addr_id);
         for (i, &word) in words.iter().enumerate() {
-            let idx = self.push_anon(aw, Op::Const(i as u64), Some(mem.span));
-            let hit = self.push_anon(
-                1,
-                Op::Binary(crate::ir::BinOp::Eq, addr_id, idx),
-                Some(mem.span),
-            );
-            let sel = self.push_anon(
-                1,
-                Op::Binary(crate::ir::BinOp::And, en_id, hit),
-                Some(mem.span),
-            );
-            let next = self.push_anon(
-                width,
+            let idx = self.push(None, Some(aw), Op::Const(i as u64), mem.span)?;
+            let hit = self.push(None, None, Op::Binary(BinOp::Eq, addr_id, idx), mem.span)?;
+            let sel = self.push(None, None, Op::Binary(BinOp::And, en_id, hit), mem.span)?;
+            let next = self.push(
+                None,
+                None,
                 Op::Mux {
                     sel,
                     a: data_id,
                     b: word,
                 },
-                Some(mem.span),
-            );
-            self.nl
-                .set_reg_next(word, next)
-                .expect("write expansion re-wired a register");
+                mem.span,
+            )?;
+            self.nl.set_reg_next(word, next)?;
         }
+        Ok(())
+    }
+
+    /// Lowers every declaration in statement order, then the `next`
+    /// connections and deferred write-port expansions (both may reference
+    /// declarations that came later in the file).
+    fn lower_items(&mut self, m: &Module) -> Result<(), NetlistError> {
+        let mut writes: Vec<(&Name, &Name, &Name, &Name)> = Vec::new();
+        let mut nexts: Vec<(&Name, &Name)> = Vec::new();
+        for item in &m.items {
+            match item {
+                Item::Input { name, width } => {
+                    self.push_named(name, Some(width.node as u8), Op::Input)?;
+                }
+                Item::Reg { name, width, init } => {
+                    let op = Op::Reg {
+                        next: None,
+                        init: init.node,
+                    };
+                    self.push_named(name, Some(width.node as u8), op)?;
+                }
+                Item::Const { name, width, value } => {
+                    self.push_named(name, Some(width.node as u8), Op::Const(value.node))?;
+                }
+                Item::Wire { name, op, .. } => {
+                    self.lower_wire(name, op)?;
+                }
+                Item::Mem {
+                    name,
+                    len,
+                    width,
+                    init,
+                } => {
+                    let w = width.node as u8;
+                    let init = init.as_ref().map(|i| i.node).unwrap_or(0);
+                    let mut words = Vec::with_capacity(len.node as usize);
+                    for i in 0..len.node {
+                        let word = Name {
+                            node: format!("{}[{i}]", name.node),
+                            span: name.span,
+                        };
+                        words.push(self.push_named(
+                            &word,
+                            Some(w),
+                            Op::Reg { next: None, init },
+                        )?);
+                    }
+                    self.mems.insert(name.node.clone(), words);
+                }
+                Item::Write {
+                    mem,
+                    en,
+                    addr,
+                    data,
+                } => writes.push((mem, en, addr, data)),
+                Item::Next { reg, src } => nexts.push((reg, src)),
+            }
+        }
+        for (reg, src) in nexts {
+            self.nl.set_reg_next(self.get(reg), self.get(src))?;
+        }
+        for (mem, en, addr, data) in writes {
+            self.lower_write(mem, en, addr, data)?;
+        }
+        Ok(())
+    }
+
+    fn lower_wire(&mut self, name: &Name, op: &WireOp) -> Result<SignalId, NetlistError> {
+        let op = match op {
+            WireOp::Unary { op, a, .. } => Op::Unary(*op, self.get(a)),
+            WireOp::Binary { op, a, b, .. } => Op::Binary(*op, self.get(a), self.get(b)),
+            WireOp::Mux { sel, a, b } => Op::Mux {
+                sel: self.get(sel),
+                a: self.get(a),
+                b: self.get(b),
+            },
+            WireOp::Slice { src, hi, lo } => Op::Slice {
+                src: self.get(src),
+                hi: hi.node as u8,
+                lo: lo.node as u8,
+            },
+            WireOp::Concat { hi, lo } => Op::Concat {
+                hi: self.get(hi),
+                lo: self.get(lo),
+            },
+            WireOp::Read { mem, addr } => return self.lower_read(name, &mem.node, addr),
+        };
+        self.push_named(name, None, op)
     }
 }
 
 /// Lowers a checked module. `report` receives `W001` warnings and (belt
-/// and braces) an `E014` internal error if the produced IR fails
-/// [`Netlist::validate`] — which would be a frontend bug, not a user error.
+/// and braces) an `E014` internal error if a node breaks the width rule or
+/// the produced IR fails [`Netlist::validate`] — which would be a frontend
+/// bug, not a user error.
 pub fn run(m: &Module, report: &mut Report) -> Option<LoweredModule> {
     let mut lw = Lowerer {
         nl: Netlist::new(),
@@ -235,68 +321,13 @@ pub fn run(m: &Module, report: &mut Report) -> Option<LoweredModule> {
         report,
     };
 
-    let mut writes: Vec<(&Name, &Name, &Name, &Name)> = Vec::new();
-    let mut nexts: Vec<(&Name, &Name)> = Vec::new();
-
-    for item in &m.items {
-        match item {
-            Item::Input { name, width } => {
-                lw.push_named(name, width.node as u8, Op::Input);
-            }
-            Item::Reg { name, width, init } => {
-                lw.push_named(
-                    name,
-                    width.node as u8,
-                    Op::Reg {
-                        next: None,
-                        init: init.node,
-                    },
-                );
-            }
-            Item::Const { name, width, value } => {
-                lw.push_named(name, width.node as u8, Op::Const(value.node));
-            }
-            Item::Wire { name, op, .. } => {
-                lower_wire(&mut lw, name, op);
-            }
-            Item::Mem {
-                name,
-                len,
-                width,
-                init,
-            } => {
-                let w = width.node as u8;
-                let init = init.as_ref().map(|i| i.node).unwrap_or(0);
-                let mut words = Vec::with_capacity(len.node as usize);
-                for i in 0..len.node {
-                    let word = Name {
-                        node: format!("{}[{i}]", name.node),
-                        span: name.span,
-                    };
-                    words.push(lw.push_named(&word, w, Op::Reg { next: None, init }));
-                }
-                lw.mems.insert(name.node.clone(), (words, w));
-            }
-            Item::Write {
-                mem,
-                en,
-                addr,
-                data,
-            } => writes.push((mem, en, addr, data)),
-            Item::Next { reg, src } => nexts.push((reg, src)),
-        }
-    }
-
-    // Fix-ups: `next` connections and deferred write-port expansions (both
-    // may reference declarations that came later in the file).
-    for (reg, src) in nexts {
-        let (r, s) = (lw.get(reg), lw.get(src));
-        lw.nl
-            .set_reg_next(r, s)
-            .expect("typeck admitted a bad next connection");
-    }
-    for (mem, en, addr, data) in writes {
-        lw.lower_write(mem, en, addr, data);
+    if let Err(e) = lw.lower_items(m).and_then(|()| lw.nl.validate()) {
+        lw.report.push(Diagnostic::error(
+            "E014",
+            "lower",
+            format!("internal: lowered netlist failed validation: {e}"),
+        ));
+        return None;
     }
 
     let annotations = m.annotations.as_ref().map(|ann| Annotations {
@@ -351,14 +382,6 @@ pub fn run(m: &Module, report: &mut Report) -> Option<LoweredModule> {
         }
     });
 
-    if let Err(e) = lw.nl.validate() {
-        lw.report.push(Diagnostic::error(
-            "E014",
-            "lower",
-            format!("internal: lowered netlist failed validation: {e}"),
-        ));
-        return None;
-    }
     if let Some(ann) = &annotations {
         if let Err(e) = ann.validate(&lw.nl) {
             lw.report.push(Diagnostic::error(
@@ -377,58 +400,6 @@ pub fn run(m: &Module, report: &mut Report) -> Option<LoweredModule> {
         annotations,
         harness,
     })
-}
-
-fn lower_wire(lw: &mut Lowerer<'_>, name: &Name, op: &WireOp) {
-    match op {
-        WireOp::Unary { op, a, .. } => {
-            let a_id = lw.get(a);
-            let w = if op.is_reduction() { 1 } else { lw.width(a_id) };
-            lw.push_named(name, w, Op::Unary(*op, a_id));
-        }
-        WireOp::Binary { op, a, b, .. } => {
-            let (a_id, b_id) = (lw.get(a), lw.get(b));
-            let w = if op.is_comparison() {
-                1
-            } else {
-                lw.width(a_id)
-            };
-            lw.push_named(name, w, Op::Binary(*op, a_id, b_id));
-        }
-        WireOp::Mux { sel, a, b } => {
-            let (s, a_id, b_id) = (lw.get(sel), lw.get(a), lw.get(b));
-            let w = lw.width(a_id);
-            lw.push_named(
-                name,
-                w,
-                Op::Mux {
-                    sel: s,
-                    a: a_id,
-                    b: b_id,
-                },
-            );
-        }
-        WireOp::Slice { src, hi, lo } => {
-            let s = lw.get(src);
-            lw.push_named(
-                name,
-                (hi.node - lo.node + 1) as u8,
-                Op::Slice {
-                    src: s,
-                    hi: hi.node as u8,
-                    lo: lo.node as u8,
-                },
-            );
-        }
-        WireOp::Concat { hi, lo } => {
-            let (h, l) = (lw.get(hi), lw.get(lo));
-            let w = lw.width(h) + lw.width(l);
-            lw.push_named(name, w, Op::Concat { hi: h, lo: l });
-        }
-        WireOp::Read { mem, addr } => {
-            lw.lower_read(name, &mem.node, addr);
-        }
-    }
 }
 
 fn lower_ufsm(lw: &Lowerer<'_>, u: &UfsmBlock) -> UFsm {

@@ -260,15 +260,6 @@ module t {
 }
 
 #[test]
-fn legacy_parse_api_reports_first_error_line() {
-    let err = parse("module t {\n  wire y = not ghost\n}\n").unwrap_err();
-    assert_eq!(err.line, 2);
-    assert!(err.message.contains("ghost"));
-    let nl = parse(COUNTER).unwrap();
-    assert_eq!(nl.len(), 5);
-}
-
-#[test]
 fn full_module_with_metadata_round_trips() {
     let src = "\
 module tiny {

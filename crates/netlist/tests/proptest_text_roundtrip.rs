@@ -1,4 +1,4 @@
-//! Textual-format round-trip (property-based): emit(parse(emit(nl))) is a
+//! Textual-format round-trip (property-based): emit(compile(emit(nl))) is a
 //! fixpoint and preserves simulation behaviour on random circuits.
 //! (Hand-rolled random cases via `prng`.)
 
@@ -94,7 +94,10 @@ fn round_trip_is_fixpoint_and_behaviour_preserving() {
             .collect();
         let nl = build(&steps);
         let text = netlist::text::emit(&nl);
-        let nl2 = netlist::text::parse(&text).expect("parses");
+        let nl2 = netlist::text::compile(&text, "<roundtrip>")
+            .module
+            .expect("compiles")
+            .netlist;
         assert_eq!(netlist::text::emit(&nl2), text, "emit fixpoint");
         assert_eq!(nl.len(), nl2.len());
         // Behaviour: simulate both with the same script.

@@ -303,7 +303,7 @@ impl SolverStats {
 /// assert!(s.solve().is_sat());
 /// assert_eq!(s.value(b), Some(true));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Solver {
     arena: Arena,
     orig_refs: Vec<ClauseRef>,
@@ -365,15 +365,61 @@ pub struct Solver {
     add_out: Vec<Lit>,
 }
 
+impl Default for Solver {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Self {
+            arena: Arena::default(),
+            orig_refs: Vec::new(),
+            learnt_refs: Vec::new(),
+            watches: Vec::new(),
+            bin_watches: Vec::new(),
+            assigns: Vec::new(),
+            lit_vals: Vec::new(),
+            phase: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            qhead: 0,
+            bhead: 0,
+            reason: Vec::new(),
+            level: Vec::new(),
+            activity: Vec::new(),
             var_inc: 1.0,
             clause_inc: 1.0,
+            heap: ActivityHeap::default(),
+            seen: Vec::new(),
+            min_stack: Vec::new(),
+            retained: Vec::new(),
             ok: true,
+            model: Vec::new(),
+            stats: SolverStats::default(),
+            conflict_budget: None,
+            num_binary: 0,
+            num_binary_learnt: 0,
+            wasted: 0,
+            ema_fast: 0.0,
+            ema_slow: 0.0,
+            ema_trail: 0.0,
             next_reduce: REDUCE_BASE,
-            ..Self::default()
+            reduces: 0,
+            simplified_trail: 0,
+            last_subsume_count: 0,
+            lvl_stamp: Vec::new(),
+            lvl_stamp_gen: 0,
+            lit_stamp: Vec::new(),
+            lit_stamp_gen: 0,
+            cancel: None,
+            pool_watch: None,
+            last_stop: None,
+            clause_log: None,
+            add_sorted: Vec::new(),
+            add_out: Vec::new(),
         }
     }
 
@@ -2020,6 +2066,26 @@ mod tests {
                 "model violates clause"
             );
         }
+    }
+
+    #[test]
+    fn default_solver_is_the_new_solver() {
+        let mut s = Solver::default();
+        let a = s.new_var();
+        assert!(s.add_clause(&[Lit::pos(a)]));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.value(a), Some(true));
+
+        // A random 3-SAT formula near the phase transition: same verdict
+        // and the same search, counter for counter.
+        let run = |mut s: Solver| {
+            let v = lits(&mut s, 40);
+            random_3sat(&mut s, &v, 170, 0x5eed_cafe);
+            (s.solve(), s.stats())
+        };
+        let (verdict, stats) = run(Solver::default());
+        assert_eq!((verdict, stats), run(Solver::new()));
+        assert!(stats.conflicts > 0, "the formula needs search");
     }
 
     #[test]

@@ -89,8 +89,6 @@ pub struct LeakHarness {
     pub netlist: Netlist,
     /// PL table (same order as the design's µFSM declaration).
     pub pls: PlTable,
-    /// Per-PL class labels.
-    pub classes: Vec<String>,
     /// The transponder tracker.
     pub ip: Tracked,
     /// The transmitter tracker (same monitors as `ip` when intrinsic).
@@ -308,7 +306,6 @@ pub fn build_leak_harness(design: &Design, cfg: &LeakHarnessConfig) -> LeakHarne
     // PL and class tables (shared by both trackers).
     let PlClasses {
         pls,
-        labels: classes,
         classes: class_table,
         class_of: class_of_pl,
         ..
@@ -543,7 +540,6 @@ pub fn build_leak_harness(design: &Design, cfg: &LeakHarnessConfig) -> LeakHarne
     LeakHarness {
         netlist,
         pls,
-        classes,
         ip,
         it,
         base_assumes,

@@ -16,7 +16,18 @@ use crate::{Design, TypeField};
 /// Emits a design as canonical netlist text (a complete `.nl` module with
 /// `annotations` and `harness` blocks).
 pub fn design_to_text(design: &Design) -> String {
-    let harness = HarnessData {
+    text::emit_module(&ModuleText {
+        name: &design.name,
+        netlist: &design.netlist,
+        annotations: Some(&design.annotations),
+        harness: Some(&harness_data(design)),
+    })
+}
+
+/// A design's harness block in netlist-crate terms: hook signals as ids,
+/// opcodes as their mnemonics.
+pub fn harness_data(design: &Design) -> HarnessData {
+    HarnessData {
         fetch_instr_input: design.fetch_instr_input,
         fetch_valid_input: design.fetch_valid_input,
         fetch_fire: design.fetch_fire,
@@ -39,13 +50,7 @@ pub fn design_to_text(design: &Design) -> String {
             .collect(),
         max_latency: design.max_latency,
         outputs: design.outputs.clone(),
-    };
-    text::emit_module(&ModuleText {
-        name: &design.name,
-        netlist: &design.netlist,
-        annotations: Some(&design.annotations),
-        harness: Some(&harness),
-    })
+    }
 }
 
 /// Converts a lowered module into a [`Design`]. Pushes `E013` diagnostics

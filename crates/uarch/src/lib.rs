@@ -163,27 +163,8 @@ impl Design {
 /// is not reported dead), with the fetch/issue strobes checked for
 /// structural constancy.
 pub fn lint_design(design: &Design) -> netlist::lint::LintReport {
-    let mut roots: Vec<SignalId> = vec![
-        design.fetch_instr_input,
-        design.fetch_valid_input,
-        design.fetch_fire,
-        design.issue_fire,
-        design.issue_pc,
-        design.issue_valid,
-        design.pc,
-    ];
-    if let Some((rs1, rs2)) = design.rs_fields {
-        roots.extend([rs1, rs2]);
-    }
-    roots.extend(design.outputs.iter().copied());
-    let cx = netlist::lint::LintContext {
-        netlist: &design.netlist,
-        annotations: Some(&design.annotations),
-        roots,
-        strobes: vec![
-            ("fetch_fire".to_owned(), design.fetch_fire),
-            ("issue_fire".to_owned(), design.issue_fire),
-        ],
-    };
+    let harness = frontend::harness_data(design);
+    let ann = Some(&design.annotations);
+    let cx = netlist::lint::LintContext::with_harness(&design.netlist, ann, Some(&harness));
     netlist::lint::run(&cx)
 }

@@ -1,7 +1,8 @@
 //! Analyzing a standalone cache DUV (the §VII-A2 experiment): hit/miss
 //! µPATHs for reads and writes, including the write path's bank-access
-//! split (Fig. 4c), driven from the textual netlist round-trip to show the
-//! "RTL in from disk" flow.
+//! split (Fig. 4c). The netlist first round-trips through the textual
+//! frontend (`netlist::text::emit`, then `netlist::text::compile`) to show
+//! the "RTL in from disk" flow.
 //!
 //! ```text
 //! cargo run --release --example cache_channels
@@ -16,7 +17,10 @@ fn main() {
     // Round-trip the netlist through the textual format, as if it had been
     // loaded from an RTL file on disk.
     let text = netlist::text::emit(&design.netlist);
-    let reparsed = netlist::text::parse(&text).expect("textual netlist parses");
+    let reparsed = netlist::text::compile(&text, "minicache.nl")
+        .module
+        .expect("textual netlist compiles")
+        .netlist;
     println!(
         "MiniCache: {} nodes ({} bytes as text, round-trips cleanly)",
         reparsed.len(),

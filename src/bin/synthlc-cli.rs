@@ -53,7 +53,7 @@
 //! Run via `cargo run --release --bin synthlc-cli -- <args>`.
 
 use mc::{CancelToken, CheckStats, FaultPlan, JobStore};
-use mupath::{ContextMode, EngineOptions, HarnessConfig, RobustOptions, SynthConfig};
+use mupath::{ContextMode, EngineOptions, RobustOptions, SynthConfig};
 use netlist::text::CompileResult;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -418,23 +418,16 @@ fn cmd_audit(design: &Design, op: isa::Opcode, audit: Audit, o: &Opts) -> Result
             r.paths.len(),
             r.complete
         );
-        let harness = mupath::build_harness(
-            design,
-            &HarnessConfig {
-                opcode: op,
-                fetch_slot: o.synth.slots[0],
-                context: o.synth.context,
-            },
-        );
+        let pls = mupath::PlClasses::of(design).pls;
         for (i, p) in r.concrete.iter().enumerate() {
             println!(
                 "\nµPATH {i} (latency {} cycles):\n{}",
                 p.latency(),
-                p.render(&harness.pls)
+                p.render(&pls)
             );
         }
         for d in &r.decisions {
-            println!("decision: {}", d.describe(&harness.pls));
+            println!("decision: {}", d.describe(&pls));
         }
         println!(
             "\n{} properties, {:.2}s avg, {:.1}% undetermined",
