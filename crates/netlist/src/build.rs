@@ -516,10 +516,18 @@ mod tests {
         let r = b.reg("r", 4, 0);
         let c = b.constant(3, 4);
         b.set_next(r, c).unwrap();
-        assert!(matches!(
+        assert_eq!(
             b.set_next(r, c),
-            Err(NetlistError::RegAlreadyConnected(_))
-        ));
+            Err(NetlistError::RegAlreadyConnected("r".into()))
+        );
+    }
+
+    #[test]
+    fn set_next_of_a_non_register_names_it() {
+        let mut b = Builder::new();
+        let a = b.input("a", 4);
+        let c = b.constant(3, 4);
+        assert_eq!(b.set_next(a, c), Err(NetlistError::NotAReg("a".into())));
     }
 
     #[test]

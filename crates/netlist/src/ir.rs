@@ -648,16 +648,15 @@ impl Netlist {
                 context: format!("set_next of {}", self.display_name(reg)),
             });
         }
-        let name = self.display_name(reg);
         match &mut self.nodes[reg.index()].op {
-            Op::Reg { next: slot, .. } => {
-                if slot.is_some() {
-                    return Err(NetlistError::RegAlreadyConnected(name));
-                }
+            Op::Reg {
+                next: slot @ None, ..
+            } => {
                 *slot = Some(next);
                 Ok(())
             }
-            _ => Err(NetlistError::NotAReg(name)),
+            Op::Reg { .. } => Err(NetlistError::RegAlreadyConnected(self.display_name(reg))),
+            _ => Err(NetlistError::NotAReg(self.display_name(reg))),
         }
     }
 

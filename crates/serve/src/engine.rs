@@ -13,11 +13,12 @@
 //! real, can flip a clean verdict, only widen it.
 //!
 //! Clean verdicts are stored in the content-addressed verdict store — a
-//! [`Journal`] whose keys are pure functions of (job kind, design
-//! fingerprint, verdict-relevant knobs), never of deadlines, fault plans
-//! or retry budgets, which can only widen verdicts. Identical jobs are
-//! answered from cache without re-solving, and a restarted daemon replays
-//! the journal (torn tail dropped) and answers byte for byte identically.
+//! [`Journal`] whose keys are pure functions of the request: job kind,
+//! design source bytes, and verdict-relevant knobs as sent; never
+//! deadlines, fault plans or retry budgets, which can only widen verdicts.
+//! Identical jobs are answered from cache without parsing the design or
+//! re-solving, and a restarted daemon replays the journal (torn tail
+//! dropped) and answers byte for byte identically.
 
 use crate::proto::{ev_done, ev_error, ev_progress, Op, Request};
 use jsonio::Json;
@@ -28,10 +29,10 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 use synthlc::{Audit, Journal};
-use uarch::Design;
+use uarch::{Design, DesignSource};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -320,44 +321,70 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Everything about a job resolved before the attempt loop: design,
-/// opcode, effective knobs, and the verdict-store key.
+/// Everything about a job resolved before the store lookup: its
+/// verdict-store key and what a miss needs to run it.
 struct Prep {
-    /// Paths/Leak: the loaded design, the opcode, and the µPATH knobs.
+    /// Paths/Leak: the design the request names, read but not compiled.
+    source: Option<DesignSource>,
+    /// Paths/Leak after a store miss: the loaded design, the opcode, and
+    /// the µPATH knobs ([`load_job`]).
     job: Option<(Design, isa::Opcode, SynthConfig)>,
     /// Fuzz: the effective BMC bound.
     bound: usize,
     key: Option<String>,
 }
 
+/// FNV-1a of a design's source: a `.nl` file's bytes, or a built-in's
+/// canonical emission ([`design_fingerprint`]), computed once per
+/// process. A file that is a canonical emission therefore shares its
+/// verdict-store entries with the built-in it emits.
+fn source_fingerprint(source: &DesignSource) -> u64 {
+    static BUILTINS: [OnceLock<u64>; uarch::DESIGNS.len()] =
+        [const { OnceLock::new() }; uarch::DESIGNS.len()];
+    match source {
+        DesignSource::Builtin(ix) => {
+            *BUILTINS[*ix].get_or_init(|| design_fingerprint(&(uarch::DESIGNS[*ix].1)()))
+        }
+        DesignSource::File { text, .. } => netlist::Fnv::new().bytes(text.as_bytes()).finish(),
+    }
+}
+
 fn prepare(req: &Request) -> Result<Prep, String> {
     match req.op {
         Op::Paths | Op::Leak => {
             let spec = req.design.as_deref().expect("validated by Request::parse");
-            let (design, _) = uarch::load_design(spec).map_err(|e| e.message)?;
+            let source =
+                DesignSource::resolve(spec, Some(crate::net::MAX_LINE)).map_err(|e| e.message)?;
             let iname = req.instr.as_deref().expect("validated by Request::parse");
-            let opcode = design
-                .opcode(iname)
-                .ok_or_else(|| format!("`{iname}` is not implemented by {}", design.name))?;
-            let mut synth = SynthConfig::for_design(&design);
-            synth.bound = req.bound.unwrap_or(synth.bound);
-            synth.conflict_budget = req.budget.or(synth.conflict_budget);
-            let fp = design_fingerprint(&design);
-            let key = format!(
-                "serve:{}:{fp:016x}:{opcode:?}:{}:{}",
-                req.op.label(),
-                synth.bound,
-                synth.conflict_budget.unwrap_or_default()
-            );
+            // The key is a pure function of the request: knobs as sent, an
+            // omitted one as `-` (its default is a function of the design,
+            // which the source fingerprint keys). A mnemonic outside the
+            // ISA gets no key: no design implements it, so `load_job`
+            // answers it with an error.
+            let knob = |k: Option<u64>| k.map_or_else(|| "-".to_owned(), |v| v.to_string());
+            let key = isa::Opcode::ALL
+                .iter()
+                .find(|op| op.mnemonic().eq_ignore_ascii_case(iname))
+                .map(|op| {
+                    format!(
+                        "serve:{}:{:016x}:{op:?}:{}:{}",
+                        req.op.label(),
+                        source_fingerprint(&source),
+                        knob(req.bound.map(|b| b as u64)),
+                        knob(req.budget)
+                    )
+                });
             Ok(Prep {
-                job: Some((design, opcode, synth)),
+                source: Some(source),
+                job: None,
                 bound: 0,
-                key: Some(key),
+                key,
             })
         }
         Op::Check => {
             let source = req.source.as_deref().expect("validated by Request::parse");
             Ok(Prep {
+                source: None,
                 job: None,
                 bound: 0,
                 key: Some(format!(
@@ -374,6 +401,7 @@ fn prepare(req: &Request) -> Result<Prep, String> {
                 .bound
                 .unwrap_or_else(|| fuzz::FuzzConfig::default().bound);
             Ok(Prep {
+                source: None,
                 job: None,
                 bound,
                 key: Some(format!("serve:fuzz:{}:{}:{bound}", req.seed, req.cases)),
@@ -386,19 +414,37 @@ fn prepare(req: &Request) -> Result<Prep, String> {
     }
 }
 
+/// Compiles a Paths/Leak job's design after a store miss, once for all
+/// of its attempts: the design, the opcode, and the µPATH knobs.
+fn load_job(
+    req: &Request,
+    source: DesignSource,
+) -> Result<(Design, isa::Opcode, SynthConfig), String> {
+    let (design, _) = source.load().map_err(|e| e.message)?;
+    let iname = req.instr.as_deref().expect("validated by Request::parse");
+    let opcode = design
+        .opcode(iname)
+        .ok_or_else(|| format!("`{iname}` is not implemented by {}", design.name))?;
+    let mut synth = SynthConfig::for_design(&design);
+    synth.bound = req.bound.unwrap_or(synth.bound);
+    synth.conflict_budget = req.budget.or(synth.conflict_budget);
+    Ok((design, opcode, synth))
+}
+
 fn process(inner: &Inner, job: &Job) {
     let req = &job.req;
-    let prep = match prepare(req) {
+    let mut prep = match prepare(req) {
         Ok(p) => p,
         Err(msg) => {
             let _ = job.tx.send(ev_error(&req.id, &msg));
             return;
         }
     };
-    // Content-addressed reuse: identical (design fingerprint, knobs) jobs
-    // are answered from the verdict store without re-solving. Provenance
-    // goes in an advisory `progress` event, never in the verdict, so a
-    // cached answer is byte-identical to a freshly computed one.
+    // Content-addressed reuse: identical (design source, knobs) jobs are
+    // answered from the verdict store without parsing or re-solving.
+    // Provenance goes in an advisory `progress` event, never in the
+    // verdict, so a cached answer is byte-identical to a freshly computed
+    // one.
     if let (Some(store), Some(key)) = (&inner.store, &prep.key) {
         if let Some(rec) = store.get(key) {
             if let Ok(result) = Json::parse(&rec) {
@@ -407,6 +453,15 @@ fn process(inner: &Inner, job: &Job) {
                     .send(ev_progress(&req.id, "served from verdict store"));
                 let _ = job.tx.send(ev_done(&req.id, result));
                 inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        }
+    }
+    if let Some(source) = prep.source.take() {
+        match load_job(req, source) {
+            Ok(loaded) => prep.job = Some(loaded),
+            Err(msg) => {
+                let _ = job.tx.send(ev_error(&req.id, &msg));
                 return;
             }
         }
@@ -669,5 +724,40 @@ mod tests {
             "a different BMC bound is a different verdict; keys must differ"
         );
         assert_eq!(deeper.bound, 12, "the keyed bound is the bound that runs");
+    }
+
+    #[test]
+    fn builtins_and_their_example_files_share_store_keys() {
+        let key = |design: String, bound, budget| {
+            let mut r = Request::new(Op::Leak);
+            r.design = Some(design);
+            r.instr = Some("LW".into());
+            r.bound = bound;
+            r.budget = budget;
+            prepare(&r).unwrap().key.expect("an ISA mnemonic is keyed")
+        };
+        let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+        for &(name, build) in uarch::DESIGNS {
+            let file = format!("{examples}/{name}.nl");
+            for (bound, budget) in [(None, None), (Some(18), Some(2_000_000))] {
+                assert_eq!(
+                    key(name.into(), bound, budget),
+                    key(file.clone(), bound, budget),
+                    "{name}"
+                );
+            }
+            // Explicit knobs keep the whole-design fingerprint's key, so
+            // stores written before source keying still answer them.
+            let fp = design_fingerprint(&build());
+            assert_eq!(
+                key(file, Some(18), Some(2_000_000)),
+                format!("serve:leak:{fp:016x}:Lw:18:2000000")
+            );
+            assert_eq!(
+                key(name.into(), None, Some(7)),
+                format!("serve:leak:{fp:016x}:Lw:-:7"),
+                "an omitted knob is keyed as omitted"
+            );
+        }
     }
 }

@@ -23,9 +23,10 @@
 //!   fault schedule ([`mc::FaultPlan::serve_fault_for`]), so an injected
 //!   fault does not deterministically re-hit;
 //! * **clean verdicts are content-addressed** — keyed by (job kind,
-//!   design fingerprint, verdict-relevant knobs) in a crash-safe journal,
-//!   so identical jobs are answered from cache and a killed daemon
-//!   restarts byte-identically (`tests/serve_robustness.rs`).
+//!   design source bytes, verdict-relevant knobs as sent) in a crash-safe
+//!   journal, so identical jobs are answered from cache without parsing
+//!   the design and a killed daemon restarts byte-identically
+//!   (`tests/serve_robustness.rs`).
 
 pub mod engine;
 pub mod knobs;

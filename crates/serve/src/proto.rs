@@ -20,9 +20,9 @@
 //!   Deliberately *not* part of the verdict: provenance may differ between
 //!   an uninterrupted run and a resumed one;
 //! * `done` — the verdict. For clean runs the `result` object is a pure
-//!   function of (design fingerprint, knobs): no wall-clock times, no
-//!   cache provenance — which is what makes restarted daemons answer byte
-//!   for byte identically (`tests/serve_robustness.rs`);
+//!   function of (design source, knobs): no wall-clock times, no cache
+//!   provenance — which is what makes restarted daemons answer byte for
+//!   byte identically (`tests/serve_robustness.rs`);
 //! * `error` — the request itself was unusable (unknown op, bad knobs).
 
 use jsonio::Json;

@@ -13,9 +13,11 @@
 //! Every design comes with its [`netlist::annotate::Annotations`] (µFSMs,
 //! IFR, commit, operand registers — the Table II metadata).
 //!
-//! [`DESIGNS`] is the registry of built-in designs the front ends list,
-//! and [`load_design`] resolves a `<design>` argument — a registry name or
-//! a `.nl` file — for the CLI and the daemon alike.
+//! [`DESIGNS`] is the registry of built-in designs the front ends list.
+//! [`DesignSource::resolve`] decides what a `<design>` argument names — a
+//! registry name or a `.nl` file, read but not compiled — and
+//! [`DesignSource::load`] builds or compiles it, for the CLI and the
+//! daemon alike ([`load_design`] does both).
 
 pub mod cache;
 mod config;
@@ -30,6 +32,7 @@ pub use tiny::build_tiny;
 use netlist::annotate::Annotations;
 use netlist::text::CompileResult;
 use netlist::{Netlist, SignalId};
+use std::io::Read;
 
 /// A built-in design: its registry name and its builder.
 pub type Builtin = (&'static str, fn() -> Design);
@@ -47,39 +50,84 @@ pub const DESIGNS: &[Builtin] = &[
 /// Why [`load_design`] produced no design.
 #[derive(Debug)]
 pub struct LoadError {
-    /// One line: an unknown name, an unreadable file, or the file's
-    /// diagnostic summary.
+    /// One line: an unknown name, an unreadable or oversized file, or the
+    /// file's diagnostic summary.
     pub message: String,
     /// The rendered diagnostics of a file that compiled with errors;
     /// empty otherwise.
     pub diagnostics: String,
 }
 
-/// Resolves a `<design>` argument: a [`DESIGNS`] name, or a path to a
-/// `.nl` netlist file ("bring your own design"), which runs through the
-/// full frontend ([`frontend::parse_design`]). A file's compile result
-/// rides along with its design so callers can gate on its warnings.
-pub fn load_design(spec: &str) -> Result<(Design, Option<CompileResult>), LoadError> {
-    let fail = |message: String| LoadError {
-        message,
-        diagnostics: String::new(),
-    };
-    if !spec.ends_with(".nl") && !std::path::Path::new(spec).is_file() {
-        return match DESIGNS.iter().find(|(name, _)| *name == spec) {
-            Some((_, build)) => Ok((build(), None)),
-            None => Err(fail(format!(
-                "unknown design `{spec}` (not a built-in, not a file)"
-            ))),
+/// A resolved `<design>` argument: which design it names, with a file's
+/// text already read but not yet compiled.
+#[derive(Debug)]
+pub enum DesignSource {
+    /// The [`DESIGNS`] entry at this index.
+    Builtin(usize),
+    /// A `.nl` netlist file: its path as given, and its text.
+    File {
+        /// The path, as the caller spelled it.
+        path: String,
+        /// The file's contents.
+        text: String,
+    },
+}
+
+impl DesignSource {
+    /// Resolves a `<design>` argument: a [`DESIGNS`] name, or a path to a
+    /// `.nl` netlist file ("bring your own design"), which is read here.
+    /// With `max_bytes`, a file longer than that is refused unread past
+    /// the cap.
+    pub fn resolve(spec: &str, max_bytes: Option<usize>) -> Result<DesignSource, LoadError> {
+        let fail = |message: String| LoadError {
+            message,
+            diagnostics: String::new(),
         };
+        if !spec.ends_with(".nl") && !std::path::Path::new(spec).is_file() {
+            return match DESIGNS.iter().position(|(name, _)| *name == spec) {
+                Some(ix) => Ok(DesignSource::Builtin(ix)),
+                None => Err(fail(format!(
+                    "unknown design `{spec}` (not a built-in, not a file)"
+                ))),
+            };
+        }
+        let cap = max_bytes.map_or(u64::MAX, |m| (m as u64).saturating_add(1));
+        let mut bytes = Vec::new();
+        std::fs::File::open(spec)
+            .and_then(|f| f.take(cap).read_to_end(&mut bytes))
+            .map_err(|e| fail(format!("{spec}: {e}")))?;
+        if let Some(max) = max_bytes.filter(|&m| bytes.len() > m) {
+            return Err(fail(format!("{spec}: larger than the {max}-byte size cap")));
+        }
+        let text = String::from_utf8(bytes).map_err(|e| fail(format!("{spec}: {e}")))?;
+        Ok(DesignSource::File {
+            path: spec.to_owned(),
+            text,
+        })
     }
-    let src = std::fs::read_to_string(spec).map_err(|e| fail(format!("{spec}: {e}")))?;
-    match frontend::parse_design(&src, spec) {
-        (Some(design), result) => Ok((design, Some(result))),
-        (None, result) => Err(LoadError {
-            message: format!("{spec}: {}", result.report.summary()),
-            diagnostics: result.report.render_in(&result.source),
-        }),
+
+    /// Builds a built-in, or runs a file through the full frontend
+    /// ([`frontend::parse_design`]). A file's compile result rides along
+    /// with its design so callers can gate on its warnings.
+    pub fn load(self) -> Result<(Design, Option<CompileResult>), LoadError> {
+        let (path, text) = match self {
+            DesignSource::Builtin(ix) => return Ok(((DESIGNS[ix].1)(), None)),
+            DesignSource::File { path, text } => (path, text),
+        };
+        match frontend::parse_design(&text, &path) {
+            (Some(design), result) => Ok((design, Some(result))),
+            (None, result) => Err(LoadError {
+                message: format!("{path}: {}", result.report.summary()),
+                diagnostics: result.report.render_in(&result.source),
+            }),
+        }
     }
+}
+
+/// Resolves and loads a `<design>` argument ([`DesignSource::resolve`],
+/// uncapped, then [`DesignSource::load`]).
+pub fn load_design(spec: &str) -> Result<(Design, Option<CompileResult>), LoadError> {
+    DesignSource::resolve(spec, None)?.load()
 }
 
 /// Where the instruction-type (opcode) field lives within the value driven

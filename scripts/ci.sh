@@ -235,7 +235,8 @@ echo "== serve-smoke (daemon: retry a worker panic, cache hit, drain) =="
 #   1. `leak minicache lw` must survive its injected panic and exit 0;
 #   2. an identical resubmission must be a cache hit (no re-solve);
 #   3. `stats` must show retried >= 1 and cache_hits >= 1;
-#   4. a client `shutdown` must drain the queue and exit the daemon 0.
+#   4. the same job naming examples/minicache.nl must be a store hit too;
+#   5. a client `shutdown` must drain the queue and exit the daemon 0.
 SERVE_JOURNAL=$(mktemp -t synthlc-serve-smoke.XXXXXX)
 SERVE_LOG=$(mktemp -t synthlc-serve-log.XXXXXX)
 trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$EDIT_JOURNAL" "$EDIT_NL" "$SERVE_JOURNAL" "$SERVE_LOG"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
@@ -275,7 +276,25 @@ if [ "${RETRIED:-0}" -lt 1 ] || [ "${HITS:-0}" -lt 1 ]; then
   echo "serve-smoke: expected retried>=1 and cache_hits>=1, got $STATS" >&2
   exit 1
 fi
-# Leg 3: graceful shutdown drains and the daemon exits 0.
+# Leg 3: store keys hash design source bytes, and examples/minicache.nl is
+# the built-in's canonical emission, so naming the file is the same job:
+# job-level hits (cache_hits − cone_hits) must rise by exactly one.
+job_hits() {
+  local hits cones
+  hits=$(printf '%s' "$1" | sed -n 's/.*"cache_hits":\([0-9]*\).*/\1/p')
+  cones=$(printf '%s' "$1" | sed -n 's/.*"cone_hits":\([0-9]*\).*/\1/p')
+  echo $(( ${hits:-0} - ${cones:-0} ))
+}
+BEFORE=$(job_hits "$STATS")
+cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  client "$SERVE_ADDR" leak "$PWD/examples/minicache.nl" lw --id smoke3 > /dev/null
+STATS=$(cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  client "$SERVE_ADDR" stats)
+if [ "$(job_hits "$STATS")" != $((BEFORE + 1)) ]; then
+  echo "serve-smoke: leak examples/minicache.nl lw was not a store hit: $STATS" >&2
+  exit 1
+fi
+# Leg 4: graceful shutdown drains and the daemon exits 0.
 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   client "$SERVE_ADDR" shutdown > /dev/null
 SERVE_EXIT=0
@@ -285,7 +304,7 @@ if [ "$SERVE_EXIT" != 0 ]; then
   cat "$SERVE_LOG" >&2
   exit 1
 fi
-echo "serve-smoke OK (panic retried to exit 0, cache hit, graceful drain)"
+echo "serve-smoke OK (panic retried to exit 0, cache hits by name and by file, graceful drain)"
 
 echo "== sat-regression (DIMACS corpus, one-shot and pooled) =="
 # Every corpus file encodes its brute-force-verified status in its name;

@@ -394,6 +394,79 @@ fn annotation_only_edit_is_not_served_from_cache() {
     std::fs::remove_file(edited).ok();
 }
 
+/// A job's store key comes from its design's source bytes, not from the
+/// parsed design: a built-in and its canonical `examples/` file are one
+/// entry, while a byte-level edit outside every cone (a comment) misses
+/// the job key yet replays every cone.
+#[test]
+fn store_keys_follow_source_bytes() {
+    const TINYCORE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/tinycore.nl");
+    let commented = tmp_path("commented").with_extension("nl");
+    let src = std::fs::read_to_string(TINYCORE).unwrap();
+    std::fs::write(&commented, format!("{src}# a comment line\n")).unwrap();
+    let path = tmp_path("source-keys");
+    let store = Arc::new(Journal::create(&path).unwrap());
+    let mut reqs = [
+        paths_req("builtin"),
+        paths_req("file"),
+        paths_req("commented"),
+    ];
+    reqs[1].design = Some(TINYCORE.into());
+    reqs[2].design = Some(commented.to_str().unwrap().into());
+    let (dones, notes) = run_jobs(
+        one_worker(FaultPlan::disabled(), 0),
+        Some(Arc::clone(&store)),
+        &reqs,
+    );
+    let served = |id: &str| {
+        notes
+            .get(id)
+            .is_some_and(|ns| ns.iter().any(|n| n == "served from verdict store"))
+    };
+    assert!(!served("builtin") && served("file") && !served("commented"));
+    let cone_notes = notes.get("commented").cloned().unwrap_or_default();
+    assert!(
+        cone_notes
+            .iter()
+            .any(|n| n.starts_with("cone cache:") && n.ends_with(" 0 miss(es)")),
+        "a comment edit must replay every cone: {cone_notes:?}"
+    );
+    for id in ["file", "commented"] {
+        assert_eq!(
+            dones[id].render_compact(),
+            dones["builtin"].render_compact(),
+            "{id}"
+        );
+    }
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(commented).ok();
+}
+
+/// Keying a job without its design must not let a `.nl` design run an
+/// instruction it does not implement: the store misses, the design loads,
+/// and the job gets an `error` naming the design.
+#[test]
+fn an_instruction_the_design_lacks_is_an_error() {
+    let path = tmp_path("lacks-instr");
+    let store = Arc::new(Journal::create(&path).unwrap());
+    let server = Server::start(one_worker(FaultPlan::disabled(), 0), Some(store));
+    let (tx, rx) = mpsc::channel();
+    let mut req = paths_req("lacks");
+    req.design = Some(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/minicache.nl").into());
+    assert!(matches!(server.submit(req, tx), Submit::Accepted(_)));
+    server.join();
+    let terminal: Vec<Json> = rx
+        .iter()
+        .filter(|ev| ev.field("ev").and_then(Json::as_str) != Some("accepted"))
+        .collect();
+    assert_eq!(terminal.len(), 1, "{terminal:?}");
+    assert_eq!(
+        terminal[0].render_compact(),
+        r#"{"ev":"error","id":"lacks","msg":"`add` is not implemented by MiniCache"}"#
+    );
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn overload_sheds_explicitly_and_shutdown_refuses() {
     let cfg = ServeConfig {
@@ -440,6 +513,15 @@ fn overload_sheds_explicitly_and_shutdown_refuses() {
 struct Daemon {
     child: std::process::Child,
     addr: String,
+}
+
+impl Drop for Daemon {
+    /// A test that fails before its shutdown must not leave the daemon
+    /// running (it would also hold the test harness's output pipe open).
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 fn spawn_daemon(journal_flag: &str, journal: &std::path::Path) -> Daemon {
@@ -510,7 +592,7 @@ fn killed_daemon_resumes_byte_identically_from_its_journal() {
     // Phase 1: fresh daemon, complete one job, then SIGKILL it mid-batch
     // (two more jobs submitted on a second connection are still queued or
     // in flight when the kill lands).
-    let d1 = spawn_daemon("--journal", &journal);
+    let mut d1 = spawn_daemon("--journal", &journal);
     let first = client_roundtrip(&d1.addr, &[paths_req("j1")]);
     {
         // Mid-batch load the crash interrupts; answers never arrive.
@@ -523,13 +605,12 @@ fn killed_daemon_resumes_byte_identically_from_its_journal() {
         )
         .unwrap();
     }
-    let mut child = d1.child;
-    child.kill().expect("SIGKILL the daemon");
-    child.wait().expect("reap the daemon");
+    d1.child.kill().expect("SIGKILL the daemon");
+    d1.child.wait().expect("reap the daemon");
 
     // Phase 2: restart on the same journal. The completed job must be
     // answered byte for byte identically, from cache (no re-solve).
-    let d2 = spawn_daemon("--resume", &journal);
+    let mut d2 = spawn_daemon("--resume", &journal);
     let resumed = client_roundtrip(
         &d2.addr,
         &[
@@ -570,8 +651,7 @@ fn killed_daemon_resumes_byte_identically_from_its_journal() {
     // Phase 3: graceful shutdown drains and exits 0.
     let bye = client_roundtrip(&d2.addr, &[Request::new(Op::Shutdown)]);
     assert!(bye.values().next().unwrap().contains("bye"));
-    let mut child = d2.child;
-    let status = child.wait().expect("daemon exits after shutdown");
+    let status = d2.child.wait().expect("daemon exits after shutdown");
     assert!(status.success(), "graceful drain exits 0, got {status:?}");
     std::fs::remove_file(journal).ok();
 }
@@ -599,7 +679,7 @@ fn next_terminal(reader: &mut impl BufRead) -> Json {
 fn hostile_lines_get_error_events_and_the_connection_survives() {
     let journal = tmp_path("hostile-lines");
     std::fs::remove_file(&journal).ok();
-    let d = spawn_daemon("--journal", &journal);
+    let mut d = spawn_daemon("--journal", &journal);
     let sock = TcpStream::connect(&d.addr).expect("connect to daemon");
     sock.set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
@@ -638,9 +718,53 @@ fn hostile_lines_get_error_events_and_the_connection_survives() {
     }
     let bye = client_roundtrip(&d.addr, &[Request::new(Op::Shutdown)]);
     assert!(bye.values().next().unwrap().contains("bye"));
-    let mut child = d.child;
-    assert!(child.wait().expect("daemon exits").success());
+    assert!(d.child.wait().expect("daemon exits").success());
     std::fs::remove_file(journal).ok();
+}
+
+/// The daemon reads at most [`serve::net::MAX_LINE`] bytes of a design
+/// file, the cap an inline `check` source already has: a larger file is an
+/// `error` event, and the connection goes on serving.
+#[test]
+fn oversized_design_file_gets_an_error_and_the_connection_survives() {
+    const TINYCORE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/tinycore.nl");
+    let big = tmp_path("oversized").with_extension("nl");
+    let mut text = std::fs::read_to_string(TINYCORE).unwrap();
+    while text.len() <= serve::net::MAX_LINE {
+        text.push_str("# padding past the daemon's source size cap\n");
+    }
+    std::fs::write(&big, &text).unwrap();
+    let journal = tmp_path("oversized-journal");
+    std::fs::remove_file(&journal).ok();
+    let mut d = spawn_daemon("--journal", &journal);
+    let sock = TcpStream::connect(&d.addr).expect("connect to daemon");
+    sock.set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut w = sock.try_clone().unwrap();
+    let mut r = BufReader::new(sock);
+    let mut req = paths_req("big");
+    req.design = Some(big.to_str().unwrap().into());
+    jsonl::write_line(&mut w, &req.encode()).unwrap();
+    let ev = next_terminal(&mut r);
+    assert_eq!(
+        ev.field("ev").and_then(Json::as_str),
+        Some("error"),
+        "{ev:?}"
+    );
+    let msg = ev.field("msg").and_then(Json::as_str).unwrap_or("");
+    assert!(msg.contains("size cap"), "error names the cap: {msg}");
+    jsonl::write_line(&mut w, &paths_req("next").encode()).unwrap();
+    let done = next_terminal(&mut r);
+    assert_eq!(
+        done.field("ev").and_then(Json::as_str),
+        Some("done"),
+        "{done:?}"
+    );
+    let bye = client_roundtrip(&d.addr, &[Request::new(Op::Shutdown)]);
+    assert!(bye.values().next().unwrap().contains("bye"));
+    assert!(d.child.wait().expect("daemon exits").success());
+    std::fs::remove_file(journal).ok();
+    std::fs::remove_file(big).ok();
 }
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
