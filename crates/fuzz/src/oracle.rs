@@ -144,7 +144,7 @@ pub fn run_oracle(kind: OracleKind, d: &BuiltDesign, opts: &OracleOpts) -> CaseR
 
 /// Oracle (f): the textual frontend against the in-memory IR. The
 /// generated netlist is emitted as canonical text, re-compiled through
-/// the full pipeline (lex → parse → resolve → typeck → lower → lint),
+/// the full pipeline (lex → parse → resolve → lower → lint),
 /// and the result must (1) carry zero diagnostics, (2) be structurally
 /// identical to the original, and (3) re-emit byte-identically.
 fn oracle_text(d: &BuiltDesign) -> CaseResult {

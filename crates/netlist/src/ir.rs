@@ -63,6 +63,41 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// Every binary operator, in declaration order.
+    pub const ALL: [BinOp; 12] = [
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Ult,
+        BinOp::Ule,
+        BinOp::Shl,
+        BinOp::Shr,
+    ];
+
+    /// The operator's mnemonic: its spelling in the `.nl` language, in
+    /// lint messages and in `Display`.
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            BinOp::And => "and",
+            BinOp::Or => "or",
+            BinOp::Xor => "xor",
+            BinOp::Add => "add",
+            BinOp::Sub => "sub",
+            BinOp::Mul => "mul",
+            BinOp::Eq => "eq",
+            BinOp::Ne => "ne",
+            BinOp::Ult => "ult",
+            BinOp::Ule => "ule",
+            BinOp::Shl => "shl",
+            BinOp::Shr => "shr",
+        }
+    }
+
     /// Whether the result of this operator is a single bit regardless of the
     /// operand widths.
     pub fn is_comparison(self) -> bool {
@@ -103,21 +138,7 @@ impl BinOp {
 
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Eq => "eq",
-            BinOp::Ne => "ne",
-            BinOp::Ult => "ult",
-            BinOp::Ule => "ule",
-            BinOp::Shl => "shl",
-            BinOp::Shr => "shr",
-        };
-        f.write_str(s)
+        f.write_str(self.mnemonic())
     }
 }
 
@@ -137,6 +158,27 @@ pub enum UnOp {
 }
 
 impl UnOp {
+    /// Every unary operator, in declaration order.
+    pub const ALL: [UnOp; 5] = [
+        UnOp::Not,
+        UnOp::Neg,
+        UnOp::RedOr,
+        UnOp::RedAnd,
+        UnOp::RedXor,
+    ];
+
+    /// The operator's mnemonic: its spelling in the `.nl` language, in
+    /// lint messages and in `Display`.
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            UnOp::Not => "not",
+            UnOp::Neg => "neg",
+            UnOp::RedOr => "redor",
+            UnOp::RedAnd => "redand",
+            UnOp::RedXor => "redxor",
+        }
+    }
+
     /// Evaluate the operator on an operand value masked to `w` bits.
     pub fn eval(self, a: u64, w: u8) -> u64 {
         let m = mask(w);
@@ -157,14 +199,7 @@ impl UnOp {
 
 impl fmt::Display for UnOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            UnOp::Not => "not",
-            UnOp::Neg => "neg",
-            UnOp::RedOr => "redor",
-            UnOp::RedAnd => "redand",
-            UnOp::RedXor => "redxor",
-        };
-        f.write_str(s)
+        f.write_str(self.mnemonic())
     }
 }
 
@@ -381,8 +416,8 @@ pub(crate) enum Fault {
     /// An operand, or a register's `next`, names no node.
     Dangling(SignalId),
     /// The operator does not accept its operands' widths: binary operands
-    /// or mux arms that differ, a slice outside its source, a register
-    /// `next` of another width.
+    /// or mux arms that differ, a slice outside its source, a concat wider
+    /// than 64 bits, a register `next` of another width.
     Operands,
     /// A mux select that is not 1 bit wide.
     Select,
@@ -400,6 +435,10 @@ pub(crate) enum Fault {
 /// `operand(s)` is operand `s`'s width, `None` when `s` names no node.
 /// Each fault goes to `fault`, in a fixed order; the return value is the
 /// width the node must have, or `None` when its operands give none.
+///
+/// A dangling operand voids the node's checks and its width, except that
+/// a mux's select does not feed the result: it is checked whenever it is
+/// known, and the arms give the width without it.
 pub(crate) fn width_rule(
     op: &Op,
     width: u8,
@@ -413,16 +452,21 @@ pub(crate) fn width_rule(
         }
         ok
     };
-    let mut dangling = false;
+    let mut known = true;
     for s in op.comb_fanin() {
-        dangling |= !require(operand(s).is_some(), Fault::Dangling(s));
-    }
-    if dangling {
-        return None;
+        known &= require(operand(s).is_some(), Fault::Dangling(s));
     }
     let w = |s: SignalId| operand(s).unwrap_or_default();
     let fits = |v: u64| v & !mask(width) == 0;
     match *op {
+        Op::Mux { sel, a, b } => {
+            if operand(sel).is_some() {
+                require(w(sel) == 1, Fault::Select);
+            }
+            let arms = operand(a).is_some() && operand(b).is_some();
+            (arms && require(w(a) == w(b), Fault::Operands)).then(|| w(a))
+        }
+        _ if !known => None,
         Op::Input => Some(width),
         Op::Const(v) => {
             require(fits(v), Fault::Value(v));
@@ -434,14 +478,13 @@ pub(crate) fn width_rule(
             require(w(a) == w(b), Fault::Operands)
                 .then(|| if op.is_comparison() { 1 } else { w(a) })
         }
-        Op::Mux { sel, a, b } => {
-            require(w(sel) == 1, Fault::Select);
-            require(w(a) == w(b), Fault::Operands).then(|| w(a))
-        }
         Op::Slice { src, hi, lo } => {
             require(lo <= hi && hi < w(src), Fault::Operands).then(|| hi - lo + 1)
         }
-        Op::Concat { hi, lo } => Some(w(hi) + w(lo)),
+        Op::Concat { hi, lo } => {
+            let total = w(hi) + w(lo);
+            require(total <= 64, Fault::Operands).then_some(total)
+        }
         Op::Reg { next, init } => {
             match next {
                 None => require(false, Fault::Unconnected),
@@ -577,7 +620,7 @@ impl Netlist {
     }
 
     /// Width of `s`, or `None` when it names no node.
-    fn width_of(&self, s: SignalId) -> Option<u8> {
+    pub(crate) fn width_of(&self, s: SignalId) -> Option<u8> {
         self.nodes.get(s.index()).map(|n| n.width)
     }
 
@@ -930,6 +973,19 @@ mod tests {
                 ],
                 mismatch("y"),
                 vec![l004("`y`: concat of 4+8 bits but node is 8 bits")],
+            ),
+            (
+                vec![input("a", 40), ("y", 64, Op::Concat { hi: s(0), lo: s(0) })],
+                mismatch("y"),
+                vec![l004("`y`: concat of 40+40 bits but node is 64 bits")],
+            ),
+            (
+                vec![input("s", 2), ("y", 2, mux(0, 0, 5))],
+                BadSignal(s(5)),
+                vec![
+                    l004("`y` references out-of-range signal s5"),
+                    l004("`y`: mux select is 2 bits, not 1"),
+                ],
             ),
             (
                 vec![("r", 4, reg(None, 0))],

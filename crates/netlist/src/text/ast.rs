@@ -131,8 +131,6 @@ pub enum WireOp {
     Unary {
         /// The operator.
         op: UnOp,
-        /// Span of the operator token.
-        op_span: Span,
         /// Operand.
         a: Name,
     },

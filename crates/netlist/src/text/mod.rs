@@ -5,32 +5,33 @@
 //! [`Report`] so a single run surfaces everything it
 //! can:
 //!
-//! 1. [`lexer`] — tokens with byte spans (`E001`),
-//! 2. [`parser`] — span-carrying surface AST (`E002`),
-//! 3. [`resolve`] — duplicate/undefined/use-before-declare names
-//!    (`E003`–`E005`, `E011`, `E012`, `W002`),
-//! 4. [`typeck`] — width/type inference and checking (`E006`–`E013`),
-//! 5. [`lower`] — AST → [`Netlist`] IR, only when error-free, every
-//!    combinational node sized by the netlist's one width rule (`W001`,
-//!    `E014`),
+//! 1. `lexer` — tokens with byte spans (`E001`),
+//! 2. `parser` — span-carrying surface AST (`E002`),
+//! 3. `resolve` — duplicate/undefined/use-before-declare names and names
+//!    of the wrong kind (`E003`–`E005`, `E010`–`E012`, `W002`),
+//! 4. `lower` — one walk that checks widths and shapes (`E006`–`E013`)
+//!    and builds the [`Netlist`] IR, every combinational node sized by the
+//!    netlist's one width rule; the module, and `W001`, only when the
+//!    report is error-free, and `E014` only if `Netlist::validate`
+//!    rejects it.
 //!
-//! and [`emit`](mod@emit) renders IR (plus optional annotation/harness metadata)
-//! back to canonical text. `emit → compile → emit` is byte-identical; the
-//! sixth differential-fuzz oracle and `tests/frontend_roundtrip.rs` hold
-//! the toolchain to that.
+//! [`compile`] is the only caller of those four, which are private; and
+//! [`emit`](mod@emit) renders IR (plus optional annotation/harness
+//! metadata) back to canonical text. `emit → compile → emit` is
+//! byte-identical; the sixth differential-fuzz oracle and
+//! `tests/frontend_roundtrip.rs` hold the toolchain to that.
 //!
 //! [`check`] additionally runs the `L001`–`L009` lint suite on the
 //! lowered module, rooted at its `harness` block through the same
 //! [`LintContext::with_harness`] constructor built-in designs are linted with,
 //! so `.nl` files get the same static analysis as built-in designs.
 
-pub mod ast;
+mod ast;
 pub mod emit;
-pub mod lexer;
-pub mod lower;
-pub mod parser;
-pub mod resolve;
-pub mod typeck;
+mod lexer;
+mod lower;
+mod parser;
+mod resolve;
 
 pub use emit::{emit_module, surface_name, ModuleText};
 pub use lower::{HarnessData, LoweredModule};
@@ -51,20 +52,16 @@ pub struct CompileResult {
     pub source: SourceFile,
 }
 
-/// Runs the frontend pipeline (lex → parse → resolve → typeck → lower)
-/// on `src`. `file_name` is only used in rendered diagnostics.
+/// Runs the frontend pipeline (lex → parse → resolve → lower) on `src`.
+/// `file_name` is only used in rendered diagnostics.
 pub fn compile(src: &str, file_name: &str) -> CompileResult {
     let mut report = Report::default();
     let toks = lexer::lex(src, &mut report);
     let ast = parser::parse(&toks, &mut report);
-    let mut module = None;
-    if let Some(m) = &ast {
-        resolve::run(m, &mut report);
-        typeck::run(m, &mut report);
-        if !report.has_errors() {
-            module = lower::run(m, &mut report);
-        }
-    }
+    let module = ast.and_then(|m| {
+        resolve::run(&m, &mut report);
+        lower::run(&m, &mut report)
+    });
     CompileResult {
         module,
         report,

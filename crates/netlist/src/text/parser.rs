@@ -25,37 +25,6 @@ use super::lexer::{TokKind, Token};
 use crate::diag::{Diagnostic, Report, Span};
 use crate::ir::{BinOp, UnOp};
 
-/// Maps an operator mnemonic to a unary IR op.
-pub fn un_op_from_str(s: &str) -> Option<UnOp> {
-    Some(match s {
-        "not" => UnOp::Not,
-        "neg" => UnOp::Neg,
-        "redor" => UnOp::RedOr,
-        "redand" => UnOp::RedAnd,
-        "redxor" => UnOp::RedXor,
-        _ => return None,
-    })
-}
-
-/// Maps an operator mnemonic to a binary IR op.
-pub fn bin_op_from_str(s: &str) -> Option<BinOp> {
-    Some(match s {
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "xor" => BinOp::Xor,
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "eq" => BinOp::Eq,
-        "ne" => BinOp::Ne,
-        "ult" => BinOp::Ult,
-        "ule" => BinOp::Ule,
-        "shl" => BinOp::Shl,
-        "shr" => BinOp::Shr,
-        _ => return None,
-    })
-}
-
 /// Parses a token stream into a [`Module`]. Returns `None` only when no
 /// module header could be found at all; otherwise a best-effort AST is
 /// returned alongside whatever `E002` diagnostics were pushed.
@@ -231,7 +200,7 @@ impl Parser<'_, '_> {
                 self.error(
                     span,
                     format!("expected `module`, found {found}"),
-                    "a netlist file starts with `module <name> {{`",
+                    "a netlist file starts with `module <name> {`",
                 );
                 return None;
             }
@@ -451,11 +420,11 @@ impl Parser<'_, '_> {
     fn wire_op(&mut self) -> Option<WireOp> {
         let op = self.name("an operator")?;
         let op_span = op.span;
-        if let Some(u) = un_op_from_str(&op.node) {
+        if let Some(u) = UnOp::ALL.into_iter().find(|u| u.mnemonic() == op.node) {
             let a = self.name("an operand")?;
-            return Some(WireOp::Unary { op: u, op_span, a });
+            return Some(WireOp::Unary { op: u, a });
         }
-        if let Some(b) = bin_op_from_str(&op.node) {
+        if let Some(b) = BinOp::ALL.into_iter().find(|b| b.mnemonic() == op.node) {
             let x = self.name("an operand")?;
             let y = self.name("an operand")?;
             return Some(WireOp::Binary {

@@ -4,19 +4,21 @@
 //! identifier use:
 //!
 //! * `E003` — duplicate declaration (secondary label at the first one),
-//! * `E004` — undefined identifier (with a nearest-name suggestion),
+//! * `E004` — undefined identifier (suggesting the earliest-declared name
+//!   one edit away),
 //! * `E005` — a combinational operand referring to a later declaration
 //!   (the language is def-before-use for everything except `next`,
 //!   `write` data, and the metadata blocks, which are fix-ups),
-//! * `E011`/`E012` — identifier of the wrong kind (e.g. `next` on a wire,
-//!   a µFSM var that is not a register),
+//! * `E010`–`E012` — identifier of the wrong kind (e.g. a memory array
+//!   used as a signal, `next` on a wire, a µFSM var that is not a
+//!   register),
 //! * `W002` — a declaration shadowing an operator mnemonic.
 
 use std::collections::HashMap;
 
 use super::ast::{Item, Module, Name, WireOp};
-use super::parser::{bin_op_from_str, un_op_from_str};
 use crate::diag::{Diagnostic, Report, Span};
+use crate::ir::{BinOp, UnOp};
 
 /// What a name was declared as.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,7 +63,7 @@ pub struct Decl {
     pub span: Span,
 }
 
-/// The declaration table produced by [`run`]. Memory words (`m[i]`) get
+/// The declaration table [`run`] builds. Memory words (`m[i]`) get
 /// their own entries of kind [`DeclKind::Reg`].
 pub type DeclTable = HashMap<String, Decl>;
 
@@ -71,8 +73,8 @@ pub type DeclTable = HashMap<String, Decl>;
 pub const MAX_MEM_LEN: u64 = 1024;
 
 fn is_operator_name(s: &str) -> bool {
-    un_op_from_str(s).is_some()
-        || bin_op_from_str(s).is_some()
+    UnOp::ALL.iter().any(|u| u.mnemonic() == s)
+        || BinOp::ALL.iter().any(|b| b.mnemonic() == s)
         || matches!(s, "mux" | "slice" | "concat" | "read" | "write")
 }
 
@@ -98,10 +100,8 @@ fn close_enough(a: &str, b: &str) -> bool {
     ta[1..] == tb[1..] || ta == &tb[1..] || &ta[1..] == tb
 }
 
-/// Runs name resolution over `m`, reporting into `report`. The returned
-/// table is usable even when errors were reported (later passes skip
-/// unresolved names).
-pub fn run(m: &Module, report: &mut Report) -> DeclTable {
+/// Runs name resolution over `m`, reporting into `report`.
+pub fn run(m: &Module, report: &mut Report) {
     let mut table: DeclTable = HashMap::new();
 
     // Pass 1: collect declarations in statement order.
@@ -145,7 +145,9 @@ pub fn run(m: &Module, report: &mut Report) -> DeclTable {
         match item {
             Item::Wire { op, .. } => {
                 for operand in op.operands() {
-                    check_use_before(&table, report, operand, order);
+                    if check_use_before(&table, report, operand, order) {
+                        check_not_mem(&table, report, operand);
+                    }
                 }
                 if let WireOp::Read { mem, .. } = op {
                     check_kind(&table, report, mem, DeclKind::Mem, "E010", "typeck");
@@ -162,9 +164,9 @@ pub fn run(m: &Module, report: &mut Report) -> DeclTable {
                 check_exists(&table, report, mem);
                 // Write operands are sequential fix-ups: they may be
                 // declared later in the file.
-                check_exists(&table, report, en);
-                check_exists(&table, report, addr);
-                check_exists(&table, report, data);
+                check_signal(&table, report, en);
+                check_signal(&table, report, addr);
+                check_signal(&table, report, data);
             }
             Item::Next { reg, src } => {
                 if check_exists(&table, report, reg) {
@@ -181,7 +183,7 @@ pub fn run(m: &Module, report: &mut Report) -> DeclTable {
                         );
                     }
                 }
-                check_exists(&table, report, src);
+                check_signal(&table, report, src);
             }
             Item::Input { .. } | Item::Reg { .. } | Item::Const { .. } | Item::Mem { .. } => {}
         }
@@ -200,7 +202,7 @@ pub fn run(m: &Module, report: &mut Report) -> DeclTable {
         .into_iter()
         .flatten()
         {
-            check_exists(&table, report, n);
+            check_signal(&table, report, n);
         }
         for n in ann
             .operands
@@ -231,18 +233,16 @@ pub fn run(m: &Module, report: &mut Report) -> DeclTable {
             &h.pc,
         ];
         for n in singles.into_iter().flatten() {
-            check_exists(&table, report, n);
+            check_signal(&table, report, n);
         }
         if let Some((a, b)) = &h.rs_fields {
-            check_exists(&table, report, a);
-            check_exists(&table, report, b);
+            check_signal(&table, report, a);
+            check_signal(&table, report, b);
         }
         for n in &h.outputs {
-            check_exists(&table, report, n);
+            check_signal(&table, report, n);
         }
     }
-
-    table
 }
 
 fn declare(table: &mut DeclTable, report: &mut Report, name: &Name, kind: DeclKind, order: usize) {
@@ -282,16 +282,21 @@ fn check_exists(table: &DeclTable, report: &mut Report, name: &Name) -> bool {
         format!("undefined signal `{}`", name.node),
     )
     .with_primary(name.span, "not declared anywhere in this module");
-    if let Some(sugg) = table.keys().find(|k| close_enough(&name.node, k)) {
+    // The earliest-declared close name, ties (words of one `mem`) by name:
+    // the table's own iteration order differs from run to run.
+    let close = table.iter().filter(|(k, _)| close_enough(&name.node, k));
+    if let Some((sugg, _)) = close.min_by_key(|&(k, d)| (d.order, k)) {
         d = d.with_note(format!("did you mean `{sugg}`?"));
     }
     report.push(d);
     false
 }
 
-fn check_use_before(table: &DeclTable, report: &mut Report, name: &Name, use_order: usize) {
+/// [`check_exists`], plus `E005` when `name` is declared at or after
+/// `use_order`. Returns whether `name` exists.
+fn check_use_before(table: &DeclTable, report: &mut Report, name: &Name, use_order: usize) -> bool {
     if !check_exists(table, report, name) {
-        return;
+        return false;
     }
     let d = &table[&name.node];
     if d.order >= use_order {
@@ -306,6 +311,31 @@ fn check_use_before(table: &DeclTable, report: &mut Report, name: &Name, use_ord
             .with_note("feedback must go through a register: connect it with `next`"),
         );
     }
+    true
+}
+
+/// [`check_exists`], plus [`check_not_mem`]: whether `name` is a signal.
+fn check_signal(table: &DeclTable, report: &mut Report, name: &Name) -> bool {
+    check_exists(table, report, name) && check_not_mem(table, report, name)
+}
+
+/// `E010` when `name`, which exists, is a memory array where a signal is
+/// needed. Returns whether it is a signal.
+fn check_not_mem(table: &DeclTable, report: &mut Report, name: &Name) -> bool {
+    let d = &table[&name.node];
+    if d.kind == DeclKind::Mem {
+        report.push(
+            Diagnostic::error(
+                "E010",
+                "resolve",
+                format!("memory array `{}` is used as a signal", name.node),
+            )
+            .with_primary(name.span, "read a word with `read <mem> <addr>`")
+            .with_secondary(d.span, "declared here"),
+        );
+        return false;
+    }
+    true
 }
 
 fn check_kind(

@@ -358,3 +358,42 @@ module t {
     assert!(c.iter().filter(|&&x| x == "E012").count() >= 4, "{c:?}");
     assert!(c.iter().filter(|&&x| x == "E013").count() >= 5, "{c:?}");
 }
+
+#[test]
+fn undefined_name_suggestion_is_deterministic() {
+    // Three declarations one edit from `ad`: the note names the earliest,
+    // whatever order the declaration table iterates in.
+    let src = "\
+module t {
+  input ae : w1
+  input ab : w1
+  input ac : w1
+  wire y = not ad
+}
+";
+    let renders: std::collections::BTreeSet<String> = (0..32)
+        .map(|_| {
+            let out = compile(src, "t.nl");
+            out.report.render_in(&out.source)
+        })
+        .collect();
+    assert_eq!(renders.len(), 1, "{renders:#?}");
+    let only = renders.into_iter().next().unwrap();
+    assert!(only.contains("did you mean `ae`?"), "{only}");
+}
+
+#[test]
+fn every_operator_mnemonic_parses() {
+    use crate::ir::{BinOp, UnOp};
+    let mut src = String::from("module t {\n  input a : w4\n");
+    for op in UnOp::ALL {
+        src += &format!("  wire u_{op} = {op} a\n");
+    }
+    for op in BinOp::ALL {
+        src += &format!("  wire b_{op} = {op} a a\n");
+    }
+    src += "}\n";
+    let out = compile(&src, "t.nl");
+    assert!(out.report.is_clean(), "{}", out.report.render());
+    assert_eq!(out.module.unwrap().netlist.len(), 1 + 5 + 12);
+}

@@ -74,22 +74,24 @@ pub enum DesignSource {
 }
 
 impl DesignSource {
-    /// Resolves a `<design>` argument: a [`DESIGNS`] name, or a path to a
-    /// `.nl` netlist file ("bring your own design"), which is read here.
-    /// With `max_bytes`, a file longer than that is refused unread past
-    /// the cap.
+    /// Resolves a `<design>` argument: a [`DESIGNS`] name, or else a path
+    /// to a `.nl` netlist file ("bring your own design"), which is read
+    /// here. A registry name wins over a same-named file, so a built-in
+    /// means the same design in every working directory. With
+    /// `max_bytes`, a file longer than that is refused unread past the
+    /// cap.
     pub fn resolve(spec: &str, max_bytes: Option<usize>) -> Result<DesignSource, LoadError> {
         let fail = |message: String| LoadError {
             message,
             diagnostics: String::new(),
         };
+        if let Some(ix) = DESIGNS.iter().position(|(name, _)| *name == spec) {
+            return Ok(DesignSource::Builtin(ix));
+        }
         if !spec.ends_with(".nl") && !std::path::Path::new(spec).is_file() {
-            return match DESIGNS.iter().position(|(name, _)| *name == spec) {
-                Some(ix) => Ok(DesignSource::Builtin(ix)),
-                None => Err(fail(format!(
-                    "unknown design `{spec}` (not a built-in, not a file)"
-                ))),
-            };
+            return Err(fail(format!(
+                "unknown design `{spec}` (not a built-in, not a file)"
+            )));
         }
         let cap = max_bytes.map_or(u64::MAX, |m| (m as u64).saturating_add(1));
         let mut bytes = Vec::new();

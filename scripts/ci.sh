@@ -155,14 +155,16 @@ fi
 echo "incremental-smoke OK ($CONE_LINE after the rsp_data edit)"
 
 echo "== frontend (textual netlist: goldens, diagnostics, text oracle) =="
-# The frontend gate has four legs:
+# The frontend gate has five legs:
 #   1. every shipped examples/*.nl passes `check --deny-warnings` (the
 #      designs we tell users to imitate must be diagnostic-clean);
 #   2. `check --emit` reproduces each golden byte-for-byte (the canonical
 #      emitter is a fixpoint on its own output);
 #   3. the golden-file and diagnostic-snapshot test suites pass (emission
 #      drift and message drift both show up as readable diffs);
-#   4. a 200-design fuzz sweep of the text oracle alone: emit -> check ->
+#   4. two processes render every diagnostic-corpus file identically, so
+#      a report that follows a hash map's per-process order fails here;
+#   5. a 200-design fuzz sweep of the text oracle alone: emit -> check ->
 #      lower must stay diagnostic-free and structurally faithful on
 #      random netlists, not just the shipped six.
 for NL in examples/*.nl; do
@@ -176,12 +178,20 @@ for NL in examples/*.nl; do
 done
 cargo test -q "${OFFLINE[@]}" --test frontend_roundtrip
 cargo test -q "${OFFLINE[@]}" -p netlist --test diag_snapshots
+for NL in crates/netlist/tests/diag/*.nl; do
+  if ! cmp -s \
+    <(cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- check "$NL" 2>&1) \
+    <(cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- check "$NL" 2>&1); then
+    echo "frontend: two runs of \`check $NL\` differ" >&2
+    exit 1
+  fi
+done
 if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   fuzz --seed 7 --cases 200 --oracles text --deadline-secs 45 >/dev/null; then
   echo "frontend: text-oracle fuzz sweep failed (repro above, if any)" >&2
   exit 1
 fi
-echo "frontend OK (goldens clean + fixpoint, snapshots, 200-seed text oracle)"
+echo "frontend OK (goldens clean + fixpoint, snapshots, run-to-run diagnostics, 200-seed text oracle)"
 
 echo "== fuzz-smoke (differential oracles, pinned seeds) =="
 # Two pinned seeds x 64 designs, each design through all eight oracles

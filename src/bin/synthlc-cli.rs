@@ -14,9 +14,9 @@
 //! synthlc-cli designs                         # list available designs
 //!
 //! designs: the `uarch::DESIGNS` registry, as `synthlc-cli designs` lists it.
-//! A `<design>` argument may also be a path to a `.nl` netlist file
-//! ("bring your own design"): the file runs through the full frontend
-//! (parse, resolve, typecheck, lint) before synthesis.
+//! A `<design>` argument that is not a registry name may be a path to a
+//! `.nl` netlist file ("bring your own design"): the file runs through the
+//! full frontend (lex, parse, resolve, lower, lint) before synthesis.
 //! options: --slots 0,1   --bound N   --context any|nocf|solo   --budget N   --jobs N
 //!          --deadline-secs N   --journal PATH   --resume PATH   --fault-rate F
 //!          --retries N   --fail-on-undetermined   --lint   --deny-warnings
@@ -31,8 +31,8 @@
 //! 1 = hard errors (bad arguments, lint failures, unusable journal).
 //!
 //! `check` runs the textual-netlist frontend on one `.nl` file:
-//! lex/parse (E001–E002), name resolution (E003–E005), width/type
-//! checking (E006–E013), lowering, and the L001–L009 lint suite.
+//! lex/parse (E001–E002), name resolution (E003–E005), lowering with its
+//! width/type checks (E006–E013), and the L001–L009 lint suite.
 //! --diag-json prints one JSON object per diagnostic; --emit prints the
 //! canonical re-emission of a clean module. `check` and `lint` share one
 //! exit contract: 0 = clean, 2 = warnings rejected by --deny-warnings,

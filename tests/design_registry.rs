@@ -74,3 +74,26 @@ minicache        603 nodes  417 flop bits  10 µFSMs
 "
     );
 }
+
+#[test]
+fn a_same_named_file_does_not_shadow_a_built_in() {
+    // A plain file called `tinycore` in the working directory: the
+    // registry name still means the built-in, so the run succeeds instead
+    // of parsing the file.
+    let dir = std::env::temp_dir().join(format!("synthlc-shadow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("tinycore"), "not a design\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_synthlc-cli"))
+        .args(["paths", "tinycore", "add"])
+        .current_dir(&dir)
+        .output()
+        .expect("run synthlc-cli");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.starts_with("add: 1 µPATH(s)"), "{stdout}");
+}

@@ -1,8 +1,8 @@
 //! Golden `.nl` files for every in-tree design (`examples/*.nl`).
 //!
 //! Each design must (a) emit exactly the checked-in golden text, and
-//! (b) survive the full frontend — parse, resolve, typecheck, lower,
-//! lint — with zero diagnostics, reproducing the in-memory netlist
+//! (b) survive the full frontend — lex, parse, resolve, lower (which
+//! checks widths as it builds the IR), lint — with zero diagnostics, reproducing the in-memory netlist
 //! structurally and re-emitting byte-identical text (the canonical-form
 //! fixpoint the fuzz `text` oracle checks on random designs).
 //!
