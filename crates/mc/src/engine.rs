@@ -301,8 +301,10 @@ pub struct Checker<'a> {
     /// Ordered map: `ensure_bound` iterates it to extend activation clauses,
     /// and the clause-addition order must not depend on hash randomness.
     assume_cache: BTreeMap<SignalId, Lit>,
-    /// Activation literal implying "cover signal holds at some frame".
-    cover_cache: BTreeMap<SignalId, Lit>,
+    /// Activation literal implying "some signal of the cover set holds at
+    /// some frame", per cover set (one signal for [`Checker::check_cover`],
+    /// the open covers of a [`Checker::check_covers`] query).
+    cover_cache: BTreeMap<Vec<SignalId>, Lit>,
     stats: CheckStats,
     /// Globally shared conflict/propagation account (see [`BudgetPool`]).
     pool: Option<Arc<BudgetPool>>,
@@ -540,18 +542,20 @@ impl<'a> Checker<'a> {
         act
     }
 
-    fn cover_activation(&mut self, sig: SignalId) -> Lit {
-        if let Some(&l) = self.cover_cache.get(&sig) {
+    fn cover_activation(&mut self, sigs: &[SignalId]) -> Lit {
+        if let Some(&l) = self.cover_cache.get(sigs) {
             return l;
         }
-        assert_eq!(self.nl.width(sig), 1, "cover signal must be 1 bit");
         let act = self.unroll.gate().fresh();
         let mut clause = vec![!act];
-        for t in 0..self.cfg.bound {
-            clause.push(self.unroll.lit(t, sig));
+        for &sig in sigs {
+            assert_eq!(self.nl.width(sig), 1, "cover signal must be 1 bit");
+            for t in 0..self.cfg.bound {
+                clause.push(self.unroll.lit(t, sig));
+            }
         }
         self.unroll.gate().add_clause(&clause);
-        self.cover_cache.insert(sig, act);
+        self.cover_cache.insert(sigs.to_vec(), act);
         act
     }
 
@@ -560,37 +564,119 @@ impl<'a> Checker<'a> {
     pub fn check_cover(&mut self, cover_sig: SignalId, assumes: &[SignalId]) -> Outcome {
         let started = Instant::now();
         if let Some(reason) = self.fault {
-            return self.record(started, Outcome::Undetermined(reason));
+            return self.record(started.elapsed(), Outcome::Undetermined(reason));
         }
-        if self.pool.as_ref().is_some_and(|p| p.exhausted()) {
+        if self.pool_exhausted() {
             return self.record(
-                started,
+                started.elapsed(),
                 Outcome::Undetermined(UndeterminedReason::BudgetExhausted),
             );
         }
         let mut assumptions: Vec<Lit> =
             assumes.iter().map(|&a| self.assume_activation(a)).collect();
-        assumptions.push(self.cover_activation(cover_sig));
+        assumptions.push(self.cover_activation(&[cover_sig]));
+        let outcome = match self.solve(&assumptions) {
+            SolveResult::Sat => Outcome::Reachable(Trace::from_model(&self.unroll, self.cfg.bound)),
+            SolveResult::Unsat => self.unsat_outcome(cover_sig, assumes),
+            SolveResult::Unknown => Outcome::Undetermined(self.unknown_reason()),
+        };
+        self.record(started.elapsed(), outcome)
+    }
+
+    /// Checks every cover in `covers` under one `assumes` list, returning
+    /// the outcomes in `covers` order. While more than one cover is open, a
+    /// single query asks whether *any* of them fires, through one
+    /// activation literal over their per-frame literals (cached per open
+    /// set, like a lone cover's, so what the solver learns about a set
+    /// carries over to the next query of that set under other assumes):
+    ///
+    /// - a model witnesses every open cover it fires (all `Reachable` on
+    ///   that one shared trace), and the rest are asked again;
+    /// - `Unsat` refutes each open cover, through the same completeness
+    ///   rule as [`Checker::check_cover`];
+    /// - `Unknown`, an injected fault or an exhausted pool hands each open
+    ///   cover to [`Checker::check_cover`], so each keeps its own conflict
+    ///   budget and its own undetermined reason.
+    ///
+    /// Each cover counts once in [`CheckStats`]; a grouped query's time is
+    /// charged to the first cover it closes. A group literal is only ever
+    /// left unassumed, never refuted: asserting its negation would force a
+    /// root reset of the retained trail.
+    pub fn check_covers(&mut self, covers: &[SignalId], assumes: &[SignalId]) -> Vec<Outcome> {
+        let mut outcomes: Vec<Option<Outcome>> = vec![None; covers.len()];
+        let mut open: Vec<usize> = (0..covers.len()).collect();
+        let mut assumptions: Vec<Lit> =
+            assumes.iter().map(|&a| self.assume_activation(a)).collect();
+        while open.len() > 1 && self.fault.is_none() && !self.pool_exhausted() {
+            let started = Instant::now();
+            let set: Vec<SignalId> = open.iter().map(|&i| covers[i]).collect();
+            let group = self.cover_activation(&set);
+            assumptions.push(group);
+            let result = self.solve(&assumptions);
+            assumptions.pop();
+            let closed: Vec<(usize, Outcome)> = match result {
+                SolveResult::Sat => {
+                    let trace = Trace::from_model(&self.unroll, self.cfg.bound);
+                    let bound = self.cfg.bound;
+                    let (fired, rest): (Vec<usize>, Vec<usize>) = open
+                        .iter()
+                        .partition(|&&i| (0..bound).any(|t| trace.value(t, covers[i]) != 0));
+                    assert!(!fired.is_empty(), "a model of the group fires a cover");
+                    open = rest;
+                    fired
+                        .into_iter()
+                        .map(|i| (i, Outcome::Reachable(trace.clone())))
+                        .collect()
+                }
+                SolveResult::Unsat => std::mem::take(&mut open)
+                    .into_iter()
+                    .map(|i| (i, self.unsat_outcome(covers[i], assumes)))
+                    .collect(),
+                SolveResult::Unknown => break,
+            };
+            let mut elapsed = started.elapsed();
+            for (i, outcome) in closed {
+                outcomes[i] = Some(self.record(elapsed, outcome));
+                elapsed = Duration::ZERO;
+            }
+        }
+        for i in open {
+            outcomes[i] = Some(self.check_cover(covers[i], assumes));
+        }
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every cover closed"))
+            .collect()
+    }
+
+    /// Whether the attached budget pool's global cap is spent.
+    fn pool_exhausted(&self) -> bool {
+        self.pool.as_ref().is_some_and(|p| p.exhausted())
+    }
+
+    /// One main-solver query under the per-property conflict budget, with
+    /// its statistics delta charged.
+    fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.unroll
             .gate()
             .solver()
             .set_conflict_budget(self.cfg.conflict_budget);
-        let result = self.unroll.gate().solver().solve_assuming(&assumptions);
+        let result = self.unroll.gate().solver().solve_assuming(assumptions);
         self.charge_pool();
-        let outcome = match result {
-            SolveResult::Sat => Outcome::Reachable(Trace::from_model(&self.unroll, self.cfg.bound)),
-            SolveResult::Unsat => {
-                let proved = self.cfg.bound_is_complete
-                    || (self.cfg.try_induction && self.prove_by_induction(cover_sig, assumes));
-                if proved {
-                    Outcome::Unreachable
-                } else {
-                    Outcome::Undetermined(UndeterminedReason::BudgetExhausted)
-                }
-            }
-            SolveResult::Unknown => Outcome::Undetermined(self.unknown_reason()),
-        };
-        self.record(started, outcome)
+        result
+    }
+
+    /// The verdict on a cover whose in-bound query came back `Unsat`: it is
+    /// unreachable when the bound is declared complete or a k-induction
+    /// proof lands, and undetermined otherwise.
+    fn unsat_outcome(&mut self, cover_sig: SignalId, assumes: &[SignalId]) -> Outcome {
+        let proved = self.cfg.bound_is_complete
+            || (self.cfg.try_induction && self.prove_by_induction(cover_sig, assumes));
+        if proved {
+            Outcome::Unreachable
+        } else {
+            Outcome::Undetermined(UndeterminedReason::BudgetExhausted)
+        }
     }
 
     /// Maps the solver's stop cause for an `Unknown` result onto the
@@ -614,11 +700,10 @@ impl<'a> Checker<'a> {
     /// no witness exists. Counts into `properties`/`unreachable` exactly as
     /// a solved query would, so outcome fingerprints match unpruned runs.
     pub fn discharge_unreachable(&mut self) -> Outcome {
-        self.record(Instant::now(), Outcome::Unreachable)
+        self.record(Duration::ZERO, Outcome::Unreachable)
     }
 
-    fn record(&mut self, started: Instant, outcome: Outcome) -> Outcome {
-        let elapsed = started.elapsed();
+    fn record(&mut self, elapsed: Duration, outcome: Outcome) -> Outcome {
         self.stats.properties += 1;
         self.stats.total_time += elapsed;
         self.stats.max_time = self.stats.max_time.max(elapsed);

@@ -3,19 +3,21 @@
 use crate::unroll::Unrolling;
 use netlist::SignalId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A concrete multi-cycle execution witnessing a reachable cover.
 ///
 /// Stores the value of *every* signal at every frame (the designs here are
 /// small, and downstream analyses — µPATH extraction in particular — read
 /// many signals per frame), plus the primary-input script needed to replay
-/// the trace on `sim::Simulator`.
+/// the trace on `sim::Simulator`. Clones share the recorded values, so the
+/// covers that one model fires all hold the same witness.
 #[derive(Clone, Debug)]
 pub struct Trace {
     /// `values[t][sig.index()]` = value of the signal at cycle `t`.
-    values: Vec<Vec<u64>>,
+    values: Arc<Vec<Vec<u64>>>,
     /// Input assignments per cycle.
-    inputs: Vec<HashMap<SignalId, u64>>,
+    inputs: Arc<Vec<HashMap<SignalId, u64>>>,
 }
 
 impl Trace {
@@ -34,7 +36,10 @@ impl Trace {
             values.push(row);
             inputs.push(ins);
         }
-        Self { values, inputs }
+        Self {
+            values: Arc::new(values),
+            inputs: Arc::new(inputs),
+        }
     }
 
     /// Number of cycles in the trace.
@@ -62,6 +67,6 @@ impl Trace {
 
     /// The primary-input script, suitable for `sim::replay`.
     pub fn input_script(&self) -> Vec<HashMap<SignalId, u64>> {
-        self.inputs.clone()
+        self.inputs.to_vec()
     }
 }

@@ -4,9 +4,10 @@
 //! order: each declaration is checked and lowered to its node at once —
 //! exactly one node per declaration, the invariant behind byte-identical
 //! emit→parse→lower→emit round trips. The `mem`/`read`/`write` sugar
-//! expands to register words plus anonymous mux/eq chains (write
-//! expansions, like `next` connections, are made after the walk, so they
-//! may reference later declarations).
+//! expands to register words plus anonymous mux/eq chains. `next` and
+//! `write` statements are checked, and then connected, after the walk, in
+//! statement order: their operands, and a `write`'s memory, may be
+//! declared later.
 //!
 //! Codes: `E006` bad width, `E007` operand/result width disagreement,
 //! `E008` slice out of bounds, `E009` constant or reset value too wide,
@@ -145,6 +146,13 @@ struct Mem {
     span: Span,
 }
 
+/// A `next` (register, source) or `write` (memory, enable, address, data)
+/// statement, checked and connected after the walk.
+enum Port<'m> {
+    Next(&'m Name, &'m Name),
+    Write([&'m Name; 4]),
+}
+
 struct Lowerer<'m, 'r> {
     nl: Netlist,
     spans: Vec<Option<Span>>,
@@ -160,9 +168,8 @@ struct Lowerer<'m, 'r> {
     /// each got its `next` connection.
     regs: Vec<(String, Span)>,
     next_seen: HashMap<String, Span>,
-    /// `next` and `write` statements, connected after the walk.
-    nexts: Vec<(&'m Name, &'m Name)>,
-    writes: Vec<[&'m Name; 4]>,
+    /// `next` and `write` statements, in statement order.
+    ports: Vec<Port<'m>>,
 }
 
 impl<'m> Lowerer<'m, '_> {
@@ -307,12 +314,18 @@ impl<'m> Lowerer<'m, '_> {
         Ok(id)
     }
 
-    /// Checks and lowers every statement in order, then checks that every
-    /// register got a `next` and the metadata blocks' shape.
+    /// Checks and lowers every statement in order, then checks the `next`
+    /// and `write` statements, that every register got a `next`, and the
+    /// metadata blocks' shape.
     fn walk(&mut self, m: &'m Module) -> Result<(), NetlistError> {
         for item in &m.items {
             self.item(item)?;
         }
+        let ports = std::mem::take(&mut self.ports);
+        for port in &ports {
+            self.check_port(port);
+        }
+        self.ports = ports;
         for (reg, span) in &self.regs {
             if !self.next_seen.contains_key(reg) {
                 self.report.push(
@@ -398,12 +411,20 @@ impl<'m> Lowerer<'m, '_> {
                 en,
                 addr,
                 data,
-            } => {
-                self.writes.push([mem, en, addr, data]);
-                // An unknown memory is undefined (resolve said so) or
-                // declared later, where its port goes unchecked.
+            } => self.ports.push(Port::Write([mem, en, addr, data])),
+            Item::Next { reg, src } => self.ports.push(Port::Next(reg, src)),
+        }
+        Ok(())
+    }
+
+    /// Checks one `next` or `write` statement once every declaration is
+    /// lowered.
+    fn check_port(&mut self, port: &Port<'m>) {
+        match *port {
+            Port::Write([mem, en, addr, data]) => {
+                // An unknown memory is undefined: resolve said so.
                 let Some(m) = self.mems.get(&mem.node) else {
-                    return Ok(());
+                    return;
                 };
                 let (word, len, mem_span) = (m.words[0], m.words.len(), m.span);
                 if !self.written.insert(mem.node.clone()) {
@@ -415,7 +436,7 @@ impl<'m> Lowerer<'m, '_> {
                         .with_primary(mem.span, "second `write` statement")
                         .with_note("a memory array supports a single write port"),
                     );
-                    return Ok(());
+                    return;
                 }
                 self.require_1bit(en, "E010", "write enable", "write enables are single-bit");
                 self.check_covers(addr, mem, len, mem_span);
@@ -439,8 +460,7 @@ impl<'m> Lowerer<'m, '_> {
                         .insert(format!("{}[{i}]", mem.node), mem.span);
                 }
             }
-            Item::Next { reg, src } => {
-                self.nexts.push((reg, src));
+            Port::Next(reg, src) => {
                 if let Some(&prev) = self.next_seen.get(&reg.node) {
                     self.report.push(
                         error(
@@ -453,7 +473,7 @@ impl<'m> Lowerer<'m, '_> {
                         .with_primary(reg.span, "second connection")
                         .with_secondary(prev, "first connected here"),
                     );
-                    return Ok(());
+                    return;
                 }
                 self.next_seen.insert(reg.node.clone(), reg.span);
                 if let Some(&r) = self.syms.get(&reg.node) {
@@ -473,7 +493,6 @@ impl<'m> Lowerer<'m, '_> {
                 }
             }
         }
-        Ok(())
     }
 
     /// Lowers one `wire`: its width, and its faults, come from one width
@@ -628,10 +647,14 @@ impl<'m> Lowerer<'m, '_> {
     /// Makes the `next` connections and write-port expansions, in
     /// statement order, once the walk is error-free.
     fn connect(&mut self) -> Result<(), NetlistError> {
-        for (reg, src) in std::mem::take(&mut self.nexts) {
-            self.nl.set_reg_next(self.id(reg), self.id(src))?;
-        }
-        for [mem, en, addr, data] in std::mem::take(&mut self.writes) {
+        for port in std::mem::take(&mut self.ports) {
+            let [mem, en, addr, data] = match port {
+                Port::Next(reg, src) => {
+                    self.nl.set_reg_next(self.id(reg), self.id(src))?;
+                    continue;
+                }
+                Port::Write(write) => write,
+            };
             let words = self.mems[&mem.node].words.clone();
             let (en, addr, data) = (self.id(en), self.id(addr), self.id(data));
             for (i, &word) in words.iter().enumerate() {
@@ -807,8 +830,7 @@ pub(super) fn run(m: &Module, report: &mut Report) -> Option<LoweredModule> {
         w001: Vec::new(),
         regs: Vec::new(),
         next_seen: HashMap::new(),
-        nexts: Vec::new(),
-        writes: Vec::new(),
+        ports: Vec::new(),
     };
     let walked = lw.walk(m);
     if lw.report.has_errors() {

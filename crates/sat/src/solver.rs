@@ -1571,6 +1571,13 @@ impl Solver {
             self.stats.reused_levels += keep as u64;
         } else {
             debug_assert_eq!(self.decision_level(), 0);
+            // A query stopped by its budget or cancellation right after
+            // learning a unit leaves that unit unpropagated at the root;
+            // root maintenance needs the root fully propagated.
+            if self.propagate().is_some() {
+                self.ok = false;
+                return SolveResult::Unsat;
+            }
             self.simplify();
             self.maybe_collect_garbage();
         }
@@ -2023,6 +2030,37 @@ mod tests {
             s.add_clause(&c);
         }
         cls
+    }
+
+    #[test]
+    fn a_unit_left_unpropagated_by_a_budget_stop_is_propagated_first() {
+        // Random 3-SAT instances under a one-conflict budget until one
+        // stops right after learning a unit; the next query must propagate
+        // it before root maintenance and answer as a fresh solver does.
+        let mut found = false;
+        for seed in 1..500u64 {
+            let mut s = Solver::new();
+            let v = lits(&mut s, 40);
+            let cls = random_3sat(&mut s, &v, 170, seed);
+            s.set_conflict_budget(Some(1));
+            if s.solve() != SolveResult::Unknown
+                || s.decision_level() != 0
+                || s.qhead == s.trail.len()
+            {
+                continue;
+            }
+            found = true;
+            s.set_conflict_budget(None);
+            let mut fresh = Solver::new();
+            let fv = lits(&mut fresh, 40);
+            assert_eq!(fv, v);
+            for c in &cls {
+                fresh.add_clause(c);
+            }
+            assert_eq!(s.solve(), fresh.solve(), "seed {seed}");
+            break;
+        }
+        assert!(found, "no instance stopped with a pending root unit");
     }
 
     #[test]

@@ -425,10 +425,16 @@ impl JobRecord for IftUnit {
 /// Runs the IFT queries of one (transponder, slot arrangement, transmitter
 /// typing) job. The harness is shared immutably across every job of its
 /// slot arrangement; the checker — unrolling + SAT solver over the
-/// pairing's merged decision-cover netlist — is the pairing's context
-/// chain's ([`mc::Fleet`]), shared in job order across *every* unit of the
-/// pairing, so learnt clauses carry between transponders and typings. All
+/// pairing's merged decision-cover netlist — is the (pairing, typing)'s
+/// context chain's ([`mc::Fleet`]), shared in job order by every
+/// transponder of that typing, so learnt clauses carry between them. All
 /// per-unit state lives in the assumptions.
+///
+/// Per (transmitter, operand), the decisions not discharged statically go
+/// to [`Checker::check_covers`] in groups with identical assume lists: one
+/// group per source PL for a relational typing (its relation assume names
+/// the source), and one group for Intrinsic. Tags are pushed in
+/// (transmitter, operand, decision) order.
 #[allow(clippy::too_many_arguments)]
 fn ift_kind_job(
     p: Opcode,
@@ -455,37 +461,50 @@ fn ift_kind_job(
             if !reads {
                 continue;
             }
+            let mut assumes = harness.base_assumes.clone();
+            assumes.push(harness.p_opcode_assume(p));
+            if !harness.intrinsic {
+                assumes.push(harness.t_opcode_assume(t));
+            }
+            assumes.push(harness.operand_assume(operand));
+            assumes.push(harness.flush_assume(kind));
+            let assumes_at = |relation: Option<uhb::PlId>| {
+                let mut a = assumes.clone();
+                a.extend(relation.map(|src| harness.relation_assume(kind, src)));
+                a
+            };
+            // Decision indices per relation source (`None`: Intrinsic).
+            let mut groups: BTreeMap<Option<uhb::PlId>, Vec<usize>> = BTreeMap::new();
             for (decision_ix, d) in decisions.iter().enumerate() {
-                let mut assumes = harness.base_assumes.clone();
-                assumes.push(harness.p_opcode_assume(p));
-                if !harness.intrinsic {
-                    assumes.push(harness.t_opcode_assume(t));
-                }
-                assumes.push(harness.operand_assume(operand));
-                assumes.push(harness.flush_assume(kind));
-                if kind != TxKind::Intrinsic {
-                    assumes.push(harness.relation_assume(kind, d.src));
-                }
-                let discharged = prune.is_some_and(|pr| !pr.may_reach(operand, d));
-                let outcome = if discharged {
+                let relation = (kind != TxKind::Intrinsic).then_some(d.src);
+                if prune.is_some_and(|pr| !pr.may_reach(operand, d)) {
                     checker.note_static_discharge();
                     if cfg!(debug_assertions) {
                         // Cross-check: the precise IFT query must agree with
                         // the static over-approximation.
-                        let o = checker.check_cover(covers[decision_ix], &assumes);
+                        let o = checker.check_cover(covers[decision_ix], &assumes_at(relation));
                         debug_assert!(
                             !o.is_reachable(),
                             "static taint prune contradicted precise IFT query \
                              ({p} {kind} {operand} decision {decision_ix})"
                         );
-                        o
                     } else {
-                        checker.discharge_unreachable()
+                        checker.discharge_unreachable();
                     }
                 } else {
-                    checker.check_cover(covers[decision_ix], &assumes)
-                };
-                if outcome.is_reachable() {
+                    groups.entry(relation).or_default().push(decision_ix);
+                }
+            }
+            let mut fired = vec![false; decisions.len()];
+            for (relation, ixs) in groups {
+                let group: Vec<netlist::SignalId> = ixs.iter().map(|&i| covers[i]).collect();
+                let outcomes = checker.check_covers(&group, &assumes_at(relation));
+                for (i, o) in ixs.into_iter().zip(outcomes) {
+                    fired[i] = o.is_reachable();
+                }
+            }
+            for (decision_ix, d) in decisions.iter().enumerate() {
+                if fired[decision_ix] {
                     let src_class = harness.class_table().name(d.src);
                     tags.push(Tag {
                         decision_ix,
@@ -591,8 +610,8 @@ pub fn synthesize_leakage(
         });
 
     // Phase 2b: one merged decision-cover netlist per arrangement, holding
-    // *every* transponder's covers side by side. All of a pairing's units
-    // — every (transponder, typing) — share one solver context over it.
+    // *every* transponder's covers side by side. Each of the arrangement's
+    // typings runs its own solver context over it (Phase 2c).
     struct CoverNet {
         netlist: netlist::Netlist,
         /// Cover signals per work index (same order as `work`).
@@ -635,22 +654,24 @@ pub fn synthesize_leakage(
     };
 
     // Phase 2c: the query jobs — one per (transponder, arrangement,
-    // typing), all of an arrangement sharing its checker. Replay is *per
-    // unit* ([`mc::Replay::Job`]): each unit's record is keyed by its own
-    // cone fingerprint, so after a local design edit only the units whose
-    // cones the edit touched re-solve. The misses of a pairing form its
-    // context chain, run in job order — the shared solver's query stream
-    // is a pure function of the miss set, independent of worker count.
-    // (Verdicts are per-unit pure; only solver-history counters can differ
-    // between a partially replayed run and a cold one, and those never
-    // enter the verdict report.)
-    let units: Vec<(usize, usize, TxKind)> = (0..work.len())
-        .flat_map(|wi| {
-            pairings
-                .iter()
-                .enumerate()
-                .flat_map(move |(pi, (_, kinds))| kinds.iter().map(move |&k| (wi, pi, k)))
-        })
+    // typing). Each (arrangement, typing) is one context chain over its
+    // arrangement's cover netlist, so the typings of one arrangement
+    // (DynamicOlder and Static) can run on different engine threads while the
+    // transponders of one typing share a checker. Replay is *per unit*
+    // ([`mc::Replay::Job`]): each unit's record is keyed by its own cone
+    // fingerprint, so after a local design edit only the units whose cones
+    // the edit touched re-solve. A chain's misses run in job order — each
+    // shared solver's query stream is a pure function of the miss set,
+    // independent of worker count. (Verdicts are per-unit pure; only
+    // solver-history counters can differ between a partially replayed run
+    // and a cold one, and those never enter the verdict report.)
+    let chains: Vec<(usize, TxKind)> = pairings
+        .iter()
+        .enumerate()
+        .flat_map(|(pi, (_, kinds))| kinds.iter().map(move |&k| (pi, k)))
+        .collect();
+    let units: Vec<(usize, usize)> = (0..work.len())
+        .flat_map(|wi| (0..chains.len()).map(move |c| (wi, c)))
         .collect();
     let plc = PlClasses::of(design);
     // Built on the first miss that needs it: a fully replayed run never
@@ -658,22 +679,23 @@ pub fn synthesize_leakage(
     let prune = std::sync::OnceLock::new();
     let fleet = mc::Fleet {
         phase: "ift",
-        chains: cover_nets
+        chains: chains
             .iter()
-            .map(|cn| mc::ChainNet {
-                netlist: &cn.netlist,
-                coi: cfg.coi.then_some(cn.targets.as_slice()),
+            .map(|&(pi, _)| mc::ChainNet {
+                netlist: &cover_nets[pi].netlist,
+                coi: cfg.coi.then_some(cover_nets[pi].targets.as_slice()),
             })
             .collect(),
         free: &free,
         mc: McConfig::bounded(cfg.bound, cfg.conflict_budget),
         replay: mc::Replay::Job,
     };
-    let chain_of: Vec<usize> = units.iter().map(|&(_, pi, _)| pi).collect();
+    let chain_of: Vec<usize> = units.iter().map(|&(_, c)| c).collect();
     let run = fleet.run(
         &chain_of,
         |ix| {
-            let (wi, pi, kind) = units[ix];
+            let (wi, c) = units[ix];
+            let (pi, kind) = chains[c];
             ift_job_key(
                 cover_nets[pi].unit_fps[wi],
                 cfg,
@@ -685,7 +707,8 @@ pub fn synthesize_leakage(
         },
         &engine,
         |ix, checker| {
-            let (wi, pi, kind) = units[ix];
+            let (wi, c) = units[ix];
+            let (pi, kind) = chains[c];
             let w = &work[wi];
             let prune = cfg
                 .static_prune
@@ -712,7 +735,7 @@ pub fn synthesize_leakage(
     // Merge job results back per transponder, in job order — the merged
     // tag lists are identical for every worker count.
     let mut tags_per_work: Vec<Vec<Tag>> = work.iter().map(|_| Vec::new()).collect();
-    for (&(w_ix, _, _), unit) in units.iter().zip(run.results) {
+    for (&(w_ix, _), unit) in units.iter().zip(run.results) {
         report.ift_stats.absorb(&unit.stats);
         tags_per_work[w_ix].extend(unit.tags);
     }

@@ -35,19 +35,20 @@ for NL in examples/*.nl; do
     lint "$NL" --deny-warnings >/dev/null
 done
 
-echo "== leak-golden (byte-identical report at --jobs 1 and 2) =="
+echo "== leak-golden (byte-identical report at --jobs 1, 2 and 4) =="
 # The blessed `leak minicache lw` report: signatures, the solver-counter
 # line and the contract table, no timings. Each solver context must see
-# the same query stream at every worker count, so both runs must match
-# the golden byte for byte.
-for JOBS in 1 2; do
+# the same query stream at every worker count, so every run must match
+# the golden byte for byte. The IFT phase has four context chains (one
+# per slot pairing and typing), so --jobs 4 runs them all at once.
+for JOBS in 1 2 4; do
   if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
     leak minicache lw --jobs "$JOBS" | diff -u tests/golden/leak_minicache_lw.txt -; then
     echo "leak-golden: --jobs $JOBS drifted from tests/golden/leak_minicache_lw.txt" >&2
     exit 1
   fi
 done
-echo "leak-golden OK (--jobs 1 and 2 match the golden)"
+echo "leak-golden OK (--jobs 1, 2 and 4 match the golden)"
 
 echo "== paths-golden (byte-identical µPATH report at --jobs 1 and 2) =="
 # The blessed `paths minicache lw` report: every µPATH, its decisions,
