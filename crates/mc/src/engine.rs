@@ -560,88 +560,87 @@ impl<'a> Checker<'a> {
     }
 
     /// Checks `cover (cover_sig)` under `assume (a)` for every `a` in
-    /// `assumes` (each holding at every cycle).
+    /// `assumes` (each holding at every cycle): the one-cover case of
+    /// [`Checker::check_covers`].
     pub fn check_cover(&mut self, cover_sig: SignalId, assumes: &[SignalId]) -> Outcome {
-        let started = Instant::now();
-        if let Some(reason) = self.fault {
-            return self.record(started.elapsed(), Outcome::Undetermined(reason));
-        }
-        if self.pool_exhausted() {
-            return self.record(
-                started.elapsed(),
-                Outcome::Undetermined(UndeterminedReason::BudgetExhausted),
-            );
-        }
-        let mut assumptions: Vec<Lit> =
-            assumes.iter().map(|&a| self.assume_activation(a)).collect();
-        assumptions.push(self.cover_activation(&[cover_sig]));
-        let outcome = match self.solve(&assumptions) {
-            SolveResult::Sat => Outcome::Reachable(Trace::from_model(&self.unroll, self.cfg.bound)),
-            SolveResult::Unsat => self.unsat_outcome(cover_sig, assumes),
-            SolveResult::Unknown => Outcome::Undetermined(self.unknown_reason()),
-        };
-        self.record(started.elapsed(), outcome)
+        let mut outcomes = self.check_covers(&[cover_sig], assumes);
+        outcomes.pop().expect("one outcome per cover")
     }
 
     /// Checks every cover in `covers` under one `assumes` list, returning
-    /// the outcomes in `covers` order. While more than one cover is open, a
-    /// single query asks whether *any* of them fires, through one
-    /// activation literal over their per-frame literals (cached per open
-    /// set, like a lone cover's, so what the solver learns about a set
-    /// carries over to the next query of that set under other assumes):
+    /// the outcomes in `covers` order. Each round is one query: does any
+    /// cover of the round's set fire? The set is every open cover or, once
+    /// a group's query came back `Unknown`, the first open cover alone. Its
+    /// activation literal is cached per set, so what the solver learns
+    /// about a set carries over to the next query of that set:
     ///
-    /// - a model witnesses every open cover it fires (all `Reachable` on
-    ///   that one shared trace), and the rest are asked again;
-    /// - `Unsat` refutes each open cover, through the same completeness
-    ///   rule as [`Checker::check_cover`];
-    /// - `Unknown`, an injected fault or an exhausted pool hands each open
-    ///   cover to [`Checker::check_cover`], so each keeps its own conflict
-    ///   budget and its own undetermined reason.
+    /// - a model witnesses every cover of the set it fires (all `Reachable`
+    ///   on the one shared trace), and the rest stay open;
+    /// - `Unsat` closes the set through the completeness rule
+    ///   ([`McConfig::bound_is_complete`], else k-induction);
+    /// - `Unknown` closes a lone cover undetermined for the solver's stop
+    ///   cause, so each cover keeps its own conflict budget and reason.
     ///
-    /// Each cover counts once in [`CheckStats`]; a grouped query's time is
-    /// charged to the first cover it closes. A group literal is only ever
-    /// left unassumed, never refuted: asserting its negation would force a
-    /// root reset of the retained trail.
+    /// An injected fault or an exhausted pool closes every open cover
+    /// undetermined without a query. Each cover counts once in
+    /// [`CheckStats`]; a query's time is charged to the first cover it
+    /// closes. A group literal is only ever left unassumed, never refuted:
+    /// asserting its negation would force a root reset of the retained
+    /// trail.
     pub fn check_covers(&mut self, covers: &[SignalId], assumes: &[SignalId]) -> Vec<Outcome> {
         let mut outcomes: Vec<Option<Outcome>> = vec![None; covers.len()];
         let mut open: Vec<usize> = (0..covers.len()).collect();
-        let mut assumptions: Vec<Lit> =
-            assumes.iter().map(|&a| self.assume_activation(a)).collect();
-        while open.len() > 1 && self.fault.is_none() && !self.pool_exhausted() {
+        // Minted at the first query, so a faulted call adds no clause.
+        let mut assumptions: Vec<Lit> = Vec::new();
+        let mut one_at_a_time = false;
+        while !open.is_empty() {
             let started = Instant::now();
-            let set: Vec<SignalId> = open.iter().map(|&i| covers[i]).collect();
-            let group = self.cover_activation(&set);
-            assumptions.push(group);
-            let result = self.solve(&assumptions);
-            assumptions.pop();
-            let closed: Vec<(usize, Outcome)> = match result {
-                SolveResult::Sat => {
-                    let trace = Trace::from_model(&self.unroll, self.cfg.bound);
-                    let bound = self.cfg.bound;
-                    let (fired, rest): (Vec<usize>, Vec<usize>) = open
-                        .iter()
-                        .partition(|&&i| (0..bound).any(|t| trace.value(t, covers[i]) != 0));
-                    assert!(!fired.is_empty(), "a model of the group fires a cover");
-                    open = rest;
-                    fired
-                        .into_iter()
-                        .map(|i| (i, Outcome::Reachable(trace.clone())))
-                        .collect()
+            let stop = self.fault.or_else(|| {
+                self.pool_exhausted()
+                    .then_some(UndeterminedReason::BudgetExhausted)
+            });
+            let asked = if one_at_a_time { &open[..1] } else { &open };
+            let closed: Vec<(usize, Outcome)> = if let Some(reason) = stop {
+                open.iter()
+                    .map(|&i| (i, Outcome::Undetermined(reason)))
+                    .collect()
+            } else {
+                if assumptions.is_empty() {
+                    assumptions = assumes.iter().map(|&a| self.assume_activation(a)).collect();
                 }
-                SolveResult::Unsat => std::mem::take(&mut open)
-                    .into_iter()
-                    .map(|i| (i, self.unsat_outcome(covers[i], assumes)))
-                    .collect(),
-                SolveResult::Unknown => break,
+                let set: Vec<SignalId> = asked.iter().map(|&i| covers[i]).collect();
+                assumptions.push(self.cover_activation(&set));
+                let result = self.solve(&assumptions);
+                assumptions.pop();
+                match result {
+                    SolveResult::Sat => {
+                        let trace = Trace::from_model(&self.unroll, self.cfg.bound);
+                        let fires =
+                            |&i: &usize| (0..trace.len()).any(|t| trace.value(t, covers[i]) != 0);
+                        let fired: Vec<usize> = asked.iter().copied().filter(fires).collect();
+                        assert!(!fired.is_empty(), "a model of the set fires a cover");
+                        let reachable = |i| (i, Outcome::Reachable(trace.clone()));
+                        fired.into_iter().map(reachable).collect()
+                    }
+                    SolveResult::Unsat => asked
+                        .iter()
+                        .map(|&i| (i, self.unsat_outcome(covers[i], assumes)))
+                        .collect(),
+                    SolveResult::Unknown if asked.len() == 1 => {
+                        vec![(asked[0], Outcome::Undetermined(self.unknown_reason()))]
+                    }
+                    SolveResult::Unknown => {
+                        one_at_a_time = true;
+                        continue;
+                    }
+                }
             };
+            open.retain(|i| !closed.iter().any(|(c, _)| c == i));
             let mut elapsed = started.elapsed();
             for (i, outcome) in closed {
                 outcomes[i] = Some(self.record(elapsed, outcome));
                 elapsed = Duration::ZERO;
             }
-        }
-        for i in open {
-            outcomes[i] = Some(self.check_cover(covers[i], assumes));
         }
         outcomes
             .into_iter()

@@ -2,29 +2,24 @@
 //!
 //! The engine's unit of parallelism is a *job*: an independent piece of
 //! property-evaluation work (one instruction/slot enumeration, one
-//! transponder/typing IFT sweep). One scoped worker pool, [`run_ordered`],
-//! claims job indices in order and folds their results in index order,
-//! so the merged output is a pure function of the job list — independent
-//! of worker count and scheduling. `threads == 1` runs the jobs inline on
-//! the calling thread, byte-identical to the parallel path (the `--jobs
-//! 1` baseline); [`run_jobs`] is that pool collecting every result.
-//!
-//! Jobs that share a persistent solver context (DESIGN.md §12) run as one
-//! *context chain* (`run_chains`, driven by [`Fleet::run`]): in job
-//! order, on one worker, which builds the context when the chain's first
-//! job asks for it and drops it when the chain ends. Each context
-//! therefore sees the same query stream for every worker count, and no
-//! worker ever waits for another.
+//! transponder/typing IFT sweep, one fuzz case). One scoped worker pool,
+//! [`run_ordered`], claims job indices in order and folds their results in
+//! index order, so the merged output is a pure function of the job list —
+//! independent of worker count and scheduling. `threads == 1` runs the
+//! jobs inline on the calling thread, byte-identical to the parallel path
+//! (the `--jobs 1` baseline); [`run_jobs`] is that pool collecting every
+//! result.
 //!
 //! A run whose bookkeeping must see results in order, and may stop early,
 //! streams them through [`run_ordered`] instead: each result is folded as
 //! soon as every earlier one has been, so nothing but the out-of-order
 //! stragglers is ever held.
 //!
+//! Jobs that share a persistent solver context run as *context chains*;
+//! [`Fleet::run`] owns those, on top of [`run_jobs`].
+//!
 //! [`Fleet::run`]: crate::Fleet::run
 
-use sat::CancelToken;
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -173,102 +168,9 @@ where
     }
 }
 
-/// The sequential retry pass of [`run_chains`].
-pub(crate) struct Retries<'r, R> {
-    /// Reruns allowed per failed job; `0` keeps single-shot behaviour.
-    pub(crate) max: u32,
-    /// A tripped run-wide token ends the pass: a deadline can't be outrun
-    /// by retrying.
-    pub(crate) cancel: Option<&'r CancelToken>,
-    /// Whether a job that returned still failed (a degraded verdict) and
-    /// so deserves a rerun, like one that panicked.
-    pub(crate) degraded: fn(&R) -> bool,
-}
-
-/// Runs every job as `f(job_index, attempt, ctx)` and returns the results
-/// in job order, `None` for a job whose last attempt panicked.
-///
-/// `chain_of[ix]` names the solver context job `ix` needs. The jobs
-/// naming one context form its *chain*: they run in job order on one
-/// worker, all handed the same `ctx` slot, which starts empty. A job
-/// builds the context on first use (`ctx.get_or_insert_with(..)`). A
-/// panic discards the context — it may hold a half-finished query — and
-/// the chain's next job rebuilds it. At chain end the context is dropped,
-/// so at most `threads` are live, unless [`Retries`] will rerun one of the
-/// chain's jobs.
-///
-/// Workers claim whole chains, longest first (ties: lowest first job id);
-/// a worker never waits on another. Since a context only ever sees its own
-/// chain in job order, results are a pure function of the job list for
-/// every `threads`.
-///
-/// Afterwards, failed jobs rerun sequentially on the calling thread in
-/// job order (attempts `1..=retries.max`), each on its chain's retained
-/// context. Returns the results and the number of retry attempts spent.
-pub(crate) fn run_chains<C, R, F>(
-    chain_of: &[usize],
-    threads: usize,
-    retries: Retries<'_, R>,
-    f: F,
-) -> (Vec<Option<R>>, u64)
-where
-    C: Send,
-    R: Send,
-    F: Fn(usize, u32, &mut Option<C>) -> R + Sync,
-{
-    let mut chains: Vec<Vec<usize>> = {
-        let mut by_ctx: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (ix, &c) in chain_of.iter().enumerate() {
-            by_ctx.entry(c).or_default().push(ix);
-        }
-        by_ctx.into_values().collect()
-    };
-    chains.sort_by_key(|chain| (Reverse(chain.len()), chain[0]));
-    let needs_retry = |r: &Option<R>| r.as_ref().is_none_or(retries.degraded);
-    let run_one = |ix: usize, attempt: u32, ctx: &mut Option<C>| {
-        let r = catch_unwind(AssertUnwindSafe(|| f(ix, attempt, ctx))).ok();
-        if r.is_none() {
-            *ctx = None;
-        }
-        r
-    };
-    let ran = run_jobs(&chains, threads, |_, chain| {
-        let mut ctx = None;
-        let results: Vec<_> = chain.iter().map(|&ix| run_one(ix, 0, &mut ctx)).collect();
-        let keep = retries.max > 0 && results.iter().any(needs_retry);
-        (results, if keep { ctx } else { None })
-    });
-    let mut results: Vec<Option<Option<R>>> = chain_of.iter().map(|_| None).collect();
-    let mut chain_ix = vec![0; chain_of.len()];
-    let mut ctxs = Vec::with_capacity(ran.len());
-    for (ci, (chain, (rs, ctx))) in chains.into_iter().zip(ran).enumerate() {
-        for (ix, r) in chain.into_iter().zip(rs) {
-            results[ix] = Some(r);
-            chain_ix[ix] = ci;
-        }
-        ctxs.push(ctx);
-    }
-    let mut results: Vec<Option<R>> = results
-        .into_iter()
-        .map(|r| r.expect("every job belongs to exactly one chain"))
-        .collect();
-    let mut retried = 0u64;
-    for ix in 0..results.len() {
-        for n in 1..=retries.max {
-            if !needs_retry(&results[ix]) || retries.cancel.is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
-            retried += 1;
-            results[ix] = run_one(ix, n, &mut ctxs[chain_ix[ix]]);
-        }
-    }
-    (results, retried)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn results_are_in_job_order_regardless_of_threads() {
@@ -286,9 +188,6 @@ mod tests {
     fn empty_job_list_is_fine() {
         let out: Vec<u32> = run_jobs(&[], 8, |_, &j: &u32| j);
         assert!(out.is_empty());
-        let (out, retried) = run_chains::<(), u32, _>(&[], 8, no_retries(), |_, _, _| 0);
-        assert!(out.is_empty());
-        assert_eq!(retried, 0);
     }
 
     #[test]
@@ -435,134 +334,5 @@ mod tests {
             );
             assert_eq!(folds, n);
         }
-    }
-
-    fn no_retries<R>() -> Retries<'static, R> {
-        Retries {
-            max: 0,
-            cancel: None,
-            degraded: |_| false,
-        }
-    }
-
-    /// The jobs each job's context has served so far, itself included.
-    type Seen = Vec<usize>;
-
-    #[test]
-    fn longest_chain_is_claimed_first_with_ties_to_the_lowest_job_id() {
-        // Chains: 7 → [0], 3 → [1,2,3], 9 → [4,5,6], 5 → [7,8].
-        let chain_of = [7, 3, 3, 3, 9, 9, 9, 5, 5];
-        let order = Mutex::new(Vec::new());
-        run_chains::<(), (), _>(&chain_of, 1, no_retries(), |ix, _, _| {
-            order.lock().unwrap().push(ix);
-        });
-        assert_eq!(*order.lock().unwrap(), vec![1, 2, 3, 4, 5, 6, 7, 8, 0]);
-    }
-
-    #[test]
-    fn chains_merge_by_job_id_identically_for_any_thread_count() {
-        let chain_of: Vec<usize> = (0..40).map(|ix| ix * ix % 5).collect();
-        let live = AtomicU64::new(0);
-        let peak = AtomicU64::new(0);
-        struct Ctx<'a>(Seen, &'a AtomicU64);
-        impl Drop for Ctx<'_> {
-            fn drop(&mut self) {
-                self.1.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-        let run = |threads| {
-            peak.store(0, Ordering::SeqCst);
-            let (out, retried) = run_chains(&chain_of, threads, no_retries(), |ix, _, ctx| {
-                let c = ctx.get_or_insert_with(|| {
-                    let n = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(n, Ordering::SeqCst);
-                    Ctx(Vec::new(), &live)
-                });
-                c.0.push(ix);
-                c.0.clone()
-            });
-            assert_eq!(retried, 0);
-            assert!(
-                peak.load(Ordering::SeqCst) <= threads as u64,
-                "contexts must drop at chain end"
-            );
-            out.into_iter().map(Option::unwrap).collect::<Vec<Seen>>()
-        };
-        let baseline = run(1);
-        // Each context served exactly its chain's earlier jobs, in order.
-        for (ix, seen) in baseline.iter().enumerate() {
-            let want: Seen = (0..=ix).filter(|&j| chain_of[j] == chain_of[ix]).collect();
-            assert_eq!(*seen, want, "job {ix}");
-        }
-        for threads in 2..=4 {
-            assert_eq!(run(threads), baseline, "{threads} threads");
-        }
-        assert_eq!(live.load(Ordering::SeqCst), 0, "every context dropped");
-    }
-
-    #[test]
-    fn panicking_job_discards_its_chains_context_and_the_next_rebuilds_it() {
-        let chain_of = [0, 0, 0, 1, 1];
-        let builds = AtomicU64::new(0);
-        for threads in [1, 2] {
-            builds.store(0, Ordering::SeqCst);
-            let (out, _) = run_chains(&chain_of, threads, no_retries(), |ix, _, ctx| {
-                let seen: &mut Seen = ctx.get_or_insert_with(|| {
-                    builds.fetch_add(1, Ordering::SeqCst);
-                    Vec::new()
-                });
-                seen.push(ix);
-                if ix == 1 {
-                    panic!("injected at job {ix}");
-                }
-                seen.clone()
-            });
-            assert_eq!(out[0].as_ref().unwrap(), &vec![0]);
-            assert!(out[1].is_none(), "job 1 panicked");
-            assert_eq!(
-                out[2].as_ref().unwrap(),
-                &vec![2],
-                "rebuilt after the panic"
-            );
-            assert_eq!(out[4].as_ref().unwrap(), &vec![3, 4]);
-            assert_eq!(builds.load(Ordering::SeqCst), 3);
-        }
-    }
-
-    #[test]
-    fn retries_rerun_failed_jobs_in_order_on_the_retained_context() {
-        let chain_of = [0, 0, 0, 1, 1];
-        fn retries(cancel: Option<&CancelToken>) -> Retries<'_, Seen> {
-            Retries {
-                max: 2,
-                cancel,
-                degraded: |seen: &Seen| seen.last() == Some(&3),
-            }
-        }
-        for threads in [1, 2] {
-            let (out, retried) =
-                run_chains(&chain_of, threads, retries(None), |ix, attempt, ctx| {
-                    let seen: &mut Seen = ctx.get_or_insert_with(Vec::new);
-                    seen.push(ix);
-                    if ix == 1 && attempt == 0 {
-                        panic!("transient");
-                    }
-                    seen.clone()
-                });
-            // Job 1 reruns once on the context job 2 rebuilt; job 3
-            // degrades on every attempt, on the context job 4 left behind.
-            assert_eq!(out[1].as_ref().unwrap(), &vec![2, 1]);
-            assert_eq!(out[3].as_ref().unwrap(), &vec![3, 4, 3, 3]);
-            assert_eq!(out[4].as_ref().unwrap(), &vec![3, 4]);
-            assert_eq!(retried, 3);
-        }
-        let token = CancelToken::new();
-        token.cancel();
-        let (out, retried) =
-            run_chains::<(), Seen, _>(&chain_of, 1, retries(Some(&token)), |_, _, _| {
-                panic!("always")
-            });
-        assert!(out.iter().all(Option::is_none));
-        assert_eq!(retried, 0, "a tripped token stops the retry pass");
     }
 }

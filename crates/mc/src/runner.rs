@@ -9,23 +9,27 @@
 //! driver supplies only its netlists, its journal keys and its query body:
 //!
 //! 1. journal lookup, per [`Replay`] rule, on the calling thread;
-//! 2. the missed jobs run on their chains ([`run_chains`]), which also
-//!    supervises panics and reruns failed jobs ([`RobustOptions::retries`]);
-//! 3. each attempt rolls its [`FaultPlan`] fault, builds the chain's
-//!    bound-0 checker on first use (COI slice, budget pool, cancel token),
-//!    opens a batch, extends the bound, then panics or arms the fault;
+//! 2. attempt 0 runs the missed jobs, and each later attempt, up to
+//!    [`RobustOptions::retries`], the jobs whose last result panicked or
+//!    degraded. Every attempt goes through one chain runner: its jobs
+//!    grouped by chain, longest chain first, each chain in job order on a
+//!    fresh checker, with panics isolated;
+//! 3. each job rolls its [`FaultPlan`] fault for the attempt, builds the
+//!    chain's bound-0 checker on first use (COI slice, budget pool, cancel
+//!    token), opens a batch, extends the bound, then panics or arms the
+//!    fault;
 //! 4. only clean verdicts are journaled;
 //! 5. a job that panicked on its last attempt yields the
 //!    [`JobRecord::panicked`] stand-in, and every degraded job is counted.
-//!
-//! [`run_chains`]: crate::par::run_chains
 
-use crate::par::{run_chains, Retries};
+use crate::par::run_jobs;
 use crate::supervise::{FaultKind, FaultPlan, JobStore};
 use crate::{CheckStats, Checker, CoiSlice, Elab, McConfig, UndeterminedReason};
 use netlist::{Netlist, SignalId};
 use sat::{BudgetPool, CancelToken};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Robustness knobs shared by both synthesis drivers (DESIGN.md §8). The
@@ -42,11 +46,13 @@ pub struct RobustOptions {
     /// Checkpoint store for completed job verdicts; jobs whose key is
     /// already stored are replayed without running.
     pub journal: Option<Arc<dyn JobStore>>,
-    /// How many times a transiently failed job (panic, injected fault,
-    /// deadline, budget exhaustion) is rerun before its degraded verdict
-    /// stands. Retries run sequentially on the coordinating thread in
-    /// job order, so any worker count retries the same jobs in the same
-    /// order. `0` (the default) keeps the single-shot behaviour.
+    /// How many times a job that panicked or came back degraded — an
+    /// injected fault or a deadline ([`CheckStats::degraded`]; an exhausted
+    /// conflict budget is not retried) — is rerun before its degraded
+    /// verdict stands. Every attempt runs its jobs on fresh checkers, one
+    /// per chain, so a retried job that is its chain's only or first job
+    /// reports what a clean run reports. `0` (the default) keeps the
+    /// single-shot behaviour.
     pub retries: u32,
 }
 
@@ -173,7 +179,9 @@ impl<'n> Fleet<'n> {
     /// Runs job `ix` as `body(ix, checker)` on chain `chain_of[ix]`'s
     /// checker, with `key(ix)` its journal key (computed only when a
     /// journal is configured), under `opts`' threads, budget pool and
-    /// robustness knobs.
+    /// robustness knobs. Attempt 0 runs the journal misses, and each later
+    /// attempt up to [`RobustOptions::retries`] the jobs whose last attempt
+    /// panicked or degraded, each attempt on fresh checkers.
     pub fn run<R, K, B>(
         &self,
         chain_of: &[usize],
@@ -196,14 +204,10 @@ impl<'n> Fleet<'n> {
             match self.replay {
                 Replay::Job => results = (0..chain_of.len()).map(lookup).collect(),
                 Replay::Chain => {
-                    let mut chains: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                    for (ix, &c) in chain_of.iter().enumerate() {
-                        chains.entry(c).or_default().push(ix);
-                    }
-                    for jobs in chains.values() {
+                    for jobs in chains(chain_of) {
                         // `collect` into `Option` stops at the first miss.
                         let hits: Option<Vec<R>> = jobs.iter().map(|&ix| lookup(ix)).collect();
-                        for (&ix, r) in jobs.iter().zip(hits.into_iter().flatten()) {
+                        for (ix, r) in jobs.into_iter().zip(hits.into_iter().flatten()) {
                             results[ix] = Some(r);
                         }
                     }
@@ -213,15 +217,11 @@ impl<'n> Fleet<'n> {
         let resumed_jobs = results.iter().filter(|r| r.is_some()).count() as u64;
         let cone_misses = journal.map_or(0, |_| chain_of.len() as u64 - resumed_jobs);
 
-        let missed: Vec<usize> = (0..chain_of.len())
-            .filter(|&ix| results[ix].is_none())
-            .collect();
-        let missed_chains: Vec<usize> = missed.iter().map(|&ix| chain_of[ix]).collect();
         let mc = McConfig {
             bound: 0,
             ..self.mc
         };
-        let attempt = |ix: usize, attempt: u32, ctx: &mut Option<Checker<'n>>| {
+        let run_job = |ix: usize, attempt: u32, ctx: &mut Option<Checker<'n>>| {
             let fault = robust.faults.fault_for_attempt(self.phase, ix, attempt);
             let checker = ctx.get_or_insert_with(|| {
                 let chain = self.chains[chain_of[ix]];
@@ -260,23 +260,35 @@ impl<'n> Fleet<'n> {
             }
             r
         };
-        let retries = Retries {
-            max: robust.retries,
-            cancel: robust.cancel.as_deref(),
-            degraded: |r: &R| r.stats().degraded() > 0,
-        };
-        let (ran, retried_jobs) = run_chains(
-            &missed_chains,
-            opts.effective_threads(),
-            retries,
-            |mi, n, ctx| attempt(missed[mi], n, ctx),
-        );
-        for (ix, r) in missed.into_iter().zip(ran) {
-            results[ix] = Some(r.unwrap_or_else(R::panicked));
+        // Attempt 0 runs the misses; each later attempt reruns the jobs
+        // whose last attempt panicked (`None`) or degraded.
+        let needs_retry = |r: &Option<R>| r.as_ref().is_none_or(|r| r.stats().degraded() > 0);
+        let cancel = robust.cancel.as_deref();
+        let mut pending: Vec<usize> = (0..chain_of.len())
+            .filter(|&ix| results[ix].is_none())
+            .collect();
+        let mut retried_jobs = 0;
+        for attempt in 0..=robust.retries {
+            if attempt > 0 {
+                pending.retain(|&ix| needs_retry(&results[ix]));
+                // A tripped run-wide token ends the retries: a deadline
+                // can't be outrun by retrying.
+                if pending.is_empty() || cancel.is_some_and(CancelToken::is_cancelled) {
+                    break;
+                }
+                retried_jobs += pending.len() as u64;
+            }
+            let chain_of_pending: Vec<usize> = pending.iter().map(|&ix| chain_of[ix]).collect();
+            let ran = run_chains(&chain_of_pending, opts.effective_threads(), |pi, ctx| {
+                run_job(pending[pi], attempt, ctx)
+            });
+            for (&ix, r) in pending.iter().zip(ran) {
+                results[ix] = r;
+            }
         }
         let results: Vec<R> = results
             .into_iter()
-            .map(|r| r.expect("every job replayed or ran"))
+            .map(|r| r.unwrap_or_else(R::panicked))
             .collect();
         FleetRun {
             degraded_jobs: results.iter().filter(|r| r.stats().degraded() > 0).count() as u64,
@@ -288,11 +300,197 @@ impl<'n> Fleet<'n> {
     }
 }
 
+/// The jobs of each chain `chain_of` names, in job order, by chain id.
+fn chains(chain_of: &[usize]) -> Vec<Vec<usize>> {
+    let mut by_ctx: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (ix, &c) in chain_of.iter().enumerate() {
+        by_ctx.entry(c).or_default().push(ix);
+    }
+    by_ctx.into_values().collect()
+}
+
+/// Runs every job as `f(job_index, ctx)` and returns the results in job
+/// order, `None` for a job that panicked.
+///
+/// `chain_of[ix]` names the solver context job `ix` needs. The jobs
+/// naming one context form its *chain*: they run in job order on one
+/// worker, all handed the same `ctx` slot, which starts empty. A job
+/// builds the context on first use (`ctx.get_or_insert_with(..)`). A
+/// panic discards the context — it may hold a half-finished query — and
+/// the chain's next job rebuilds it. At chain end the context is dropped,
+/// so at most `threads` are live.
+///
+/// Workers claim whole chains, longest first (ties: lowest first job id);
+/// a worker never waits on another. Since a context only ever sees its own
+/// chain in job order, results are a pure function of the job list for
+/// every `threads`.
+fn run_chains<C, R, F>(chain_of: &[usize], threads: usize, f: F) -> Vec<Option<R>>
+where
+    R: Send,
+    F: Fn(usize, &mut Option<C>) -> R + Sync,
+{
+    let mut chains = chains(chain_of);
+    chains.sort_by_key(|chain| (Reverse(chain.len()), chain[0]));
+    let ran = run_jobs(&chains, threads, |_, chain| {
+        let mut ctx = None;
+        chain
+            .iter()
+            .map(|&ix| {
+                let r = catch_unwind(AssertUnwindSafe(|| f(ix, &mut ctx))).ok();
+                if r.is_none() {
+                    ctx = None;
+                }
+                r
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut results: Vec<Option<R>> = chain_of.iter().map(|_| None).collect();
+    for (chain, rs) in chains.into_iter().zip(ran) {
+        for (ix, r) in chain.into_iter().zip(rs) {
+            results[ix] = r;
+        }
+    }
+    results
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use netlist::Builder;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
+
+    /// The jobs each job's context has served so far, itself included.
+    type Seen = Vec<usize>;
+
+    #[test]
+    fn an_empty_job_list_runs_nothing() {
+        let out = run_chains::<(), u32, _>(&[], 8, |_, _| unreachable!("no job to run"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn longest_chain_is_claimed_first_with_ties_to_the_lowest_job_id() {
+        // Chains: 7 → [0], 3 → [1,2,3], 9 → [4,5,6], 5 → [7,8].
+        let chain_of = [7, 3, 3, 3, 9, 9, 9, 5, 5];
+        let order = Mutex::new(Vec::new());
+        run_chains::<(), (), _>(&chain_of, 1, |ix, _| {
+            order.lock().unwrap().push(ix);
+        });
+        assert_eq!(*order.lock().unwrap(), vec![1, 2, 3, 4, 5, 6, 7, 8, 0]);
+    }
+
+    #[test]
+    fn chains_merge_by_job_id_identically_for_any_thread_count() {
+        let chain_of: Vec<usize> = (0..40).map(|ix| ix * ix % 5).collect();
+        let live = AtomicU64::new(0);
+        let peak = AtomicU64::new(0);
+        struct Ctx<'a>(Seen, &'a AtomicU64);
+        impl Drop for Ctx<'_> {
+            fn drop(&mut self) {
+                self.1.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let run = |threads| {
+            peak.store(0, Ordering::SeqCst);
+            let out = run_chains(&chain_of, threads, |ix, ctx| {
+                let c = ctx.get_or_insert_with(|| {
+                    let n = live.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(n, Ordering::SeqCst);
+                    Ctx(Vec::new(), &live)
+                });
+                c.0.push(ix);
+                c.0.clone()
+            });
+            assert!(
+                peak.load(Ordering::SeqCst) <= threads as u64,
+                "contexts must drop at chain end"
+            );
+            out.into_iter().map(Option::unwrap).collect::<Vec<Seen>>()
+        };
+        let baseline = run(1);
+        // Each context served exactly its chain's earlier jobs, in order.
+        for (ix, seen) in baseline.iter().enumerate() {
+            let want: Seen = (0..=ix).filter(|&j| chain_of[j] == chain_of[ix]).collect();
+            assert_eq!(*seen, want, "job {ix}");
+        }
+        for threads in 2..=4 {
+            assert_eq!(run(threads), baseline, "{threads} threads");
+        }
+        assert_eq!(live.load(Ordering::SeqCst), 0, "every context dropped");
+    }
+
+    #[test]
+    fn panicking_job_discards_its_chains_context_and_the_next_rebuilds_it() {
+        let chain_of = [0, 0, 0, 1, 1];
+        let builds = AtomicU64::new(0);
+        for threads in [1, 2] {
+            builds.store(0, Ordering::SeqCst);
+            let out = run_chains(&chain_of, threads, |ix, ctx| {
+                let seen: &mut Seen = ctx.get_or_insert_with(|| {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    Vec::new()
+                });
+                seen.push(ix);
+                if ix == 1 {
+                    panic!("injected at job {ix}");
+                }
+                seen.clone()
+            });
+            assert_eq!(out[0].as_ref().unwrap(), &vec![0]);
+            assert!(out[1].is_none(), "job 1 panicked");
+            assert_eq!(
+                out[2].as_ref().unwrap(),
+                &vec![2],
+                "rebuilt after the panic"
+            );
+            assert_eq!(out[4].as_ref().unwrap(), &vec![3, 4]);
+            assert_eq!(builds.load(Ordering::SeqCst), 3);
+        }
+    }
+
+    /// Runs one-job chains through the chain runner.
+    fn supervised<R: Send>(
+        n: usize,
+        threads: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Vec<Option<R>> {
+        let own_chains: Vec<usize> = (0..n).collect();
+        run_chains::<(), _, _>(&own_chains, threads, |ix, _| f(ix))
+    }
+
+    #[test]
+    fn supervised_jobs_isolate_panics() {
+        for threads in [1, 4] {
+            let out = supervised(16, threads, |j| {
+                if j % 5 == 3 {
+                    panic!("boom at {j}");
+                }
+                j * 2
+            });
+            assert_eq!(out.len(), 16);
+            for (ix, r) in out.iter().enumerate() {
+                if ix % 5 == 3 {
+                    assert!(r.is_none(), "job {ix} panicked");
+                } else {
+                    assert_eq!(*r, Some(ix * 2));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn supervised_results_match_across_thread_counts() {
+        let run = |threads| {
+            supervised(32, threads, |j| {
+                if j == 7 || j == 20 {
+                    panic!("injected");
+                }
+                j + 100
+            })
+        };
+        assert_eq!(run(1), run(6));
+    }
 
     const PHASE: &str = "runner-test";
 
@@ -672,5 +870,69 @@ mod tests {
         let one = run_at(1);
         assert_eq!(one.2, 2);
         assert_eq!(run_at(2), one);
+    }
+
+    /// Every counter of a job's books: its stats without the two durations.
+    fn counters(s: &CheckStats) -> String {
+        let timeless = CheckStats {
+            total_time: std::time::Duration::ZERO,
+            max_time: std::time::Duration::ZERO,
+            ..*s
+        };
+        format!("{timeless:?}")
+    }
+
+    #[test]
+    fn a_job_recovered_by_a_retry_reports_its_clean_run() {
+        let (nl, covers) = counter();
+        let fleet = fleet(&nl, &covers, 2, Replay::Job);
+        let chain_of = [0, 1, 0, 1];
+        let clean = run(
+            &fleet,
+            &covers,
+            &chain_of,
+            &opts(1, None, FaultPlan::disabled(), 0),
+            &|_| {},
+        );
+        for kind in [
+            FaultKind::Panic,
+            FaultKind::ForceUnknown,
+            FaultKind::DeadlineExpired,
+        ] {
+            // Job 0 draws `kind` on attempt 0 and nothing on attempt 1;
+            // every other job runs clean on attempt 0.
+            let faults = (0..10_000)
+                .map(|seed| FaultPlan::new(seed, 0.5))
+                .find(|p| {
+                    p.fault_for_attempt(PHASE, 0, 0) == Some(kind)
+                        && p.fault_for_attempt(PHASE, 0, 1).is_none()
+                        && (1..4).all(|ix| p.fault_for_attempt(PHASE, ix, 0).is_none())
+                })
+                .expect("some seed plans the wanted faults");
+            let run_at = |threads: usize| {
+                let out = run(
+                    &fleet,
+                    &covers,
+                    &chain_of,
+                    &opts(threads, None, faults.clone(), 1),
+                    &|_| {},
+                );
+                assert_eq!((out.degraded_jobs, out.retried_jobs), (0, 1), "{kind:?}");
+                // Attempt 1 ran job 0 alone, on a fresh checker: its books
+                // are its clean attempt 0's, not those of a checker its
+                // chain had warmed.
+                assert_eq!(out.results[0].reachable, Some(true));
+                assert_eq!(
+                    counters(&out.results[0].stats),
+                    counters(&clean.results[0].stats),
+                    "{kind:?}, {threads} threads"
+                );
+                out.results
+                    .iter()
+                    .map(|p| format!("{:?} {}", p.reachable, counters(&p.stats)))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(run_at(2), run_at(1), "{kind:?}");
+        }
     }
 }

@@ -1,19 +1,20 @@
-//! Job supervision, deterministic fault injection, and the checkpoint
-//! store interface — the runtime half of DESIGN.md §8.
-//!
-//! The chain runner behind [`Fleet::run`] runs every job under
-//! `catch_unwind`, so one panicking property sweep yields a per-job
-//! failure merged deterministically into the results instead of tearing
-//! down the whole `std::thread::scope`. [`Fleet::run`] degrades a failed
-//! job to [`Outcome::Undetermined`] with [`UndeterminedReason::JobPanicked`].
+//! Deterministic fault injection and the checkpoint store interface — the
+//! half of DESIGN.md §8 that [`Fleet::run`] draws on.
 //!
 //! [`FaultPlan`] deterministically schedules injected faults (panics,
-//! forced-Unknown queries, expired deadlines) from a seed and a rate, so a
-//! failing fault-injected run replays from `SYNTHLC_FAULT_SEED` alone.
+//! forced-Unknown queries, expired deadlines) per (phase, job, attempt)
+//! from a seed and a rate, so a failing fault-injected run replays from
+//! `SYNTHLC_FAULT_SEED` alone and a retried job rolls afresh.
 //!
 //! [`JobStore`] is the narrow interface [`Fleet::run`] checkpoints and
 //! replays completed job verdicts through; `synthlc::journal::Journal`
 //! implements it with an append-only, fsync'd, torn-tail-tolerant file.
+//!
+//! Supervision itself lives with the context chains in [`Fleet::run`]:
+//! every job runs under `catch_unwind`, so one panicking property sweep
+//! costs its own result, not the whole `std::thread::scope`. Its retries
+//! rerun the job on a fresh checker, and a job still failing degrades to
+//! [`Outcome::Undetermined`] with [`UndeterminedReason::JobPanicked`].
 //!
 //! [`Fleet::run`]: crate::Fleet::run
 //! [`Outcome::Undetermined`]: crate::Outcome::Undetermined
@@ -167,55 +168,6 @@ pub trait JobStore: std::fmt::Debug + Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::{run_chains, Retries};
-
-    /// Runs one-job chains through the chain runner, no retries.
-    fn supervised<R: Send>(
-        n: usize,
-        threads: usize,
-        f: impl Fn(usize) -> R + Sync,
-    ) -> Vec<Option<R>> {
-        let retries = Retries {
-            max: 0,
-            cancel: None,
-            degraded: |_| false,
-        };
-        let own_chains: Vec<usize> = (0..n).collect();
-        run_chains::<(), _, _>(&own_chains, threads, retries, |ix, _, _| f(ix)).0
-    }
-
-    #[test]
-    fn supervised_jobs_isolate_panics() {
-        for threads in [1, 4] {
-            let out = supervised(16, threads, |j| {
-                if j % 5 == 3 {
-                    panic!("boom at {j}");
-                }
-                j * 2
-            });
-            assert_eq!(out.len(), 16);
-            for (ix, r) in out.iter().enumerate() {
-                if ix % 5 == 3 {
-                    assert!(r.is_none(), "job {ix} panicked");
-                } else {
-                    assert_eq!(*r, Some(ix * 2));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn supervised_results_match_across_thread_counts() {
-        let run = |threads| {
-            supervised(32, threads, |j| {
-                if j == 7 || j == 20 {
-                    panic!("injected");
-                }
-                j + 100
-            })
-        };
-        assert_eq!(run(1), run(6));
-    }
 
     #[test]
     fn fault_plan_is_deterministic_and_phase_split() {

@@ -118,7 +118,30 @@ if ! cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   echo "fault-smoke: resumed leak run drifted from tests/golden/leak_minicache_lw.txt" >&2
   exit 1
 fi
-echo "fault-smoke OK (degrade -> journal -> resume clean, µPATH and IFT phases)"
+# The retry leg. Seed 5 (CI_RETRY_SMOKE_SEED in
+# tests/parallel_determinism.rs, pinned there) at rate 0.5 expires the
+# deadline of one IFT unit's first attempt and runs its retry clean. Every
+# attempt runs on fresh checkers, so the recovered run must exit 0, report
+# its retry on a `recovered:` line, and otherwise print the golden report
+# byte for byte, `solver:` line included.
+RETRY_OUT=$(mktemp -t synthlc-fault-smoke-retry.XXXXXX)
+trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$RETRY_OUT"' EXIT
+if ! SYNTHLC_FAULT_SEED=5 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  leak minicache lw --fault-rate 0.5 --retries 3 >"$RETRY_OUT"; then
+  echo "fault-smoke: the --retries run must recover and exit 0" >&2
+  cat "$RETRY_OUT" >&2
+  exit 1
+fi
+if ! grep -q '^recovered: 0 resumed job(s), [1-9][0-9]* retry attempt(s)$' "$RETRY_OUT"; then
+  echo "fault-smoke: the --retries run printed no recovered: line with a retry:" >&2
+  cat "$RETRY_OUT" >&2
+  exit 1
+fi
+if ! grep -v '^recovered: ' "$RETRY_OUT" | diff -u tests/golden/leak_minicache_lw.txt -; then
+  echo "fault-smoke: the recovered run drifted from tests/golden/leak_minicache_lw.txt" >&2
+  exit 1
+fi
+echo "fault-smoke OK (degrade -> journal -> resume clean, µPATH and IFT phases; retries recover the clean report)"
 
 echo "== incremental-smoke (cone-granular re-verification after an edit) =="
 # The edit-locality contract of the cone-granular verdict cache
@@ -129,7 +152,7 @@ echo "== incremental-smoke (cone-granular re-verification after an edit) =="
 # 0 misses); the cones the edit does not touch are never re-solved.
 EDIT_JOURNAL=$(mktemp -t synthlc-edit-smoke.XXXXXX)
 EDIT_NL=$(mktemp -t synthlc-edit-smoke-XXXXXX.nl)
-trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$EDIT_JOURNAL" "$EDIT_NL"' EXIT
+trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$RETRY_OUT" "$EDIT_JOURNAL" "$EDIT_NL"' EXIT
 rm -f "$EDIT_JOURNAL"
 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   leak examples/minicache.nl lw --journal "$EDIT_JOURNAL" >/dev/null
@@ -250,7 +273,7 @@ echo "== serve-smoke (daemon: retry a worker panic, cache hit, drain) =="
 #   5. a client `shutdown` must drain the queue and exit the daemon 0.
 SERVE_JOURNAL=$(mktemp -t synthlc-serve-smoke.XXXXXX)
 SERVE_LOG=$(mktemp -t synthlc-serve-log.XXXXXX)
-trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$EDIT_JOURNAL" "$EDIT_NL" "$SERVE_JOURNAL" "$SERVE_LOG"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
+trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$RETRY_OUT" "$EDIT_JOURNAL" "$EDIT_NL" "$SERVE_JOURNAL" "$SERVE_LOG"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
 rm -f "$SERVE_JOURNAL"
 SYNTHLC_FAULT_SEED=209 cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
   serve --port 0 --workers 1 --retries 2 --fault-rate 0.5 \

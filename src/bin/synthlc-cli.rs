@@ -1,7 +1,7 @@
 //! `synthlc-cli`: the command-line front end of the reproduction.
 //!
 //! ```text
-//! synthlc-cli pls    <design>                 # §V-B1 DUV PL reachability
+//! synthlc-cli pls    <design> [pls opts]      # §V-B1 DUV PL reachability
 //! synthlc-cli paths  <design> <instr> [opts]  # RTL2MµPATH for one instruction
 //! synthlc-cli leak   <design> <instr> [opts]  # SynthLC signatures + contracts
 //! synthlc-cli check  <file.nl> [opts]         # frontend static analysis
@@ -20,6 +20,8 @@
 //! options: --slots 0,1   --bound N   --context any|nocf|solo   --budget N   --jobs N
 //!          --deadline-secs N   --journal PATH   --resume PATH   --fault-rate F
 //!          --retries N   --fail-on-undetermined   --lint   --deny-warnings
+//! pls opts: --bound N   --budget N   --lint   --deny-warnings (any other
+//!          option is an error: it applies to `paths`/`leak` only)
 //!
 //! Every synthesis command lints its design first and aborts on error-level
 //! findings (`--deny-warnings` makes warnings fatal too; `--lint` prints the
@@ -108,7 +110,12 @@ struct Opts {
     fail_on_undetermined: bool,
 }
 
-fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
+/// The options `pls` reads: it runs one checker, with no engine, journal
+/// or fault plan.
+const PLS_OPTS: [&str; 4] = ["--bound", "--budget", "--lint", "--deny-warnings"];
+
+/// Parses the options of `cmd` (`pls`, `paths` or `leak`).
+fn parse_opts(args: &[String], design: &Design, cmd: &str) -> Result<Opts, String> {
     let mut o = Opts {
         synth: SynthConfig::for_design(design),
         jobs: 0,
@@ -177,6 +184,12 @@ fn parse_opts(args: &[String], design: &Design) -> Result<Opts, String> {
                 };
             }
             other => return Err(format!("unknown option `{other}`")),
+        }
+        if cmd == "pls" && !PLS_OPTS.contains(&a.as_str()) {
+            return Err(format!(
+                "`{a}` applies to `paths`/`leak`; `pls` takes only {}",
+                PLS_OPTS.join(", ")
+            ));
         }
     }
     Ok(o)
@@ -888,7 +901,7 @@ fn run() -> Result<ExitCode, String> {
                 }
             };
             if cmd == "pls" {
-                let o = parse_opts(&args[2..], &design)?;
+                let o = parse_opts(&args[2..], &design, cmd)?;
                 gate(&o)?;
                 cmd_pls(&design, &o);
                 return Ok(ExitCode::SUCCESS);
@@ -899,7 +912,7 @@ fn run() -> Result<ExitCode, String> {
             let op = design
                 .opcode(iname)
                 .ok_or_else(|| format!("`{iname}` is not implemented by {dname}"))?;
-            let o = parse_opts(&args[3..], &design)?;
+            let o = parse_opts(&args[3..], &design, cmd)?;
             gate(&o)?;
             let audit = if cmd == "paths" {
                 Audit::Paths
@@ -912,7 +925,7 @@ fn run() -> Result<ExitCode, String> {
             println!(
                 "usage:\n  synthlc-cli designs\n  synthlc-cli lint [<design>|all] [--deny-warnings]\n  \
                  synthlc-cli check <file.nl> [--deny-warnings] [--diag-json] [--emit]\n  \
-                 synthlc-cli pls <design> [opts]\n  \
+                 synthlc-cli pls <design> [--bound N] [--budget N] [--lint] [--deny-warnings]\n  \
                  synthlc-cli paths <design> <instr> [opts]\n  synthlc-cli leak <design> <instr> [opts]\n  \
                  synthlc-cli fuzz [--seed S] [--cases N] [--max-cells N] [--bound N] [--deadline-secs N] [--oracles a,b]\n  \
                  synthlc-cli sat <file.cnf>... [--incremental] [--stats] [--budget N]  (exit 10 SAT / 20 UNSAT / 0 unknown)\n  \

@@ -97,3 +97,59 @@ fn a_same_named_file_does_not_shadow_a_built_in() {
     );
     assert!(stdout.starts_with("add: 1 µPATH(s)"), "{stdout}");
 }
+
+#[test]
+fn pls_rejects_the_options_it_ignores() {
+    // `pls` runs one checker at `--bound`/`--budget`: every engine,
+    // journal, fault and enumeration option is an error there, exit 1,
+    // before anything runs or is written.
+    let journal = std::env::temp_dir().join(format!("synthlc-pls-{}.jsonl", std::process::id()));
+    let journal = journal.to_str().unwrap();
+    let ignored: [&[&str]; 9] = [
+        &["--slots", "0"],
+        &["--context", "solo"],
+        &["--jobs", "7"],
+        &["--deadline-secs", "1"],
+        &["--journal", journal],
+        &["--resume", journal],
+        &["--fault-rate", "1"],
+        &["--retries", "5"],
+        &["--fail-on-undetermined"],
+    ];
+    for opt in ignored {
+        let args: Vec<&str> = ["pls", "tinycore", "--bound", "12"]
+            .into_iter()
+            .chain(opt.iter().copied())
+            .collect();
+        let out = cli(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{opt:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!(
+                "error: `{}` applies to `paths`/`leak`; `pls` takes only \
+                 --bound, --budget, --lint, --deny-warnings\n",
+                opt[0]
+            ),
+            "{opt:?}"
+        );
+        assert!(out.stdout.is_empty(), "{opt:?}");
+    }
+    assert!(
+        !std::path::Path::new(journal).exists(),
+        "no journal written"
+    );
+    let out = cli(&[
+        "pls",
+        "tinycore",
+        "--bound",
+        "12",
+        "--budget",
+        "100000",
+        "--lint",
+        "--deny-warnings",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("performing locations:"), "{stdout}");
+}
