@@ -7,7 +7,8 @@
 //!
 //! 1. derives a genome per case from the run seed ([`gen`]),
 //! 2. builds it into a lint-clean netlist (asserted every case),
-//! 3. runs the design through the configured [`oracle::OracleKind`]s,
+//! 3. runs the design through the configured [`oracle::OracleKind`]s, all
+//!    on one shared [`Case`],
 //! 4. shrinks any mismatch with [`shrink::shrink`] and serializes a
 //!    minimized, replayable [`repro::Repro`],
 //! 5. returns a byte-deterministic [`FuzzReport`].
@@ -29,7 +30,7 @@ pub mod repro;
 pub mod shrink;
 
 pub use gen::{build, lint, sample_genome, BuiltDesign, GenConfig, GenOp, Genome};
-pub use oracle::{replay_witness, run_oracle, CaseResult, OracleKind, OracleOpts};
+pub use oracle::{replay_witness, Case, CaseResult, OracleKind, OracleOpts};
 pub use repro::Repro;
 pub use shrink::shrink as shrink_genome;
 
@@ -253,21 +254,16 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         if cfg.deadline.as_deref().is_some_and(|d| d.fired().is_some()) {
             return None;
         }
-        let case = ix as u64;
-        let design = build(&genome(case));
+        let design = build(&genome(ix as u64));
         let lint_report = lint(&design);
         assert!(
             lint_report.is_clean(),
-            "generator invariant violated on case {case} (seed {}):\n{}",
+            "generator invariant violated on case {ix} (seed {}):\n{}",
             cfg.seed,
             lint_report.render()
         );
-        Some(
-            cfg.oracles
-                .iter()
-                .map(|&kind| run_oracle(kind, &design, &opts))
-                .collect(),
-        )
+        let case = Case::new(design, opts.clone());
+        Some(cfg.oracles.iter().map(|&kind| case.run(kind)).collect())
     };
     mc::run_ordered(cases, threads, work, |ix, results| {
         let Some(results) = results else {
@@ -296,14 +292,12 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                     detail,
                 } => {
                     report.stats_mut(kind).mismatch += 1;
-                    let (small, attempts) = shrink_genome(
-                        &genome(case),
-                        |g| run_oracle(kind, &build(g), &opts).is_mismatch(),
-                        cfg.shrink_attempts,
-                    );
+                    let run = |g: &Genome| Case::new(build(g), opts.clone()).run(kind);
+                    let (small, attempts) =
+                        shrink_genome(&genome(case), |g| run(g).is_mismatch(), cfg.shrink_attempts);
                     // Re-run on the minimized genome so the recorded
                     // verdicts describe the shrunk design.
-                    let (expected, actual, detail) = match run_oracle(kind, &build(&small), &opts) {
+                    let (expected, actual, detail) = match run(&small) {
                         CaseResult::Mismatch {
                             expected,
                             actual,
@@ -444,43 +438,68 @@ mod tests {
         );
     }
 
+    /// The stale-replay drill, run with oracle (h) alone and after oracle
+    /// (g) has filled the case's reference table that (h)'s cold leg reads.
     #[test]
-    fn seeded_stale_cone_replay_is_caught() {
-        let cfg = FuzzConfig {
-            seed: 0xC04E,
-            cases: 24,
-            oracles: vec![OracleKind::Cone],
-            max_mismatches: 1,
-            seeded_bug: Some(SeededBug::ConeStaleReplay),
-            ..Default::default()
-        };
-        let report = run_fuzz(&cfg);
-        assert!(
-            report.has_mismatches(),
-            "stale cone-cache replay went undetected:\n{}",
-            report.render()
-        );
-        let repro = &report.mismatches[0];
-        assert_eq!(repro.oracle, OracleKind::Cone);
-        assert!(
-            !repro.replay(None).is_mismatch(),
-            "fingerprint-checked cache agrees with a fresh re-run on the shrunk design"
-        );
+    fn seeded_stale_cone_replay_is_caught_shrunk_and_replayable() {
+        for oracles in [
+            vec![OracleKind::Cone],
+            vec![OracleKind::Incremental, OracleKind::Cone],
+        ] {
+            let cfg = FuzzConfig {
+                seed: 0xC04E,
+                cases: 24,
+                oracles: oracles.clone(),
+                max_mismatches: 1,
+                seeded_bug: Some(SeededBug::ConeStaleReplay),
+                ..Default::default()
+            };
+            let report = run_fuzz(&cfg);
+            assert!(
+                report.has_mismatches(),
+                "stale cone-cache replay went undetected with {oracles:?}:\n{}",
+                report.render()
+            );
+            let repro = &report.mismatches[0];
+            assert_eq!(repro.oracle, OracleKind::Cone);
+            let original =
+                sample_genome(&mut Rng::new(case_seed(repro.seed, repro.case)), &cfg.gen);
+            assert!(
+                repro.genome.ops.len() <= original.ops.len(),
+                "shrinking never grows the genome"
+            );
+            let back = Repro::decode(&repro.encode()).expect("repro line decodes");
+            assert!(
+                back.replay(Some(SeededBug::ConeStaleReplay)).is_mismatch(),
+                "replay with the planted bug must reproduce the mismatch"
+            );
+            assert!(
+                !back.replay(None).is_mismatch(),
+                "fingerprint-checked cache agrees with a fresh re-run on the shrunk design"
+            );
+        }
     }
 
     #[test]
     fn seeded_bug_reports_are_identical_at_every_thread_count() {
+        use OracleKind::{Bmc, Cone, Incremental, Sat};
         let drills = [
-            (SeededBug::DpllBadSat, OracleKind::Sat, 0xBEEF, 8),
-            (SeededBug::ForceUnknownMisread, OracleKind::Bmc, 0xCAFE, 16),
-            (SeededBug::ConeStaleReplay, OracleKind::Cone, 0xC04E, 24),
+            (SeededBug::DpllBadSat, vec![Sat], 0xBEEF, 8),
+            (SeededBug::ForceUnknownMisread, vec![Bmc], 0xCAFE, 16),
+            (SeededBug::ConeStaleReplay, vec![Cone], 0xC04E, 24),
+            (
+                SeededBug::ConeStaleReplay,
+                vec![Incremental, Cone],
+                0xC04E,
+                24,
+            ),
         ];
-        for (bug, oracle, seed, cases) in drills {
+        for (bug, oracles, seed, cases) in drills {
             for max_mismatches in [1, 2, 5] {
                 let report = run_at_every_thread_count(&FuzzConfig {
                     seed,
                     cases,
-                    oracles: vec![oracle],
+                    oracles: oracles.clone(),
                     max_mismatches,
                     seeded_bug: Some(bug),
                     ..Default::default()

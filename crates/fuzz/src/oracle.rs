@@ -12,6 +12,10 @@
 //! an extendable unrolling) against fresh one-shot solvers, and the
 //! cone-fingerprint-keyed verdict cache (warm re-verification after a
 //! random in-place edit) against a fully fresh re-run.
+//!
+//! Every oracle runs on a [`Case`]: one design, its knobs, and the one
+//! reference table of fresh one-shot verdicts that oracles (g) and (h)
+//! both compare against, solved once per case on first use.
 
 use crate::dpll::{self, DpllResult};
 use crate::gen::BuiltDesign;
@@ -19,6 +23,7 @@ use crate::SeededBug;
 use mc::{Checker, CoiSlice, InitMode, McConfig, Outcome, Trace, UndeterminedReason, Unrolling};
 use netlist::{mask, BinOp, Netlist, Op, SignalId, UnOp};
 use sim::Simulator;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -128,17 +133,73 @@ impl CaseResult {
     }
 }
 
-/// Runs one oracle over one built design.
-pub fn run_oracle(kind: OracleKind, d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
-    match kind {
-        OracleKind::Sat => oracle_sat(d, opts),
-        OracleKind::Bmc => oracle_bmc(d, opts),
-        OracleKind::Induction => oracle_induction(d, opts),
-        OracleKind::Reductions => oracle_reductions(d, opts),
-        OracleKind::Ift => oracle_ift(d),
-        OracleKind::Text => oracle_text(d),
-        OracleKind::Incremental => oracle_incremental(d, opts),
-        OracleKind::Cone => oracle_cone(d, opts),
+/// One generated design as every oracle sees it: the design, its knobs,
+/// the cover fleet of oracles (g) and (h), and that fleet's fresh one-shot
+/// outcomes at `opts.bound`. The incremental oracle's reference leg and
+/// the cone oracle's cold leg pose exactly those queries, so the first of
+/// the two to run solves them and the other reads the table. A verdict
+/// therefore never depends on which oracles share the case, or in what
+/// order they run.
+pub struct Case {
+    design: BuiltDesign,
+    opts: OracleOpts,
+    fleet: Vec<SignalId>,
+    fresh: OnceCell<Vec<Outcome>>,
+}
+
+impl Case {
+    /// A case of `design` under `opts`; nothing is solved until an oracle
+    /// asks.
+    pub fn new(design: BuiltDesign, opts: OracleOpts) -> Self {
+        let fleet = cover_fleet(&design);
+        Self {
+            design,
+            opts,
+            fleet,
+            fresh: OnceCell::new(),
+        }
+    }
+
+    /// Runs one oracle on this case: the one way any oracle is run.
+    pub fn run(&self, kind: OracleKind) -> CaseResult {
+        let (d, opts) = (&self.design, &self.opts);
+        match kind {
+            OracleKind::Sat => oracle_sat(d, opts),
+            OracleKind::Bmc => oracle_bmc(d, opts),
+            OracleKind::Induction => oracle_induction(d, opts),
+            OracleKind::Reductions => oracle_reductions(d, opts),
+            OracleKind::Ift => oracle_ift(d),
+            OracleKind::Text => oracle_text(d),
+            OracleKind::Incremental => oracle_incremental(self),
+            OracleKind::Cone => oracle_cone(self),
+        }
+    }
+
+    /// The fleet's fresh one-shot outcomes at `opts.bound`, in fleet
+    /// order: one fresh checker per cover, built over one shared
+    /// elaboration and dropped after its query, so no two are ever live.
+    /// Solved on the first call.
+    fn fresh(&self) -> &[Outcome] {
+        self.fresh.get_or_init(|| {
+            let nl = &self.design.netlist;
+            let cfg = bmc_config(self.opts.bound);
+            let elab = Arc::new(mc::Elab::new(nl));
+            self.fleet
+                .iter()
+                .map(|&c| Checker::with_elab(nl, cfg, &[], Arc::clone(&elab)).check_cover(c, &[]))
+                .collect()
+        })
+    }
+}
+
+/// The BMC configuration of every oracle checker but induction's: frames
+/// `0..bound`, with the bound declared complete.
+fn bmc_config(bound: usize) -> McConfig {
+    McConfig {
+        bound,
+        bound_is_complete: true,
+        try_induction: false,
+        ..Default::default()
     }
 }
 
@@ -345,13 +406,7 @@ fn oracle_sat(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
 /// `Unreachable`-within-bound verdict must survive exhaustive
 /// enumeration of the bounded state space.
 fn oracle_bmc(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
-    let cfg = McConfig {
-        bound: opts.bound,
-        bound_is_complete: true,
-        try_induction: false,
-        ..Default::default()
-    };
-    let mut chk = Checker::new(&d.netlist, cfg);
+    let mut chk = Checker::new(&d.netlist, bmc_config(opts.bound));
     if opts.seeded_bug == Some(SeededBug::ForceUnknownMisread) {
         chk.set_fault(UndeterminedReason::FaultInjected);
     }
@@ -428,13 +483,7 @@ fn oracle_induction(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
 /// prune must all report the same verdict kind as the plain checker, and
 /// every `Reachable` leg must hand back a replayable witness.
 fn oracle_reductions(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
-    let cfg = McConfig {
-        bound: opts.bound,
-        bound_is_complete: true,
-        try_induction: false,
-        ..Default::default()
-    };
-    let legs = run_reduction_legs(d, cfg);
+    let legs = run_reduction_legs(d, bmc_config(opts.bound));
     let (baseline, _) = &legs[0];
     for (verdict, name) in &legs[1..] {
         if verdict != baseline {
@@ -450,7 +499,7 @@ fn oracle_reductions(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
 
 /// Runs the four reduction legs, returning `(verdict-line, leg-name)`
 /// pairs; a failed witness replay is folded into the verdict line so it
-/// can never be mistaken for agreement.
+/// can never be mistaken for agreement. No two checkers are live at once.
 fn run_reduction_legs(d: &BuiltDesign, cfg: McConfig) -> Vec<(String, &'static str)> {
     let mut legs: Vec<(String, &'static str)> = Vec::new();
     // Leg 0: plain checker (the baseline), queried twice — the second
@@ -463,6 +512,8 @@ fn run_reduction_legs(d: &BuiltDesign, cfg: McConfig) -> Vec<(String, &'static s
         replayed_verdict(&d.netlist, d.cover, &second, None),
         "cached-requery",
     ));
+    // `first` owns its witness; the plain checker is done.
+    drop(plain);
     // Leg 2: cone-of-influence slice.
     let elab = Arc::new(mc::Elab::new(&d.netlist));
     let coi = Arc::new(CoiSlice::compute(&d.netlist, &[d.cover]));
@@ -637,35 +688,18 @@ fn oracle_ift(d: &BuiltDesign) -> CaseResult {
 /// whole fleet at a shallow bound and is then grown in place to the full
 /// bound (exercising `begin_batch`, `ensure_bound`, the cover-activation
 /// cache flush, and learnt-clause carry-over), and once through a fresh
-/// one-shot checker per query at the full bound. The canonical verdict of
-/// every fleet member must match, every `Reachable` leg must hand back a
-/// replayable witness, and the pooled context must actually have been
-/// reused rather than silently rebuilt.
-fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
-    let fleet = cover_fleet(d);
-    let cfg = |bound| McConfig {
-        bound,
-        bound_is_complete: true,
-        try_induction: false,
-        ..Default::default()
-    };
-    // Every checker shares one elaboration of the design.
-    let elab = Arc::new(mc::Elab::new(&d.netlist));
-    let checker = |bound| Checker::with_elab(&d.netlist, cfg(bound), &[], Arc::clone(&elab));
-    // Reference leg: a fresh solver per query at the full bound.
-    let fresh: Vec<String> = fleet
-        .iter()
-        .map(|&c| {
-            let mut chk = checker(opts.bound);
-            replayed_verdict(&d.netlist, c, &chk.check_cover(c, &[]), None)
-        })
-        .collect();
+/// one-shot checker per query at the full bound (the case's reference
+/// table). The canonical verdict of every fleet member must match, every
+/// `Reachable` leg must hand back a replayable witness, and the pooled
+/// context must actually have been reused rather than silently rebuilt.
+fn oracle_incremental(case: &Case) -> CaseResult {
+    let (d, fleet, bound) = (&case.design, &case.fleet, case.opts.bound);
     // Pooled leg: one persistent context answers the whole fleet at the
     // shallow bound, then again at the full bound after an in-place
     // extension, one accounting batch per query.
-    let shallow = (opts.bound / 2).max(1);
-    let mut ctx = checker(0);
-    for &c in &fleet {
+    let shallow = (bound / 2).max(1);
+    let mut ctx = Checker::new(&d.netlist, bmc_config(0));
+    for &c in fleet {
         ctx.begin_batch();
         ctx.ensure_bound(shallow);
         let _ = ctx.check_cover(c, &[]);
@@ -675,10 +709,19 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         .iter()
         .map(|&c| {
             ctx.begin_batch();
-            ctx.ensure_bound(opts.bound);
+            ctx.ensure_bound(bound);
             reused &= ctx.stats().ctx_reused > 0;
             replayed_verdict(&d.netlist, c, &ctx.check_cover(c, &[]), None)
         })
+        .collect();
+    // Dropped before the reference table may be solved, so the two never
+    // share the heap.
+    drop(ctx);
+    // Reference leg: a fresh solver per query at the full bound.
+    let fresh: Vec<String> = fleet
+        .iter()
+        .zip(case.fresh())
+        .map(|(&c, outcome)| replayed_verdict(&d.netlist, c, outcome, None))
         .collect();
     for ((&c, fresh_v), pooled_v) in fleet.iter().zip(&fresh).zip(&pooled) {
         if fresh_v != pooled_v {
@@ -686,9 +729,8 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
                 expected: format!("fresh:{fresh_v}"),
                 actual: format!("pooled:{pooled_v}"),
                 detail: format!(
-                    "cover {} at bound {}: the pooled context disagrees with a fresh solver",
+                    "cover {} at bound {bound}: the pooled context disagrees with a fresh solver",
                     d.netlist.display_name(c),
-                    opts.bound
                 ),
             };
         }
@@ -705,41 +747,27 @@ fn oracle_incremental(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
 }
 
 /// (h) The cone-granular verdict cache vs. fresh re-verification. A cold
-/// run populates a cache keyed by each cover's canonical cone fingerprint
-/// ([`netlist::cone::fingerprint`]); a deterministic in-place edit is
-/// then applied; finally the edited design is verified twice — once warm
-/// (covers whose fingerprint is still on file replay the cached verdict,
-/// the rest solve fresh) and once fully from scratch. Every per-cover
-/// verdict must agree, and a cached `Reachable` witness must replay
-/// in-cone against the *edited* netlist: an unchanged fingerprint claims
-/// the cone is bit-for-bit unchanged, so the pre-edit witness is still a
-/// witness.
-fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
-    let fleet = cover_fleet(d);
-    let cfg = McConfig {
-        bound: opts.bound,
-        bound_is_complete: true,
-        try_induction: false,
-        ..Default::default()
-    };
-    // Cold run: populate the cache, one record per canonical cone.
-    let elab = Arc::new(mc::Elab::new(&d.netlist));
-    let cold: Vec<(u64, Outcome)> = fleet
-        .iter()
-        .map(|&c| {
-            let fp = netlist::cone::fingerprint(&d.netlist, &[c], &[]);
-            let mut chk = Checker::with_elab(&d.netlist, cfg, &[], Arc::clone(&elab));
-            (fp, chk.check_cover(c, &[]))
-        })
-        .collect();
+/// run (the case's reference table) populates a cache keyed by each
+/// cover's canonical cone fingerprint ([`netlist::cone::fingerprint`]); a
+/// deterministic in-place edit is then applied; finally each cover of the
+/// edited design is solved fresh once, and checked against a warm lookup:
+/// a cover whose fingerprint is still on file replays the cached verdict,
+/// and a miss takes the fresh verdict, since a cone cache's miss path is
+/// that same fresh solve. Every per-cover verdict must agree, and a cached
+/// `Reachable` witness must replay in-cone against the *edited* netlist:
+/// an unchanged fingerprint claims the cone is bit-for-bit unchanged, so
+/// the pre-edit witness is still a witness.
+fn oracle_cone(case: &Case) -> CaseResult {
+    let (d, fleet) = (&case.design, &case.fleet);
+    let cold = case.fresh();
     // Keyed by fingerprint alone, so alpha-equivalent cones share one
     // record — the verdict transfers, but the raw witness is in the
     // *producer* cover's signal ids, so each entry remembers who wrote
     // it and replay goes through the canonical isomorphism.
     let cache: BTreeMap<u64, (SignalId, &Outcome)> = fleet
         .iter()
-        .zip(cold.iter())
-        .map(|(&c, (fp, o))| (*fp, (c, o)))
+        .zip(cold)
+        .map(|(&c, o)| (netlist::cone::fingerprint(&d.netlist, &[c], &[]), (c, o)))
         .collect();
     // The edit is derived from the design text, so a case replays from
     // its genome alone.
@@ -749,7 +777,7 @@ fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         return CaseResult::Skipped("no-edit-site");
     };
     let edited_elab = Arc::new(mc::Elab::new(&edited));
-    let stale = opts.seeded_bug == Some(SeededBug::ConeStaleReplay);
+    let stale = case.opts.seeded_bug == Some(SeededBug::ConeStaleReplay);
     let mut hits = 0u64;
     let mut misses = 0u64;
     for (i, &c) in fleet.iter().enumerate() {
@@ -757,9 +785,14 @@ fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
         let hit: Option<(SignalId, &Outcome)> = if stale {
             // The planted defect: the fingerprint check is skipped and the
             // pre-edit verdict is replayed unconditionally.
-            Some((c, &cold[i].1))
+            Some((c, &cold[i]))
         } else {
             cache.get(&fp).copied()
+        };
+        let fresh = {
+            let cfg = bmc_config(case.opts.bound);
+            let mut chk = Checker::with_elab(&edited, cfg, &[], Arc::clone(&edited_elab));
+            replayed_verdict(&edited, c, &chk.check_cover(c, &[]), None)
         };
         let warm = match hit {
             Some((producer, outcome)) => {
@@ -776,12 +809,9 @@ fn oracle_cone(d: &BuiltDesign, opts: &OracleOpts) -> CaseResult {
             }
             None => {
                 misses += 1;
-                let mut chk = Checker::with_elab(&edited, cfg, &[], Arc::clone(&edited_elab));
-                replayed_verdict(&edited, c, &chk.check_cover(c, &[]), None)
+                fresh.clone()
             }
         };
-        let mut fresh_chk = Checker::with_elab(&edited, cfg, &[], Arc::clone(&edited_elab));
-        let fresh = replayed_verdict(&edited, c, &fresh_chk.check_cover(c, &[]), None);
         if warm != fresh {
             return CaseResult::Mismatch {
                 expected: format!("fresh:{fresh}"),
@@ -934,4 +964,52 @@ fn random_inplace_edit(nl: &Netlist, rng: &mut prng::Rng) -> Option<Netlist> {
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{build, case_seed, sample_genome, FuzzConfig};
+    use prng::Rng;
+
+    /// Sharing a case changes no verdict: on 256 designs, the eight
+    /// oracles run on one case, in report order and in reverse, return
+    /// exactly what each returns on a case of its own. Once oracle (g)
+    /// has filled the reference table, oracle (h) elaborates only the
+    /// edited design: the original's fresh queries are not solved again.
+    #[test]
+    fn a_shared_case_returns_what_each_oracle_returns_alone() {
+        let cfg = FuzzConfig::default();
+        let opts = OracleOpts {
+            bound: cfg.bound,
+            seeded_bug: None,
+        };
+        for i in 0..256 {
+            let genome = sample_genome(&mut Rng::new(case_seed(0x5EED, i)), &cfg.gen);
+            let case = || Case::new(build(&genome), opts.clone());
+            let alone: Vec<CaseResult> = OracleKind::ALL.iter().map(|&k| case().run(k)).collect();
+            let shared = case();
+            let together: Vec<CaseResult> = OracleKind::ALL
+                .iter()
+                .map(|&k| {
+                    let before = mc::elaborations_on_this_thread();
+                    let result = shared.run(k);
+                    if k == OracleKind::Cone {
+                        let built = mc::elaborations_on_this_thread() - before;
+                        assert!(built <= 1, "design {i}: cone elaborated {built} netlists");
+                    }
+                    result
+                })
+                .collect();
+            assert_eq!(together, alone, "design {i}");
+            let shared = case();
+            let mut reversed: Vec<CaseResult> = OracleKind::ALL
+                .iter()
+                .rev()
+                .map(|&k| shared.run(k))
+                .collect();
+            reversed.reverse();
+            assert_eq!(reversed, alone, "design {i}, reverse order");
+        }
+    }
 }

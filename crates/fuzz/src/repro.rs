@@ -7,7 +7,7 @@
 //! with `fuzz::replay` (or `synthlc-cli fuzz --seed`).
 
 use crate::gen::{build, GenOp, Genome};
-use crate::oracle::{run_oracle, CaseResult, OracleKind, OracleOpts};
+use crate::oracle::{Case, CaseResult, OracleKind, OracleOpts};
 use crate::SeededBug;
 use jsonio::Json;
 
@@ -177,7 +177,7 @@ impl Repro {
             bound: self.bound as usize,
             seeded_bug,
         };
-        run_oracle(self.oracle, &build(&self.genome), &opts)
+        Case::new(build(&self.genome), opts).run(self.oracle)
     }
 }
 

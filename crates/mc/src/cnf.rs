@@ -2,6 +2,8 @@
 //! literals.
 
 use sat::{Lit, Solver};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Wraps a [`Solver`] with gate-level encoding helpers and constant folding.
 ///
@@ -12,7 +14,45 @@ pub struct GateBuilder {
     solver: Solver,
     true_lit: Lit,
     /// Structural-hashing cache: (opcode, a, b) -> output literal.
-    cache: std::collections::HashMap<(u8, Lit, Lit), Lit>,
+    cache: HashMap<(u8, Lit, Lit), Lit, BuildHasherDefault<WordHasher>>,
+}
+
+/// A fixed multiply-rotate word hasher (the Fx hash) for the gate cache.
+/// Its keys are literals the encoder mints, never client data, so std's
+/// per-process seeded SipHash buys nothing there and costs every lookup.
+/// The cache is lookup-only, so the hasher never shows in a clause stream.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    /// The map picks a bucket from the low bits, and a product's low bits
+    /// depend only on its operand's low bits: keys whose last literal
+    /// differs by a multiple of the table size would share a bucket. The
+    /// rotation hands the map the product's high bits, which depend on
+    /// every bit of the key.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 /// Cache opcodes for structural hashing.
@@ -28,7 +68,7 @@ impl GateBuilder {
         Self {
             solver,
             true_lit: Lit::pos(t),
-            cache: std::collections::HashMap::new(),
+            cache: HashMap::default(),
         }
     }
 

@@ -46,6 +46,25 @@ fn fuzz_run_is_clean_and_seed_deterministic() {
     assert_ne!(a.render(), c.render(), "seed must steer generation");
 }
 
+/// The report `synthlc-cli fuzz --seed 1 --cases 64` prints is pinned:
+/// a refactor of the oracles or of what they call may move no count.
+#[test]
+fn seed_1_report_matches_the_golden() {
+    let report = run_fuzz(&FuzzConfig {
+        seed: 1,
+        cases: 64,
+        ..Default::default()
+    });
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fuzz_seed1_64.txt");
+    let golden = std::fs::read_to_string(&path).expect("tests/golden/fuzz_seed1_64.txt");
+    assert_eq!(
+        report.render(),
+        golden,
+        "the seed-1 fuzz report drifted from tests/golden/fuzz_seed1_64.txt"
+    );
+}
+
 /// End-to-end bug-surfacing drill through the public API: a planted
 /// engine defect must be caught, shrunk, and serialized as a repro that
 /// replays from its JSON line alone — mismatching with the bug present,
