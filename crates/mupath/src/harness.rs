@@ -78,8 +78,6 @@ pub struct IuvHarness {
     pub iuv_done: SignalId,
     /// The captured IUV program counter.
     pub iuv_pc: SignalId,
-    /// The configuration that built this harness.
-    pub config: HarnessConfig,
 }
 
 /// A design's performing locations and their classes, derived from its
@@ -163,11 +161,6 @@ pub fn build_harness_multi(
     context: ContextMode,
 ) -> IuvHarness {
     assert!(!opcodes.is_empty(), "harness needs at least one opcode");
-    let cfg = HarnessConfig {
-        opcode: opcodes[0],
-        fetch_slot,
-        context,
-    };
     let ann = &design.annotations;
     ann.validate(&design.netlist)
         .expect("annotated design is consistent");
@@ -185,7 +178,7 @@ pub fn build_harness_multi(
     let held = b.mux(cnt_max, cnt, bumped);
     let cnt_next = b.mux(fetch_fire, held, cnt);
     b.set_next(cnt, cnt_next).expect("fresh monitor reg");
-    let at_slot = b.eq_const(cnt, cfg.fetch_slot as u64);
+    let at_slot = b.eq_const(cnt, fetch_slot as u64);
     let iuv_fire = b.and(fetch_fire, at_slot);
     let iuv_fire = b.name(iuv_fire, "iuv_fire");
 
@@ -222,7 +215,7 @@ pub fn build_harness_multi(
     let no_refetch = b.name(no_refetch, "assume_no_refetch");
     assumes.push(no_refetch.id);
     // Context restriction.
-    match cfg.context {
+    match context {
         ContextMode::Any => {}
         ContextMode::NoControlFlow => {
             // Control-flow opcodes occupy the top of the encoding space
@@ -318,7 +311,6 @@ pub fn build_harness_multi(
         iuv_seen: seen_reg.id,
         iuv_done: iuv_done.id,
         iuv_pc: iuv_pc.id,
-        config: cfg,
     }
 }
 

@@ -101,32 +101,17 @@ pub fn lex(src: &str, report: &mut Report) -> Vec<Token> {
                 }
                 i += 1;
             }
-            b':' => {
-                push(&mut toks, TokKind::Colon, i, i + 1);
-                i += 1;
-            }
-            b'=' => {
-                push(&mut toks, TokKind::Eq, i, i + 1);
-                i += 1;
-            }
-            b'{' => {
-                push(&mut toks, TokKind::LBrace, i, i + 1);
-                i += 1;
-            }
-            b'}' => {
-                push(&mut toks, TokKind::RBrace, i, i + 1);
-                i += 1;
-            }
-            b'(' => {
-                push(&mut toks, TokKind::LParen, i, i + 1);
-                i += 1;
-            }
-            b')' => {
-                push(&mut toks, TokKind::RParen, i, i + 1);
-                i += 1;
-            }
-            b',' => {
-                push(&mut toks, TokKind::Comma, i, i + 1);
+            b':' | b'=' | b'{' | b'}' | b'(' | b')' | b',' => {
+                let kind = match c {
+                    b':' => TokKind::Colon,
+                    b'=' => TokKind::Eq,
+                    b'{' => TokKind::LBrace,
+                    b'}' => TokKind::RBrace,
+                    b'(' => TokKind::LParen,
+                    b')' => TokKind::RParen,
+                    _ => TokKind::Comma,
+                };
+                push(&mut toks, kind, i, i + 1);
                 i += 1;
             }
             b'<' => {

@@ -18,7 +18,12 @@
 //! ```
 //!
 //! Errors are `E002` diagnostics; recovery is per line (skip to the next
-//! newline), so one typo does not cascade through the whole file.
+//! newline), so one typo does not cascade through the whole file. One
+//! block reader (`Parser::block`) runs every `{ … }` body, the module's
+//! and the `annotations`, `ufsm` and `harness` blocks', and reports the
+//! block left open at end of file. Each line parses its rest with `?` and
+//! one finisher ends it: `line` for statements and repeatable fields,
+//! `once` for fields a block may set once, `names` for name lists.
 
 use super::ast::{AnnBlock, HarnessBlock, Item, Module, Name, Spanned, UfsmBlock, WireOp};
 use super::lexer::{TokKind, Token};
@@ -29,12 +34,24 @@ use crate::ir::{BinOp, UnOp};
 /// module header could be found at all; otherwise a best-effort AST is
 /// returned alongside whatever `E002` diagnostics were pushed.
 pub fn parse(tokens: &[Token], report: &mut Report) -> Option<Module> {
-    Parser {
+    let mut p = Parser {
         toks: tokens,
         pos: 0,
         report,
+    };
+    while p.eat(&TokKind::Newline).is_some() {}
+    if p.eat(&TokKind::Ident("module".into())).is_none() {
+        p.unexpected("`module`", "a netlist file starts with `module <name> {`");
+        return None;
     }
-    .module()
+    let mut m = Module {
+        name: p.name("a module name")?,
+        items: Vec::new(),
+        annotations: None,
+        harness: None,
+    };
+    p.block("module block", |p| p.statement(&mut m))?;
+    Some(m)
 }
 
 struct Parser<'a, 'r> {
@@ -43,27 +60,35 @@ struct Parser<'a, 'r> {
     report: &'r mut Report,
 }
 
+fn ident(k: &TokKind) -> Option<String> {
+    match k {
+        TokKind::Ident(s) => Some(s.clone()),
+        _ => None,
+    }
+}
+
 impl Parser<'_, '_> {
     fn peek(&self) -> &Token {
         &self.toks[self.pos.min(self.toks.len() - 1)]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
+    /// Moves past the current token (never past `Eof`) and returns its span.
+    fn bump(&mut self) -> Span {
+        let span = self.peek().span;
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
-        t
+        span
     }
 
-    fn at(&self, kind: &TokKind) -> bool {
-        &self.peek().kind == kind
+    fn eat(&mut self, kind: &TokKind) -> Option<Span> {
+        (self.peek().kind == *kind).then(|| self.bump())
     }
 
-    fn skip_newlines(&mut self) {
-        while self.at(&TokKind::Newline) {
-            self.bump();
-        }
+    /// Takes the current token when `f` accepts it.
+    fn take<T>(&mut self, f: impl FnOnce(&TokKind) -> Option<T>) -> Option<Spanned<T>> {
+        let v = f(&self.peek().kind)?;
+        Some(Spanned::new(v, self.bump()))
     }
 
     fn error(&mut self, span: Span, msg: impl Into<String>, label: &str) {
@@ -71,760 +96,437 @@ impl Parser<'_, '_> {
             .push(Diagnostic::error("E002", "parse", msg).with_primary(span, label));
     }
 
+    /// Reports the current token where the grammar wants `what`.
+    fn unexpected(&mut self, what: &str, label: &str) {
+        let found = self.peek().kind.describe();
+        let span = self.peek().span;
+        self.error(span, format!("expected {what}, found {found}"), label);
+    }
+
+    /// [`Self::unexpected`], labelled `expected {what}`; always `None`.
+    fn expected<T>(&mut self, what: &str) -> Option<T> {
+        self.unexpected(what, &format!("expected {what}"));
+        None
+    }
+
     /// Skips to the end of the current line without consuming the closing
     /// brace of the enclosing block, so recovery stays local.
     fn sync_line(&mut self) {
-        loop {
-            match &self.peek().kind {
-                TokKind::Newline => {
-                    self.bump();
-                    return;
-                }
-                TokKind::RBrace | TokKind::Eof => return,
-                _ => {
-                    self.bump();
-                }
+        while !matches!(self.peek().kind, TokKind::RBrace | TokKind::Eof) {
+            if self.peek().kind == TokKind::Newline {
+                self.bump();
+                return;
+            }
+            self.bump();
+        }
+    }
+
+    /// Consumes the end of a line; on junk, reports and recovers.
+    fn end_line(&mut self) {
+        match self.peek().kind {
+            TokKind::Newline => {
+                self.bump();
+            }
+            TokKind::RBrace | TokKind::Eof => {}
+            _ => {
+                self.unexpected("end of line", "trailing tokens");
+                self.sync_line();
             }
         }
     }
 
-    fn expect(&mut self, kind: TokKind, what: &str) -> Option<Token> {
-        if self.at(&kind) {
-            Some(self.bump())
-        } else {
-            let found = self.peek().kind.describe();
-            let span = self.peek().span;
-            self.error(
-                span,
-                format!("expected {what}, found {found}"),
-                &format!("expected {what}"),
-            );
-            None
-        }
+    fn expect(&mut self, kind: TokKind, what: &str) -> Option<Span> {
+        self.eat(&kind).or_else(|| self.expected(what))
     }
 
     fn name(&mut self, what: &str) -> Option<Name> {
-        match &self.peek().kind {
-            TokKind::Ident(s) => {
-                let s = s.clone();
-                let t = self.bump();
-                Some(Spanned::new(s, t.span))
-            }
-            k => {
-                let found = k.describe();
-                let span = self.peek().span;
-                self.error(
-                    span,
-                    format!("expected {what}, found {found}"),
-                    &format!("expected {what}"),
-                );
-                None
-            }
-        }
+        self.take(ident).or_else(|| self.expected(what))
     }
 
     fn int(&mut self, what: &str) -> Option<Spanned<u64>> {
-        match &self.peek().kind {
-            TokKind::Int(n) => {
-                let n = *n;
-                let t = self.bump();
-                Some(Spanned::new(n, t.span))
-            }
-            k => {
-                let found = k.describe();
-                let span = self.peek().span;
-                self.error(
-                    span,
-                    format!("expected {what}, found {found}"),
-                    &format!("expected {what}"),
-                );
-                None
-            }
-        }
+        self.take(|k| match *k {
+            TokKind::Int(n) => Some(n),
+            _ => None,
+        })
+        .or_else(|| self.expected(what))
     }
 
     /// A width token: an identifier of the shape `w<digits>`.
     fn width(&mut self) -> Option<Spanned<u64>> {
-        match &self.peek().kind {
+        let w = self.take(|k| match k {
             TokKind::Ident(s)
                 if s.starts_with('w')
                     && s[1..].chars().all(|c| c.is_ascii_digit())
                     && s.len() > 1 =>
             {
-                let n: u64 = s[1..].parse().unwrap_or(u64::MAX);
-                let t = self.bump();
-                Some(Spanned::new(n, t.span))
+                Some(s[1..].parse().unwrap_or(u64::MAX))
             }
-            k => {
-                let found = k.describe();
-                let span = self.peek().span;
-                self.error(
-                    span,
-                    format!("expected a width such as `w8`, found {found}"),
-                    "expected a width",
-                );
-                None
-            }
+            _ => None,
+        });
+        if w.is_none() {
+            self.unexpected("a width such as `w8`", "expected a width");
         }
+        w
     }
 
-    /// Consumes the end of a statement line; on junk, reports and recovers.
-    fn end_line(&mut self) {
-        match &self.peek().kind {
-            TokKind::Newline => {
-                self.bump();
-            }
-            TokKind::RBrace | TokKind::Eof => {}
-            k => {
-                let found = k.describe();
-                let span = self.peek().span;
-                self.error(
-                    span,
-                    format!("expected end of line, found {found}"),
-                    "trailing tokens",
-                );
-                self.sync_line();
-            }
-        }
-    }
-
-    fn module(&mut self) -> Option<Module> {
-        self.skip_newlines();
-        match &self.peek().kind {
-            TokKind::Ident(s) if s == "module" => {
-                self.bump();
-            }
-            k => {
-                let found = k.describe();
-                let span = self.peek().span;
-                self.error(
-                    span,
-                    format!("expected `module`, found {found}"),
-                    "a netlist file starts with `module <name> {`",
-                );
-                return None;
-            }
-        }
-        let name = self.name("a module name")?;
+    /// Reads `{`, then each line up to the matching `}` through `line`,
+    /// skipping blank ones; at end of file, reports the unclosed `what`.
+    /// `None` only when the `{` is missing.
+    fn block(&mut self, what: &str, mut line: impl FnMut(&mut Self)) -> Option<()> {
         self.expect(TokKind::LBrace, "`{`")?;
         self.end_line();
-
-        let mut m = Module {
-            name,
-            items: Vec::new(),
-            annotations: None,
-            harness: None,
-        };
         loop {
-            self.skip_newlines();
-            match &self.peek().kind {
+            while self.eat(&TokKind::Newline).is_some() {}
+            match self.peek().kind {
                 TokKind::RBrace => {
                     self.bump();
-                    break;
+                    return Some(());
                 }
                 TokKind::Eof => {
                     let span = self.peek().span;
                     self.error(
                         span,
-                        "unexpected end of file: unclosed module block",
+                        format!("unexpected end of file: unclosed {what}"),
                         "expected `}`",
                     );
-                    break;
+                    return Some(());
                 }
-                _ => self.statement(&mut m),
+                _ => line(self),
             }
         }
-        Some(m)
+    }
+
+    /// Finishes a line whose rest `f` parses: the end of line after a
+    /// value, the skip to the next line after an error.
+    fn line<T>(&mut self, f: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        let v = f(self);
+        if v.is_some() {
+            self.end_line();
+        } else {
+            self.sync_line();
+        }
+        v
+    }
+
+    /// A field a block sets at most once: its value from `f`, or a
+    /// duplicate report at `field`; then the end of its line.
+    fn once<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        field: &Name,
+        f: impl FnOnce(&mut Self) -> Option<T>,
+    ) {
+        if let Some(v) = f(self) {
+            if slot.is_some() {
+                self.error(
+                    field.span,
+                    format!("duplicate `{}` field", field.node),
+                    "already set above",
+                );
+            } else {
+                *slot = Some(v);
+            }
+        }
+        self.end_line();
+    }
+
+    fn once_name(&mut self, slot: &mut Option<Name>, field: &Name) {
+        self.once(slot, field, |p| p.name("a signal name"));
+    }
+
+    /// A field listing names up to the end of its line.
+    fn names(&mut self, out: &mut Vec<Name>) {
+        out.extend(std::iter::from_fn(|| self.take(ident)));
+        self.end_line();
+    }
+
+    fn unknown_field(&mut self, block: &str, field: &Name, label: &str) {
+        self.error(
+            field.span,
+            format!("unknown {block} field `{}`", field.node),
+            label,
+        );
+        self.sync_line();
     }
 
     fn statement(&mut self, m: &mut Module) {
-        let kw = match &self.peek().kind {
-            TokKind::Ident(s) => s.clone(),
-            k => {
-                let found = k.describe();
-                let span = self.peek().span;
-                self.error(
-                    span,
-                    format!("expected a statement, found {found}"),
-                    "not a statement",
-                );
-                self.sync_line();
-                return;
-            }
+        let Some(kw) = self.take(ident) else {
+            self.unexpected("a statement", "not a statement");
+            return self.sync_line();
         };
-        let kw_span = self.peek().span;
-        match kw.as_str() {
-            "input" => {
-                self.bump();
-                let item = (|p: &mut Self| {
-                    let name = p.name("a signal name")?;
-                    p.expect(TokKind::Colon, "`:`")?;
-                    let width = p.width()?;
-                    Some(Item::Input { name, width })
-                })(self);
-                self.finish_stmt(m, item);
-            }
-            "reg" => {
-                self.bump();
-                let item = (|p: &mut Self| {
-                    let name = p.name("a register name")?;
-                    p.expect(TokKind::Colon, "`:`")?;
-                    let width = p.width()?;
-                    p.expect(TokKind::Eq, "`=`")?;
-                    let init = p.int("a reset value")?;
-                    Some(Item::Reg { name, width, init })
-                })(self);
-                self.finish_stmt(m, item);
-            }
-            "const" => {
-                self.bump();
-                let item = (|p: &mut Self| {
-                    let name = p.name("a constant name")?;
-                    p.expect(TokKind::Colon, "`:`")?;
-                    let width = p.width()?;
-                    p.expect(TokKind::Eq, "`=`")?;
-                    let value = p.int("a constant value")?;
-                    Some(Item::Const { name, width, value })
-                })(self);
-                self.finish_stmt(m, item);
-            }
-            "wire" => {
-                self.bump();
-                let item = (|p: &mut Self| {
-                    let name = p.name("a wire name")?;
-                    let width = if p.at(&TokKind::Colon) {
-                        p.bump();
-                        Some(p.width()?)
-                    } else {
-                        None
-                    };
-                    p.expect(TokKind::Eq, "`=`")?;
-                    let op = p.wire_op()?;
-                    Some(Item::Wire { name, width, op })
-                })(self);
-                self.finish_stmt(m, item);
-            }
-            "mem" => {
-                self.bump();
-                let item = (|p: &mut Self| {
-                    let raw = p.name("a memory name like `m[16]`")?;
-                    let (name, len) = match raw.node.find('[') {
-                        Some(br) if raw.node.ends_with(']') => {
-                            let base = raw.node[..br].to_string();
-                            let digits = &raw.node[br + 1..raw.node.len() - 1];
-                            let len: u64 = digits.parse().unwrap_or(0);
-                            let (rlo, rhi) = (raw.span.lo as usize, raw.span.hi as usize);
-                            let name = Spanned::new(base, Span::new(rlo, rlo + br));
-                            let len = Spanned::new(len, Span::new(rlo + br + 1, rhi - 1));
-                            (name, len)
-                        }
-                        _ => {
-                            p.error(
-                                raw.span,
-                                "memory declarations need a length suffix, e.g. `mem m[16] : w8`",
-                                "missing `[len]`",
-                            );
-                            return None;
-                        }
-                    };
-                    p.expect(TokKind::Colon, "`:`")?;
-                    let width = p.width()?;
-                    let init = if p.at(&TokKind::Eq) {
-                        p.bump();
-                        Some(p.int("a reset value")?)
-                    } else {
-                        None
-                    };
-                    Some(Item::Mem {
-                        name,
-                        len,
-                        width,
-                        init,
-                    })
-                })(self);
-                self.finish_stmt(m, item);
-            }
-            "write" => {
-                self.bump();
-                let item = (|p: &mut Self| {
-                    let mem = p.name("a memory name")?;
-                    let en = p.name("a write-enable signal")?;
-                    let addr = p.name("an address signal")?;
-                    let data = p.name("a data signal")?;
-                    Some(Item::Write {
-                        mem,
-                        en,
-                        addr,
-                        data,
-                    })
-                })(self);
-                self.finish_stmt(m, item);
-            }
-            "next" => {
-                self.bump();
-                let item = (|p: &mut Self| {
-                    let reg = p.name("a register name")?;
-                    p.expect(TokKind::Arrow, "`<-`")?;
-                    let src = p.name("a signal name")?;
-                    Some(Item::Next { reg, src })
-                })(self);
-                self.finish_stmt(m, item);
-            }
+        match kw.node.as_str() {
             "annotations" => {
-                self.bump();
-                let block = self.annotations_block(kw_span);
-                if m.annotations.is_some() {
-                    self.error(
-                        kw_span,
-                        "duplicate `annotations` block",
-                        "a module has at most one",
-                    );
-                } else {
-                    m.annotations = block;
-                }
+                let block = self.annotations(kw.span);
+                self.at_most_one(&mut m.annotations, block, &kw);
             }
             "harness" => {
-                self.bump();
-                let block = self.harness_block(kw_span);
-                if m.harness.is_some() {
+                let block = self.harness(kw.span);
+                self.at_most_one(&mut m.harness, block, &kw);
+            }
+            _ => m.items.extend(self.line(|p| p.item(&kw))),
+        }
+    }
+
+    /// Stores a module's metadata block, or reports a second `kw` block.
+    fn at_most_one<T>(&mut self, slot: &mut Option<T>, block: Option<T>, kw: &Name) {
+        if slot.is_some() {
+            self.error(
+                kw.span,
+                format!("duplicate `{}` block", kw.node),
+                "a module has at most one",
+            );
+        } else {
+            *slot = block;
+        }
+    }
+
+    /// The rest of a declaration or connection statement after `kw`.
+    fn item(&mut self, kw: &Name) -> Option<Item> {
+        Some(match kw.node.as_str() {
+            "input" => {
+                let name = self.name("a signal name")?;
+                self.expect(TokKind::Colon, "`:`")?;
+                Item::Input {
+                    name,
+                    width: self.width()?,
+                }
+            }
+            "reg" => {
+                let name = self.name("a register name")?;
+                self.expect(TokKind::Colon, "`:`")?;
+                let width = self.width()?;
+                self.expect(TokKind::Eq, "`=`")?;
+                Item::Reg {
+                    name,
+                    width,
+                    init: self.int("a reset value")?,
+                }
+            }
+            "const" => {
+                let name = self.name("a constant name")?;
+                self.expect(TokKind::Colon, "`:`")?;
+                let width = self.width()?;
+                self.expect(TokKind::Eq, "`=`")?;
+                Item::Const {
+                    name,
+                    width,
+                    value: self.int("a constant value")?,
+                }
+            }
+            "wire" => {
+                let name = self.name("a wire name")?;
+                let width = match self.eat(&TokKind::Colon) {
+                    Some(_) => Some(self.width()?),
+                    None => None,
+                };
+                self.expect(TokKind::Eq, "`=`")?;
+                Item::Wire {
+                    name,
+                    width,
+                    op: self.wire_op()?,
+                }
+            }
+            "mem" => {
+                let raw = self.name("a memory name like `m[16]`")?;
+                let Some(br) = raw.node.find('[').filter(|_| raw.node.ends_with(']')) else {
                     self.error(
-                        kw_span,
-                        "duplicate `harness` block",
-                        "a module has at most one",
+                        raw.span,
+                        "memory declarations need a length suffix, e.g. `mem m[16] : w8`",
+                        "missing `[len]`",
                     );
-                } else {
-                    m.harness = block;
+                    return None;
+                };
+                let (rlo, rhi) = (raw.span.lo as usize, raw.span.hi as usize);
+                let len = raw.node[br + 1..raw.node.len() - 1].parse().unwrap_or(0);
+                self.expect(TokKind::Colon, "`:`")?;
+                Item::Mem {
+                    name: Spanned::new(raw.node[..br].to_string(), Span::new(rlo, rlo + br)),
+                    len: Spanned::new(len, Span::new(rlo + br + 1, rhi - 1)),
+                    width: self.width()?,
+                    init: match self.eat(&TokKind::Eq) {
+                        Some(_) => Some(self.int("a reset value")?),
+                        None => None,
+                    },
+                }
+            }
+            "write" => Item::Write {
+                mem: self.name("a memory name")?,
+                en: self.name("a write-enable signal")?,
+                addr: self.name("an address signal")?,
+                data: self.name("a data signal")?,
+            },
+            "next" => {
+                let reg = self.name("a register name")?;
+                self.expect(TokKind::Arrow, "`<-`")?;
+                Item::Next {
+                    reg,
+                    src: self.name("a signal name")?,
                 }
             }
             other => {
                 self.error(
-                    kw_span,
+                    kw.span,
                     format!("unknown statement `{other}`"),
                     "expected `input`, `reg`, `const`, `wire`, `mem`, `write`, `next`, `annotations`, or `harness`",
                 );
-                self.sync_line();
+                return None;
             }
-        }
-    }
-
-    fn finish_stmt(&mut self, m: &mut Module, item: Option<Item>) {
-        match item {
-            Some(item) => {
-                m.items.push(item);
-                self.end_line();
-            }
-            None => self.sync_line(),
-        }
+        })
     }
 
     fn wire_op(&mut self) -> Option<WireOp> {
         let op = self.name("an operator")?;
-        let op_span = op.span;
         if let Some(u) = UnOp::ALL.into_iter().find(|u| u.mnemonic() == op.node) {
             let a = self.name("an operand")?;
             return Some(WireOp::Unary { op: u, a });
         }
         if let Some(b) = BinOp::ALL.into_iter().find(|b| b.mnemonic() == op.node) {
-            let x = self.name("an operand")?;
-            let y = self.name("an operand")?;
             return Some(WireOp::Binary {
                 op: b,
-                op_span,
-                a: x,
-                b: y,
+                op_span: op.span,
+                a: self.name("an operand")?,
+                b: self.name("an operand")?,
             });
         }
-        match op.node.as_str() {
-            "mux" => {
-                let sel = self.name("a select signal")?;
-                let a = self.name("an operand")?;
-                let b = self.name("an operand")?;
-                Some(WireOp::Mux { sel, a, b })
-            }
-            "slice" => {
-                let src = self.name("a source signal")?;
-                let hi = self.int("a high bit index")?;
-                let lo = self.int("a low bit index")?;
-                Some(WireOp::Slice { src, hi, lo })
-            }
-            "concat" => {
-                let hi = self.name("an operand")?;
-                let lo = self.name("an operand")?;
-                Some(WireOp::Concat { hi, lo })
-            }
-            "read" => {
-                let mem = self.name("a memory name")?;
-                let addr = self.name("an address signal")?;
-                Some(WireOp::Read { mem, addr })
-            }
+        Some(match op.node.as_str() {
+            "mux" => WireOp::Mux {
+                sel: self.name("a select signal")?,
+                a: self.name("an operand")?,
+                b: self.name("an operand")?,
+            },
+            "slice" => WireOp::Slice {
+                src: self.name("a source signal")?,
+                hi: self.int("a high bit index")?,
+                lo: self.int("a low bit index")?,
+            },
+            "concat" => WireOp::Concat {
+                hi: self.name("an operand")?,
+                lo: self.name("an operand")?,
+            },
+            "read" => WireOp::Read {
+                mem: self.name("a memory name")?,
+                addr: self.name("an address signal")?,
+            },
             other => {
                 self.error(
-                    op_span,
+                    op.span,
                     format!("unknown operator `{other}`"),
                     "not an operator",
                 );
-                None
+                return None;
             }
-        }
+        })
     }
 
     /// `( <int> {, <int>} )` — a µFSM state valuation.
     fn tuple(&mut self) -> Option<Spanned<Vec<u64>>> {
         let open = self.expect(TokKind::LParen, "`(`")?;
-        let mut vals = Vec::new();
-        loop {
+        let mut vals = vec![self.int("a state value")?.node];
+        while self.eat(&TokKind::Comma).is_some() {
             vals.push(self.int("a state value")?.node);
-            match &self.peek().kind {
-                TokKind::Comma => {
-                    self.bump();
-                }
-                TokKind::RParen => break,
-                k => {
-                    let found = k.describe();
-                    let span = self.peek().span;
-                    self.error(
-                        span,
-                        format!("expected `,` or `)`, found {found}"),
-                        "in state tuple",
-                    );
-                    return None;
-                }
-            }
         }
-        let close = self.bump(); // RParen
-        Some(Spanned::new(vals, open.span.join(close.span)))
+        let Some(close) = self.eat(&TokKind::RParen) else {
+            self.unexpected("`,` or `)`", "in state tuple");
+            return None;
+        };
+        Some(Spanned::new(vals, open.join(close)))
     }
 
-    /// Names until end-of-line.
-    fn name_list(&mut self) -> Vec<Name> {
-        let mut out = Vec::new();
-        while let TokKind::Ident(s) = &self.peek().kind {
-            let s = s.clone();
-            let t = self.bump();
-            out.push(Spanned::new(s, t.span));
-        }
-        out
-    }
-
-    fn set_once<T>(&mut self, slot: &mut Option<T>, value: Option<T>, field: &str, span: Span) {
-        if value.is_none() {
-            return;
-        }
-        if slot.is_some() {
-            self.error(
-                span,
-                format!("duplicate `{field}` field"),
-                "already set above",
-            );
-        } else {
-            *slot = value;
-        }
-    }
-
-    fn annotations_block(&mut self, kw_span: Span) -> Option<AnnBlock> {
-        self.expect(TokKind::LBrace, "`{`")?;
-        self.end_line();
-        let mut blk = AnnBlock {
-            span: kw_span,
+    fn annotations(&mut self, span: Span) -> Option<AnnBlock> {
+        let mut b = AnnBlock {
+            span,
             ..AnnBlock::default()
         };
-        loop {
-            self.skip_newlines();
-            match &self.peek().kind {
-                TokKind::RBrace => {
-                    self.bump();
-                    break;
-                }
-                TokKind::Eof => {
-                    let span = self.peek().span;
-                    self.error(
-                        span,
-                        "unexpected end of file: unclosed `annotations` block",
-                        "expected `}`",
-                    );
-                    return Some(blk);
-                }
-                _ => {}
-            }
-            let Some(field) = self.name("an annotation field") else {
-                self.sync_line();
-                continue;
+        self.block("`annotations` block", |p| {
+            let Some(field) = p.name("an annotation field") else {
+                return p.sync_line();
             };
-            let fspan = field.span;
             match field.node.as_str() {
-                "ifr" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.ifr, v, "ifr", fspan);
-                    self.end_line();
-                }
-                "fetch_valid" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.fetch_valid, v, "fetch_valid", fspan);
-                    self.end_line();
-                }
-                "fetch_pc" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.fetch_pc, v, "fetch_pc", fspan);
-                    self.end_line();
-                }
-                "commit" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.commit, v, "commit", fspan);
-                    self.end_line();
-                }
-                "commit_pc" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.commit_pc, v, "commit_pc", fspan);
-                    self.end_line();
-                }
-                "operands" => {
-                    blk.operands.extend(self.name_list());
-                    self.end_line();
-                }
-                "arf" => {
-                    blk.arf.extend(self.name_list());
-                    self.end_line();
-                }
-                "amem" => {
-                    blk.amem.extend(self.name_list());
-                    self.end_line();
-                }
-                "persistent" => {
-                    blk.persistent.extend(self.name_list());
-                    self.end_line();
-                }
-                "added_loc" => {
-                    let v = self.int("a location count");
-                    self.set_once(&mut blk.added_loc, v, "added_loc", fspan);
-                    self.end_line();
-                }
-                "ufsm" => {
-                    if let Some(u) = self.ufsm_block() {
-                        blk.ufsms.push(u);
-                    }
-                }
-                other => {
-                    self.error(
-                        fspan,
-                        format!("unknown annotation field `{other}`"),
-                        "expected `ifr`, `fetch_valid`, `fetch_pc`, `commit`, `commit_pc`, `operands`, `arf`, `amem`, `persistent`, `added_loc`, or `ufsm`",
-                    );
-                    self.sync_line();
-                }
+                "ifr" => p.once_name(&mut b.ifr, &field),
+                "fetch_valid" => p.once_name(&mut b.fetch_valid, &field),
+                "fetch_pc" => p.once_name(&mut b.fetch_pc, &field),
+                "commit" => p.once_name(&mut b.commit, &field),
+                "commit_pc" => p.once_name(&mut b.commit_pc, &field),
+                "operands" => p.names(&mut b.operands),
+                "arf" => p.names(&mut b.arf),
+                "amem" => p.names(&mut b.amem),
+                "persistent" => p.names(&mut b.persistent),
+                "added_loc" => p.once(&mut b.added_loc, &field, |p| p.int("a location count")),
+                "ufsm" => b.ufsms.extend(p.ufsm()),
+                _ => p.unknown_field(
+                    "annotation",
+                    &field,
+                    "expected `ifr`, `fetch_valid`, `fetch_pc`, `commit`, `commit_pc`, `operands`, `arf`, `amem`, `persistent`, `added_loc`, or `ufsm`",
+                ),
             }
-        }
-        Some(blk)
+        })?;
+        Some(b)
     }
 
-    fn ufsm_block(&mut self) -> Option<UfsmBlock> {
-        let name = self.name("a ufsm name")?;
-        let added = match &self.peek().kind {
-            TokKind::Ident(s) if s == "added" => {
-                self.bump();
-                true
-            }
-            _ => false,
-        };
-        self.expect(TokKind::LBrace, "`{`")?;
-        self.end_line();
+    fn ufsm(&mut self) -> Option<UfsmBlock> {
         let mut u = UfsmBlock {
-            name,
-            added,
+            name: self.name("a ufsm name")?,
+            added: self.eat(&TokKind::Ident("added".into())).is_some(),
             pcr: None,
             vars: Vec::new(),
             idle: Vec::new(),
             states: Vec::new(),
         };
-        loop {
-            self.skip_newlines();
-            match &self.peek().kind {
-                TokKind::RBrace => {
-                    self.bump();
-                    break;
-                }
-                TokKind::Eof => {
-                    let span = self.peek().span;
-                    self.error(
-                        span,
-                        "unexpected end of file: unclosed `ufsm` block",
-                        "expected `}`",
-                    );
-                    return Some(u);
-                }
-                _ => {}
-            }
-            let Some(field) = self.name("a ufsm field") else {
-                self.sync_line();
-                continue;
+        self.block("`ufsm` block", |p| {
+            let Some(field) = p.name("a ufsm field") else {
+                return p.sync_line();
             };
-            let fspan = field.span;
             match field.node.as_str() {
-                "pcr" => {
-                    let v = self.name("a register name");
-                    self.set_once(&mut u.pcr, v, "pcr", fspan);
-                    self.end_line();
-                }
-                "vars" => {
-                    u.vars.extend(self.name_list());
-                    self.end_line();
-                }
-                "idle" => {
-                    if let Some(t) = self.tuple() {
-                        u.idle.push(t);
-                        self.end_line();
-                    } else {
-                        self.sync_line();
-                    }
-                }
-                "state" => {
-                    let item = (|p: &mut Self| {
-                        let n = p.name("a state name")?;
-                        p.expect(TokKind::Eq, "`=`")?;
-                        let t = p.tuple()?;
-                        Some((n, t))
-                    })(self);
-                    match item {
-                        Some(s) => {
-                            u.states.push(s);
-                            self.end_line();
-                        }
-                        None => self.sync_line(),
-                    }
-                }
-                other => {
-                    self.error(
-                        fspan,
-                        format!("unknown ufsm field `{other}`"),
-                        "expected `pcr`, `vars`, `idle`, or `state`",
-                    );
-                    self.sync_line();
-                }
+                "pcr" => p.once(&mut u.pcr, &field, |p| p.name("a register name")),
+                "vars" => p.names(&mut u.vars),
+                "idle" => u.idle.extend(p.line(Self::tuple)),
+                "state" => u.states.extend(p.line(|p| {
+                    let name = p.name("a state name")?;
+                    p.expect(TokKind::Eq, "`=`")?;
+                    Some((name, p.tuple()?))
+                })),
+                _ => p.unknown_field("ufsm", &field, "expected `pcr`, `vars`, `idle`, or `state`"),
             }
-        }
+        })?;
         Some(u)
     }
 
-    fn harness_block(&mut self, kw_span: Span) -> Option<HarnessBlock> {
-        self.expect(TokKind::LBrace, "`{`")?;
-        self.end_line();
-        let mut blk = HarnessBlock {
-            span: kw_span,
+    fn harness(&mut self, span: Span) -> Option<HarnessBlock> {
+        let mut b = HarnessBlock {
+            span,
             ..HarnessBlock::default()
         };
-        loop {
-            self.skip_newlines();
-            match &self.peek().kind {
-                TokKind::RBrace => {
-                    self.bump();
-                    break;
-                }
-                TokKind::Eof => {
-                    let span = self.peek().span;
-                    self.error(
-                        span,
-                        "unexpected end of file: unclosed `harness` block",
-                        "expected `}`",
-                    );
-                    return Some(blk);
-                }
-                _ => {}
-            }
-            let Some(field) = self.name("a harness field") else {
-                self.sync_line();
-                continue;
+        self.block("`harness` block", |p| {
+            let Some(field) = p.name("a harness field") else {
+                return p.sync_line();
             };
-            let fspan = field.span;
             match field.node.as_str() {
-                "fetch_instr_input" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.fetch_instr_input, v, "fetch_instr_input", fspan);
-                    self.end_line();
-                }
-                "fetch_valid_input" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.fetch_valid_input, v, "fetch_valid_input", fspan);
-                    self.end_line();
-                }
-                "fetch_fire" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.fetch_fire, v, "fetch_fire", fspan);
-                    self.end_line();
-                }
-                "issue_fire" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.issue_fire, v, "issue_fire", fspan);
-                    self.end_line();
-                }
-                "issue_pc" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.issue_pc, v, "issue_pc", fspan);
-                    self.end_line();
-                }
-                "issue_valid" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.issue_valid, v, "issue_valid", fspan);
-                    self.end_line();
-                }
-                "rs_fields" => {
-                    let v = (|p: &mut Self| {
-                        let a = p.name("a signal name")?;
-                        let b = p.name("a signal name")?;
-                        Some((a, b))
-                    })(self);
-                    self.set_once(&mut blk.rs_fields, v, "rs_fields", fspan);
-                    self.end_line();
-                }
-                "pc" => {
-                    let v = self.name("a signal name");
-                    self.set_once(&mut blk.pc, v, "pc", fspan);
-                    self.end_line();
-                }
-                "isa" => {
-                    blk.isa.extend(self.name_list());
-                    self.end_line();
-                }
-                "type_field" => {
-                    let v = (|p: &mut Self| {
-                        let hi = p.int("a high bit index")?;
-                        let lo = p.int("a low bit index")?;
-                        Some((hi, lo))
-                    })(self);
-                    self.set_once(&mut blk.type_field, v, "type_field", fspan);
-                    self.end_line();
-                }
-                "type_value" => {
-                    let item = (|p: &mut Self| {
-                        let mn = p.name("a mnemonic")?;
-                        let v = p.int("a type value")?;
-                        Some((mn, v))
-                    })(self);
-                    match item {
-                        Some(tv) => {
-                            blk.type_values.push(tv);
-                            self.end_line();
-                        }
-                        None => self.sync_line(),
-                    }
-                }
-                "max_latency" => {
-                    let v = self.int("a cycle count");
-                    self.set_once(&mut blk.max_latency, v, "max_latency", fspan);
-                    self.end_line();
-                }
-                "outputs" => {
-                    blk.outputs.extend(self.name_list());
-                    self.end_line();
-                }
-                other => {
-                    self.error(
-                        fspan,
-                        format!("unknown harness field `{other}`"),
-                        "expected a harness hook, `isa`, `type_field`, `type_value`, `max_latency`, or `outputs`",
-                    );
-                    self.sync_line();
-                }
+                "fetch_instr_input" => p.once_name(&mut b.fetch_instr_input, &field),
+                "fetch_valid_input" => p.once_name(&mut b.fetch_valid_input, &field),
+                "fetch_fire" => p.once_name(&mut b.fetch_fire, &field),
+                "issue_fire" => p.once_name(&mut b.issue_fire, &field),
+                "issue_pc" => p.once_name(&mut b.issue_pc, &field),
+                "issue_valid" => p.once_name(&mut b.issue_valid, &field),
+                "rs_fields" => p.once(&mut b.rs_fields, &field, |p| {
+                    Some((p.name("a signal name")?, p.name("a signal name")?))
+                }),
+                "pc" => p.once_name(&mut b.pc, &field),
+                "isa" => p.names(&mut b.isa),
+                "type_field" => p.once(&mut b.type_field, &field, |p| {
+                    Some((p.int("a high bit index")?, p.int("a low bit index")?))
+                }),
+                "type_value" => b.type_values.extend(
+                    p.line(|p| Some((p.name("a mnemonic")?, p.int("a type value")?))),
+                ),
+                "max_latency" => p.once(&mut b.max_latency, &field, |p| p.int("a cycle count")),
+                "outputs" => p.names(&mut b.outputs),
+                _ => p.unknown_field(
+                    "harness",
+                    &field,
+                    "expected a harness hook, `isa`, `type_field`, `type_value`, `max_latency`, or `outputs`",
+                ),
             }
-        }
-        Some(blk)
+        })?;
+        Some(b)
     }
 }

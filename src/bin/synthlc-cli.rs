@@ -114,6 +114,21 @@ struct Opts {
 /// or fault plan.
 const PLS_OPTS: [&str; 4] = ["--bound", "--budget", "--lint", "--deny-warnings"];
 
+/// The value after `flag` in `it`.
+fn value(it: &mut std::slice::Iter<String>, flag: &str) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The value after `flag` in `it`, parsed.
+fn parsed<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<String>,
+    flag: &str,
+) -> Result<T, String> {
+    value(it, flag)?.parse().map_err(|_| format!("bad {flag}"))
+}
+
 /// Parses the options of `cmd` (`pls`, `paths` or `leak`).
 fn parse_opts(args: &[String], design: &Design, cmd: &str) -> Result<Opts, String> {
     let mut o = Opts {
@@ -130,53 +145,28 @@ fn parse_opts(args: &[String], design: &Design, cmd: &str) -> Result<Opts, Strin
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
-        };
         match a.as_str() {
             "--slots" => {
-                o.synth.slots = val("--slots")?
+                o.synth.slots = value(&mut it, a)?
                     .split(',')
                     .map(|s| s.parse().map_err(|_| format!("bad slot `{s}`")))
                     .collect::<Result<_, _>>()?;
             }
-            "--bound" => {
-                o.synth.bound = val("--bound")?
-                    .parse()
-                    .map_err(|_| "bad --bound".to_owned())?;
-            }
-            "--budget" => {
-                o.synth.conflict_budget = Some(
-                    val("--budget")?
-                        .parse()
-                        .map_err(|_| "bad --budget".to_owned())?,
-                );
-            }
-            "--jobs" => {
-                o.jobs = val("--jobs")?
-                    .parse()
-                    .map_err(|_| "bad --jobs".to_owned())?;
-            }
+            "--bound" => o.synth.bound = parsed(&mut it, a)?,
+            "--budget" => o.synth.conflict_budget = Some(parsed(&mut it, a)?),
+            "--jobs" => o.jobs = parsed(&mut it, a)?,
             "--lint" => o.lint = true,
             "--deny-warnings" => o.deny_warnings = true,
             "--deadline-secs" => {
-                o.deadline_secs = Some(serve::parse_deadline_secs(&val("--deadline-secs")?)?);
+                o.deadline_secs = Some(serve::parse_deadline_secs(&value(&mut it, a)?)?);
             }
-            "--journal" => o.journal = Some(val("--journal")?),
-            "--resume" => o.resume = Some(val("--resume")?),
-            "--fault-rate" => {
-                o.fault_rate = serve::parse_fault_rate(&val("--fault-rate")?)?;
-            }
-            "--retries" => {
-                o.retries = val("--retries")?
-                    .parse()
-                    .map_err(|_| "bad --retries".to_owned())?;
-            }
+            "--journal" => o.journal = Some(value(&mut it, a)?),
+            "--resume" => o.resume = Some(value(&mut it, a)?),
+            "--fault-rate" => o.fault_rate = serve::parse_fault_rate(&value(&mut it, a)?)?,
+            "--retries" => o.retries = parsed(&mut it, a)?,
             "--fail-on-undetermined" => o.fail_on_undetermined = true,
             "--context" => {
-                o.synth.context = match val("--context")?.as_str() {
+                o.synth.context = match value(&mut it, a)?.as_str() {
                     "any" => ContextMode::Any,
                     "nocf" => ContextMode::NoControlFlow,
                     "solo" => ContextMode::Solo,
@@ -475,40 +465,19 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
-        };
         match a.as_str() {
-            "--seed" => {
-                cfg.seed = val("--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_owned())?;
-            }
-            "--cases" => {
-                cfg.cases = val("--cases")?
-                    .parse()
-                    .map_err(|_| "bad --cases".to_owned())?;
-            }
-            "--max-cells" => {
-                cfg.gen.max_cells = val("--max-cells")?
-                    .parse()
-                    .map_err(|_| "bad --max-cells".to_owned())?;
-            }
-            "--bound" => {
-                cfg.bound = val("--bound")?
-                    .parse()
-                    .map_err(|_| "bad --bound".to_owned())?;
-            }
+            "--seed" => cfg.seed = parsed(&mut it, a)?,
+            "--cases" => cfg.cases = parsed(&mut it, a)?,
+            "--max-cells" => cfg.gen.max_cells = parsed(&mut it, a)?,
+            "--bound" => cfg.bound = parsed(&mut it, a)?,
             "--deadline-secs" => {
-                let secs = serve::parse_deadline_secs(&val("--deadline-secs")?)?;
+                let secs = serve::parse_deadline_secs(&value(&mut it, a)?)?;
                 cfg.deadline = Some(Arc::new(CancelToken::deadline_in(Duration::from_secs(
                     secs,
                 ))));
             }
             "--oracles" => {
-                cfg.oracles = val("--oracles")?
+                cfg.oracles = value(&mut it, a)?
                     .split(',')
                     .map(|s| {
                         fuzz::OracleKind::from_label(s.trim()).ok_or_else(|| {
@@ -560,14 +529,7 @@ fn cmd_sat(args: &[String]) -> Result<ExitCode, String> {
         match a.as_str() {
             "--stats" => show_stats = true,
             "--incremental" => incremental = true,
-            "--budget" => {
-                budget = Some(
-                    it.next()
-                        .ok_or("--budget needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --budget".to_owned())?,
-                );
-            }
+            "--budget" => budget = Some(parsed(&mut it, a)?),
             other if !other.starts_with("--") => paths.push(other.to_owned()),
             other => return Err(format!("unknown sat option `{other}`")),
         }
@@ -708,57 +670,26 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let mut fault_rate = 0.0f64;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
-        };
         match a.as_str() {
-            "--port" => {
-                port = val("--port")?
-                    .parse()
-                    .map_err(|_| "bad --port".to_owned())?;
-            }
-            "--workers" => {
-                cfg.workers = val("--workers")?
-                    .parse()
-                    .map_err(|_| "bad --workers".to_owned())?;
-            }
+            "--port" => port = parsed(&mut it, a)?,
+            "--workers" => cfg.workers = parsed(&mut it, a)?,
             "--queue-cap" => {
-                cfg.queue_cap = val("--queue-cap")?
-                    .parse()
-                    .map_err(|_| "bad --queue-cap".to_owned())?;
+                cfg.queue_cap = parsed(&mut it, a)?;
                 if cfg.queue_cap == 0 {
                     return Err("--queue-cap must be at least 1 (a zero-capacity \
                                 queue sheds every job)"
                         .into());
                 }
             }
-            "--retries" => {
-                cfg.retries = val("--retries")?
-                    .parse()
-                    .map_err(|_| "bad --retries".to_owned())?;
-            }
+            "--retries" => cfg.retries = parsed(&mut it, a)?,
             "--deadline-secs" => {
-                cfg.deadline_secs = Some(serve::parse_deadline_secs(&val("--deadline-secs")?)?);
+                cfg.deadline_secs = Some(serve::parse_deadline_secs(&value(&mut it, a)?)?);
             }
-            "--fault-rate" => {
-                fault_rate = serve::parse_fault_rate(&val("--fault-rate")?)?;
-            }
-            "--backoff-ms" => {
-                cfg.backoff_ms = val("--backoff-ms")?
-                    .parse()
-                    .map_err(|_| "bad --backoff-ms".to_owned())?;
-            }
-            "--client-budget" => {
-                cfg.client_budget = Some(
-                    val("--client-budget")?
-                        .parse()
-                        .map_err(|_| "bad --client-budget".to_owned())?,
-                );
-            }
-            "--journal" => journal = Some(val("--journal")?),
-            "--resume" => resume = Some(val("--resume")?),
+            "--fault-rate" => fault_rate = serve::parse_fault_rate(&value(&mut it, a)?)?,
+            "--backoff-ms" => cfg.backoff_ms = parsed(&mut it, a)?,
+            "--client-budget" => cfg.client_budget = Some(parsed(&mut it, a)?),
+            "--journal" => journal = Some(value(&mut it, a)?),
+            "--resume" => resume = Some(value(&mut it, a)?),
             other => return Err(format!("unknown serve option `{other}`")),
         }
     }
@@ -813,40 +744,15 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
     }
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
-        };
         match a.as_str() {
-            "--id" => req.id = val("--id")?,
-            "--client" => req.client = val("--client")?,
-            "--bound" => {
-                req.bound = Some(
-                    val("--bound")?
-                        .parse()
-                        .map_err(|_| "bad --bound".to_owned())?,
-                );
-            }
-            "--budget" => {
-                req.budget = Some(
-                    val("--budget")?
-                        .parse()
-                        .map_err(|_| "bad --budget".to_owned())?,
-                );
-            }
-            "--seed" => {
-                req.seed = val("--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_owned())?;
-            }
-            "--cases" => {
-                req.cases = val("--cases")?
-                    .parse()
-                    .map_err(|_| "bad --cases".to_owned())?;
-            }
+            "--id" => req.id = value(&mut it, a)?,
+            "--client" => req.client = value(&mut it, a)?,
+            "--bound" => req.bound = Some(parsed(&mut it, a)?),
+            "--budget" => req.budget = Some(parsed(&mut it, a)?),
+            "--seed" => req.seed = parsed(&mut it, a)?,
+            "--cases" => req.cases = parsed(&mut it, a)?,
             "--source-file" => {
-                let p = val("--source-file")?;
+                let p = value(&mut it, a)?;
                 req.source =
                     Some(std::fs::read_to_string(&p).map_err(|e| format!("cannot read {p}: {e}"))?);
             }
