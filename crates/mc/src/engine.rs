@@ -736,45 +736,45 @@ impl<'a> Checker<'a> {
         self.stats.fold_solver(&prev, &now);
     }
 
-    /// The SAT literal of a 1-bit signal at the final unrolled frame.
-    ///
-    /// Enumeration loops (µPATH shape enumeration in `mupath`) read monitor
-    /// bits here and block found signatures with
-    /// [`Checker::add_blocking_clause`].
-    ///
-    /// # Panics
-    /// Panics if the signal is wider than 1 bit.
-    pub fn final_frame_lit(&self, sig: SignalId) -> Lit {
-        self.unroll.lit(self.cfg.bound - 1, sig)
-    }
-
-    /// The SAT literal of one bit of a signal at the final unrolled frame.
+    /// Enumerates the witnesses of `cover` under `assumes` that differ in
+    /// the final-frame value of `bits`: each goes to `visit`, then a clause
+    /// blocks its valuation there, scoped under `guard`'s assume activation
+    /// when given (so loops over different guards can share one solver),
+    /// and the query repeats. Stops after `cap` witnesses or at the first
+    /// other outcome; `true` only when the cover became `Unreachable`.
     ///
     /// # Panics
-    /// Panics if `bit` is out of range for the signal's width.
-    pub fn final_frame_bit(&self, sig: SignalId, bit: u8) -> Lit {
-        self.unroll.lits(self.cfg.bound - 1, sig)[bit as usize]
-    }
-
-    /// Adds a permanent clause over literals obtained from
-    /// [`Checker::final_frame_lit`], used to block already-enumerated
-    /// solutions.
-    pub fn add_blocking_clause(&mut self, lits: &[Lit]) {
-        self.unroll.gate().add_clause(lits);
-    }
-
-    /// Adds a blocking clause that is only active while `guard` — an assume
-    /// signal passed to every query of the caller's fleet — is assumed: the
-    /// stored clause is `!activation(guard) ∨ lits...`. Queries that do not
-    /// assume the guard can satisfy the clause through the unassumed
-    /// activation literal, so enumeration loops over different guards can
-    /// safely share one persistent solver.
-    pub fn add_blocking_clause_scoped(&mut self, guard: SignalId, lits: &[Lit]) {
-        let act = self.assume_activation(guard);
-        let mut clause = Vec::with_capacity(lits.len() + 1);
-        clause.push(!act);
-        clause.extend_from_slice(lits);
-        self.unroll.gate().add_clause(&clause);
+    /// Panics if a signal of `bits` is outside the cone-of-influence slice.
+    pub fn enumerate(
+        &mut self,
+        cover: SignalId,
+        assumes: &[SignalId],
+        bits: &[SignalId],
+        guard: Option<SignalId>,
+        cap: usize,
+        mut visit: impl FnMut(&Trace),
+    ) -> bool {
+        let frame = self.cfg.bound - 1;
+        for _ in 0..cap {
+            let trace = match self.check_cover(cover, assumes) {
+                Outcome::Reachable(trace) => trace,
+                other => return other.is_unreachable(),
+            };
+            visit(&trace);
+            let mut clause: Vec<Lit> = guard
+                .map(|g| !self.assume_activation(g))
+                .into_iter()
+                .collect();
+            for &sig in bits {
+                let (value, lits) = (trace.value(frame, sig), self.unroll.lits(frame, sig));
+                assert!(!lits.is_empty(), "enumerated signal outside the slice");
+                for (bit, &lit) in lits.iter().enumerate() {
+                    clause.push(if (value >> bit) & 1 == 1 { !lit } else { lit });
+                }
+            }
+            self.unroll.gate().add_clause(&clause);
+        }
+        false
     }
 
     /// k-induction step: from any state satisfying the assumes in which the

@@ -104,15 +104,8 @@ impl FaultPlan {
     /// retried job can recover from an injected fault instead of
     /// deterministically re-hitting it.
     pub fn fault_for_attempt(&self, phase: &str, ix: usize, attempt: u32) -> Option<FaultKind> {
-        let mut rng = self.job_rng(phase, ix, attempt)?;
-        if !rng.chance(self.rate) {
-            return None;
-        }
-        Some(match rng.range(0, 3) {
-            0 => FaultKind::Panic,
-            1 => FaultKind::ForceUnknown,
-            _ => FaultKind::DeadlineExpired,
-        })
+        use FaultKind::*;
+        self.roll(phase, ix, attempt, &[Panic, ForceUnknown, DeadlineExpired])
     }
 
     /// The serve-phase fault planned for step `ix` of `phase` at retry
@@ -122,16 +115,19 @@ impl FaultPlan {
     /// attempt)` schedule, so a chaos-mode daemon run replays exactly
     /// from `SYNTHLC_FAULT_SEED`.
     pub fn serve_fault_for(&self, phase: &str, ix: usize, attempt: u32) -> Option<ServeFault> {
+        use ServeFault::*;
+        let kinds = [WorkerPanic, QueueStall, TornJournalWrite, DeadlineExpired];
+        self.roll(phase, ix, attempt, &kinds)
+    }
+
+    /// The one fault draw: with probability `rate`, one of `kinds`,
+    /// uniformly, from the `(phase, ix, attempt)` stream.
+    fn roll<K: Copy>(&self, phase: &str, ix: usize, attempt: u32, kinds: &[K]) -> Option<K> {
         let mut rng = self.job_rng(phase, ix, attempt)?;
         if !rng.chance(self.rate) {
             return None;
         }
-        Some(match rng.range(0, 4) {
-            0 => ServeFault::WorkerPanic,
-            1 => ServeFault::QueueStall,
-            2 => ServeFault::TornJournalWrite,
-            _ => ServeFault::DeadlineExpired,
-        })
+        Some(kinds[rng.range_usize(0, kinds.len())])
     }
 
     /// The per-(phase, ix, attempt) PRNG stream behind every schedule:

@@ -1,14 +1,18 @@
-//! The verification harness: weaves IUV-tracking monitors and per-PL visit
-//! detectors into a design under verification.
+//! The verification harness: weaves instruction-tracking monitors and
+//! per-PL visit detectors into a design under verification.
 //!
-//! This implements the paper's verification environment (§V-A, §V-B):
-//! the instruction under verification (IUV) is the instruction latched by
-//! the `fetch_slot`-th fetch event; its PC is captured into a
-//! verification-only register (the PCR discipline of §V-A), and "instruction
-//! *i* visits PL ⟨µfsm, state⟩" (§III-C) becomes the 1-bit monitor
-//! `µfsm.vars == state && µfsm.pcr == iuv_pc && iuv_seen`.
+//! This is the paper's verification environment (§V-A, §V-B), and its one
+//! tracking rule: a [`Tracker`] follows the instruction latched by the
+//! `slot`-th fetch event ([`fetch_counter`]), captures its PC into a
+//! verification-only register (the PCR discipline of §V-A) and assumes no
+//! later fetch reuses it; "instruction *i* visits PL ⟨µfsm, state⟩" (§III-C)
+//! is the monitor `µfsm.vars == state && µfsm.pcr == pc && seen`, which
+//! [`for_each_pl`] hands to a per-PL callback. The IUV harness, SynthLC's
+//! two leak-harness trackers and `duv_pl_reachability` each add only their
+//! own monitors there, so every node keeps its place.
 
 use isa::Opcode;
+use netlist::annotate::{FsmState, UFsm};
 use netlist::{Builder, Netlist, SignalId, Wire};
 use uarch::Design;
 use uhb::{PlId, PlTable};
@@ -161,142 +165,75 @@ pub fn build_harness_multi(
     context: ContextMode,
 ) -> IuvHarness {
     assert!(!opcodes.is_empty(), "harness needs at least one opcode");
-    let ann = &design.annotations;
-    ann.validate(&design.netlist)
+    design
+        .annotations
+        .validate(&design.netlist)
         .expect("annotated design is consistent");
     let mut b = Builder::from_netlist(design.netlist.clone());
     let fetch_fire = b.wire(design.fetch_fire);
-    let pc = b.wire(design.pc);
-    let in_instr = b.wire(design.fetch_instr_input);
-    let pcw = pc.width;
+    let count = fetch_counter(&mut b, design);
+    let iuv = Tracker::new(&mut b, design, count, fetch_slot, "iuv");
 
-    // --- IUV selection: the `fetch_slot`-th fetch event ------------------
-    let cnt = b.reg("iuv_fetch_count", 3, 0);
-    let one3 = b.constant(1, 3);
-    let cnt_max = b.eq_const(cnt, 7);
-    let bumped = b.add(cnt, one3);
-    let held = b.mux(cnt_max, cnt, bumped);
-    let cnt_next = b.mux(fetch_fire, held, cnt);
-    b.set_next(cnt, cnt_next).expect("fresh monitor reg");
-    let at_slot = b.eq_const(cnt, fetch_slot as u64);
-    let iuv_fire = b.and(fetch_fire, at_slot);
-    let iuv_fire = b.name(iuv_fire, "iuv_fire");
-
-    let seen_reg = b.reg("iuv_seen_reg", 1, 0);
-    let seen_next = b.or(seen_reg, iuv_fire);
-    b.set_next(seen_reg, seen_next).expect("fresh monitor reg");
-
-    let iuv_pc = b.reg("iuv_pc", pcw, 0);
-    let iuv_pc_next = b.mux(iuv_fire, pc, iuv_pc);
-    b.set_next(iuv_pc, iuv_pc_next).expect("fresh monitor reg");
-
-    // --- assumes -----------------------------------------------------------
-    let mut assumes: Vec<SignalId> = Vec::new();
     // Per-opcode IUV encoding assumes (operands remain symbolic). These go
     // into `op_assumes`, not `assumes`: a query picks exactly one.
-    let tf = design.type_field;
-    let opfield = b.slice(in_instr, tf.hi, tf.lo);
-    let not_fire = b.not(iuv_fire);
+    let opfield = opcode_field(&mut b, design);
+    let not_fire = b.not(iuv.fire);
     let mut op_assumes: Vec<(Opcode, SignalId)> = Vec::new();
     for &op in opcodes {
         let op_match = b.eq_const(opfield, design.type_encoding(op));
-        let opcode_ok = b.or(not_fire, op_match);
-        let opcode_ok = b.name(opcode_ok, &format!("assume_iuv_opcode_{op:?}"));
-        op_assumes.push((op, opcode_ok.id));
+        let ok = b.or(not_fire, op_match);
+        op_assumes.push((op, b.name(ok, &format!("assume_iuv_opcode_{op:?}")).id));
     }
-    // PC uniqueness: no later fetch may reuse the IUV's PC (PCs are the
-    // instruction identifiers, §V-A).
-    let refetch = {
-        let same = b.eq(pc, iuv_pc);
-        let f = b.and(fetch_fire, seen_reg);
-        b.and(f, same)
-    };
-    let no_refetch = b.not(refetch);
-    let no_refetch = b.name(no_refetch, "assume_no_refetch");
-    assumes.push(no_refetch.id);
-    // Context restriction.
+    let mut assumes = vec![iuv.no_refetch(&mut b, design).id];
+    let context_fetch = |b: &mut Builder| b.and(fetch_fire, not_fire);
     match context {
         ContextMode::Any => {}
         ContextMode::NoControlFlow => {
-            // Control-flow opcodes occupy the top of the encoding space
-            // (BEQ=23 .. JALR=30); designs with a custom type encoding
-            // (e.g. the cache) have no control flow at all.
-            let is_cf = if design.type_values.is_empty() {
-                let c23 = b.constant(Opcode::Beq.bits() as u64, opfield.width);
-                b.ule(c23, opfield)
-            } else {
-                b.zero()
-            };
-            let ctx_fetch = b.and(fetch_fire, not_fire);
-            let bad = b.and(ctx_fetch, is_cf);
-            let ok = b.not(bad);
-            let ok = b.name(ok, "assume_ctx_no_cf");
-            assumes.push(ok.id);
+            assumes.push(no_control_flow(&mut b, design, opfield, context_fetch).id);
         }
         ContextMode::Solo => {
-            let ctx_fetch = b.and(fetch_fire, not_fire);
+            let ctx_fetch = context_fetch(&mut b);
             let ok = b.not(ctx_fetch);
-            let ok = b.name(ok, "assume_ctx_solo");
-            assumes.push(ok.id);
+            assumes.push(b.name(ok, "assume_ctx_solo").id);
         }
     }
 
-    // --- per-PL visit monitors ------------------------------------------------
-    let pls = PlClasses::of(design).pls;
+    // Per-PL revisit monitors over the tracker's visit signals.
     let mut monitors = Vec::new();
     let mut visit_now_all: Vec<Wire> = Vec::new();
     let mut visited_all: Vec<Wire> = Vec::new();
-    for ufsm in &ann.ufsms {
-        let pcr = b.wire(ufsm.pcr);
-        let pcr_match = b.eq(pcr, iuv_pc);
-        for st in ufsm.candidate_states(&design.netlist) {
-            let mut state_match = b.one();
-            for (vi, &var) in ufsm.vars.iter().enumerate() {
-                let vw = b.wire(var);
-                let m = b.eq_const(vw, st.state.0[vi]);
-                state_match = b.and(state_match, m);
-            }
-            let occupied = b.and(state_match, pcr_match);
-            let visit_now = b.and(occupied, seen_reg);
-            let visit_now = b.name(visit_now, &format!("vis_{}", st.name));
+    for_each_pl(&mut b, design, Some(&iuv), |b, pl, visit_now| {
+        let vis_reg = b.reg(&format!("visreg_{pl}"), 1, 0);
+        let vis_next = b.or(vis_reg, visit_now);
+        b.set_next(vis_reg, vis_next).expect("fresh monitor reg");
+        let visited = b.name(vis_next, &format!("visited_{pl}"));
 
-            let vis_reg = b.reg(&format!("visreg_{}", st.name), 1, 0);
-            let vis_next = b.or(vis_reg, visit_now);
-            b.set_next(vis_reg, vis_next).expect("fresh monitor reg");
-            let visited = b.name(vis_next, &format!("visited_{}", st.name));
+        let multi_now = b.and(visit_now, vis_reg);
+        let multi = sva::sticky(b, multi_now, &format!("multi_{pl}"));
 
-            let multi_now = b.and(visit_now, vis_reg);
-            let multi = sva::sticky(&mut b, multi_now, &format!("multi_{}", st.name));
+        // Left after a visit, strictly before this cycle.
+        let not_now = b.not(visit_now);
+        let left_now = b.and(vis_reg, not_now);
+        let left_reg = b.reg(&format!("leftreg_{pl}"), 1, 0);
+        let left_next = b.or(left_reg, left_now);
+        b.set_next(left_reg, left_next).expect("fresh monitor reg");
+        let noncons_now = b.and(visit_now, left_reg);
+        let noncons = sva::sticky(b, noncons_now, &format!("noncons_{pl}"));
 
-            // Left after a visit, strictly before this cycle.
-            let not_now = b.not(visit_now);
-            let left_now = b.and(vis_reg, not_now);
-            let left_reg = b.reg(&format!("leftreg_{}", st.name), 1, 0);
-            let left_next = b.or(left_reg, left_now);
-            b.set_next(left_reg, left_next).expect("fresh monitor reg");
-            let noncons_now = b.and(visit_now, left_reg);
-            let noncons = sva::sticky(&mut b, noncons_now, &format!("noncons_{}", st.name));
+        visit_now_all.push(visit_now);
+        visited_all.push(visited);
+        monitors.push(PlMonitors {
+            visit_now: visit_now.id,
+            visited: visited.id,
+            multi: multi.id,
+            noncons: noncons.id,
+        });
+    });
 
-            visit_now_all.push(visit_now);
-            visited_all.push(visited);
-            monitors.push(PlMonitors {
-                visit_now: visit_now.id,
-                visited: visited.id,
-                multi: multi.id,
-                noncons: noncons.id,
-            });
-        }
-    }
-    debug_assert_eq!(monitors.len(), pls.len());
-
-    // --- completion detector ----------------------------------------------------
+    // Completion: finished, and stably so for two cycles.
     let any_now = b.any(&visit_now_all);
     let any_visited = b.any(&visited_all);
-    let done_now = {
-        let quiet = b.not(any_now);
-        let sv = b.and(seen_reg, any_visited);
-        b.and(sv, quiet)
-    };
+    let done_now = iuv.finished(&mut b, any_now, any_visited);
     let done_d1 = sva::delay(&mut b, done_now, 1, "iuv_done_d1");
     let done2 = b.and(done_now, done_d1);
     let iuv_done = b.name(done2, "iuv_done");
@@ -304,13 +241,161 @@ pub fn build_harness_multi(
     let netlist = b.finish().expect("harnessed netlist is valid");
     IuvHarness {
         netlist,
-        pls,
+        pls: PlClasses::of(design).pls,
         monitors,
         assumes,
         op_assumes,
-        iuv_seen: seen_reg.id,
+        iuv_seen: iuv.seen.id,
         iuv_done: iuv_done.id,
-        iuv_pc: iuv_pc.id,
+        iuv_pc: iuv.pc.id,
+    }
+}
+
+/// The shared fetch counter: the number of fetch events so far, saturating
+/// at 7. A [`Tracker`] picks its instruction by this count.
+pub fn fetch_counter(b: &mut Builder, design: &Design) -> Wire {
+    let fetch_fire = b.wire(design.fetch_fire);
+    let count = b.reg("fetch_count", 3, 0);
+    let one = b.constant(1, 3);
+    let at_max = b.eq_const(count, 7);
+    let bumped = b.add(count, one);
+    let held = b.mux(at_max, count, bumped);
+    let next = b.mux(fetch_fire, held, count);
+    b.set_next(count, next).expect("fresh monitor reg");
+    count
+}
+
+/// The opcode field of the instruction being fetched.
+pub fn opcode_field(b: &mut Builder, design: &Design) -> Wire {
+    let in_instr = b.wire(design.fetch_instr_input);
+    let tf = design.type_field;
+    b.slice(in_instr, tf.hi, tf.lo)
+}
+
+/// The no-control-flow context rule: no fetch that `context_fetch` marks
+/// as context (an instruction no tracker follows) is a control-flow
+/// instruction. Control-flow opcodes occupy the top of the encoding space
+/// (BEQ=23 .. JALR=30); designs with a custom type encoding (e.g. the
+/// cache) have no control flow at all.
+pub fn no_control_flow(
+    b: &mut Builder,
+    design: &Design,
+    opfield: Wire,
+    context_fetch: impl FnOnce(&mut Builder) -> Wire,
+) -> Wire {
+    let is_cf = if design.type_values.is_empty() {
+        let first_cf = b.constant(Opcode::Beq.bits() as u64, opfield.width);
+        b.ule(first_cf, opfield)
+    } else {
+        b.zero()
+    };
+    let ctx_fetch = context_fetch(b);
+    let bad = b.and(ctx_fetch, is_cf);
+    let ok = b.not(bad);
+    b.name(ok, "assume_ctx_no_cf")
+}
+
+/// 1 when `ufsm`'s state variables hold `state`.
+fn state_match(b: &mut Builder, ufsm: &UFsm, state: &FsmState) -> Wire {
+    let mut matched = b.one();
+    for (&var, &value) in ufsm.vars.iter().zip(&state.0) {
+        let vw = b.wire(var);
+        let m = b.eq_const(vw, value);
+        matched = b.and(matched, m);
+    }
+    matched
+}
+
+/// Calls `per_pl(b, name, signal)` for every PL of `design`, in PL-table
+/// order. Without a tracker, `signal` is "the PL's µFSM holds its state";
+/// with one, it is the tracker's visit signal (§III-C): the µFSM holds the
+/// state with the tracked PC in its PCR, once the instruction was fetched.
+pub fn for_each_pl(
+    b: &mut Builder,
+    design: &Design,
+    tracker: Option<&Tracker>,
+    mut per_pl: impl FnMut(&mut Builder, &str, Wire),
+) {
+    for ufsm in &design.annotations.ufsms {
+        let pcr_match = tracker.map(|t| {
+            let pcr = b.wire(ufsm.pcr);
+            (t, b.eq(pcr, t.pc))
+        });
+        for st in ufsm.candidate_states(&design.netlist) {
+            let mut signal = state_match(b, ufsm, &st.state);
+            if let Some((t, pcr_match)) = pcr_match {
+                let occupied = b.and(signal, pcr_match);
+                let visit = b.and(occupied, t.seen);
+                signal = b.name(visit, &format!("{}_vis_{}", t.prefix, st.name));
+            }
+            per_pl(b, &st.name, signal);
+        }
+    }
+}
+
+/// One tracked dynamic instruction (§V-A): the one fetched by the
+/// `slot`-th fetch event, identified by the PC it was fetched with. The
+/// IUV harness tracks the instruction under verification with one; the
+/// leak harness tracks its transponder and transmitter with two (§V-C1).
+/// Monitor names start with the tracker's prefix.
+#[derive(Clone, Copy, Debug)]
+pub struct Tracker {
+    prefix: &'static str,
+    /// High on the instruction's fetch event.
+    pub fire: Wire,
+    /// Sticky, registered: the instruction has been fetched.
+    pub seen: Wire,
+    /// The PC captured at the fetch (the PCR discipline of §V-A).
+    pub pc: Wire,
+}
+
+impl Tracker {
+    /// Tracks the instruction of the `slot`-th fetch event, counted by
+    /// `count` (a [`fetch_counter`]).
+    pub fn new(
+        b: &mut Builder,
+        design: &Design,
+        count: Wire,
+        slot: usize,
+        prefix: &'static str,
+    ) -> Self {
+        let fetch_fire = b.wire(design.fetch_fire);
+        let pc = b.wire(design.pc);
+        let at_slot = b.eq_const(count, slot as u64);
+        let fire = b.and(fetch_fire, at_slot);
+        let fire = b.name(fire, &format!("{prefix}_fire"));
+        let seen = b.reg(&format!("{prefix}_seen"), 1, 0);
+        let seen_next = b.or(seen, fire);
+        b.set_next(seen, seen_next).expect("fresh monitor reg");
+        let ipc = b.reg(&format!("{prefix}_pc"), pc.width, 0);
+        let ipc_next = b.mux(fire, pc, ipc);
+        b.set_next(ipc, ipc_next).expect("fresh monitor reg");
+        Self {
+            prefix,
+            fire,
+            seen,
+            pc: ipc,
+        }
+    }
+
+    /// The PC-uniqueness assume: no later fetch reuses the tracked PC (PCs
+    /// are the instruction identifiers, §V-A).
+    pub fn no_refetch(&self, b: &mut Builder, design: &Design) -> Wire {
+        let fetch_fire = b.wire(design.fetch_fire);
+        let pc = b.wire(design.pc);
+        let same = b.eq(pc, self.pc);
+        let fetched = b.and(fetch_fire, self.seen);
+        let refetch = b.and(fetched, same);
+        let ok = b.not(refetch);
+        b.name(ok, &format!("{}_no_refetch", self.prefix))
+    }
+
+    /// The instruction has visited some PL (`any_visited`) and occupies
+    /// none this cycle (`any_now`).
+    pub fn finished(&self, b: &mut Builder, any_now: Wire, any_visited: Wire) -> Wire {
+        let quiet = b.not(any_now);
+        let visited = b.and(self.seen, any_visited);
+        b.and(visited, quiet)
     }
 }
 
@@ -345,14 +430,7 @@ mod tests {
     #[test]
     fn harness_monitors_track_a_simulated_iuv() {
         let design = build_tiny();
-        let h = build_harness(
-            &design,
-            &HarnessConfig {
-                opcode: Opcode::Add,
-                fetch_slot: 0,
-                context: ContextMode::Any,
-            },
-        );
+        let h = build_harness_multi(&design, &[Opcode::Add], 0, ContextMode::Any);
         // Simulate: feed exactly one ADD, then idle.
         let mut s = Simulator::new(&h.netlist);
         let add = isa::Instr::rrr(Opcode::Add, 1, 2, 3).encode() as u64;

@@ -22,8 +22,8 @@ mod harness;
 mod synth;
 
 pub use harness::{
-    build_harness, build_harness_multi, ContextMode, HarnessConfig, IuvHarness, PlClasses,
-    PlMonitors,
+    build_harness, build_harness_multi, fetch_counter, for_each_pl, no_control_flow, opcode_field,
+    ContextMode, HarnessConfig, IuvHarness, PlClasses, PlMonitors, Tracker,
 };
 pub use mc::{EngineOptions, RobustOptions};
 pub use synth::{

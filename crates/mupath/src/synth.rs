@@ -20,11 +20,13 @@
 //! 4. [`enumerate_revisit_counts`] — the optional §V-B6 revisit-cycle-count
 //!    enumeration (e.g. the DIV latency range).
 
-use crate::harness::{build_harness, ContextMode, HarnessConfig, IuvHarness, PlClasses};
+use crate::harness::{
+    build_harness, for_each_pl, ContextMode, HarnessConfig, IuvHarness, PlClasses,
+};
 use isa::Opcode;
-use mc::{CheckStats, Checker, JobRecord, McConfig, Outcome};
+use mc::{CheckStats, Checker, JobRecord, McConfig};
 use netlist::analysis::next_state_sources;
-use netlist::{Builder, SignalId};
+use netlist::{Builder, Netlist, SignalId};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use uarch::Design;
 use uhb::{decisions_of_paths, ConcretePath, Decision, MuPath, PlId, PlTable};
@@ -127,30 +129,13 @@ pub struct DuvPlReport {
 pub fn duv_pl_reachability(design: &Design, cfg: &SynthConfig) -> DuvPlReport {
     let mut b = Builder::from_netlist(design.netlist.clone());
     let mut occupied_sigs = Vec::new();
-    for ufsm in &design.annotations.ufsms {
-        for st in ufsm.candidate_states(&design.netlist) {
-            let mut state_match = b.one();
-            for (vi, &var) in ufsm.vars.iter().enumerate() {
-                let vw = b.wire(var);
-                let m = b.eq_const(vw, st.state.0[vi]);
-                state_match = b.and(state_match, m);
-            }
-            let named = b.name(state_match, &format!("occ_{}", st.name));
-            occupied_sigs.push(named.id);
-        }
-    }
+    for_each_pl(&mut b, design, None, |b, pl, held| {
+        occupied_sigs.push(b.name(held, &format!("occ_{pl}")).id);
+    });
     let netlist = b.finish().expect("monitored netlist is valid");
     // Boolean-outcome query: slice to the occupancy monitors' cone (verdict-
     // preserving — no witness data is consumed here).
-    let elab = std::sync::Arc::new(mc::Elab::new(&netlist));
-    let coi = std::sync::Arc::new(mc::CoiSlice::compute(&netlist, &occupied_sigs));
-    let mut checker = Checker::with_coi(
-        &netlist,
-        cfg.mc_config(),
-        &design.annotations.arch_state(),
-        elab,
-        Some(coi),
-    );
+    let mut checker = sliced_checker(&netlist, &occupied_sigs, design, cfg);
     let reachable = occupied_sigs
         .iter()
         .map(|&sig| checker.check_cover(sig, &[]).is_reachable())
@@ -162,16 +147,22 @@ pub fn duv_pl_reachability(design: &Design, cfg: &SynthConfig) -> DuvPlReport {
     }
 }
 
+/// A checker over `netlist` sliced to the cone of `targets`, for queries
+/// whose every consumed signal is a target.
+fn sliced_checker<'n>(
+    netlist: &'n Netlist,
+    targets: &[SignalId],
+    design: &Design,
+    cfg: &SynthConfig,
+) -> Checker<'n> {
+    let elab = std::sync::Arc::new(mc::Elab::new(netlist));
+    let coi = std::sync::Arc::new(mc::CoiSlice::compute(netlist, targets));
+    let free = design.annotations.arch_state();
+    Checker::with_coi(netlist, cfg.mc_config(), &free, elab, Some(coi))
+}
+
 /// The per-PL shape signature read from a witness at the final frame.
 type Signature = Vec<(bool, bool, bool)>;
-
-fn signature_bits(harness: &IuvHarness) -> Vec<SignalId> {
-    harness
-        .monitors
-        .iter()
-        .flat_map(|m| [m.visited, m.multi, m.noncons])
-        .collect()
-}
 
 /// Extracts the IUV's concrete path from a witness trace, cycle-aligned to
 /// its first PL visit.
@@ -339,56 +330,28 @@ pub(crate) fn enumerate_slot(
     let mut assumes = Vec::with_capacity(harness.assumes.len() + 1);
     assumes.push(op_assume);
     assumes.extend_from_slice(&harness.assumes);
-    let sig_bits = signature_bits(harness);
+    // A shape's signature: each PL's visited/multi/noncons bits at the
+    // final frame, blocked per shape under this opcode's assume.
+    let bits: Vec<SignalId> = harness
+        .monitors
+        .iter()
+        .flat_map(|m| [m.visited, m.multi, m.noncons])
+        .collect();
     let mut shapes: BTreeMap<Signature, ConcretePath> = BTreeMap::new();
-    let mut complete = true;
-    let mut found_this_slot = 0usize;
-    loop {
-        if found_this_slot >= cfg.max_shapes {
-            complete = false;
-            break;
-        }
-        match checker.check_cover(harness.iuv_done, &assumes) {
-            Outcome::Reachable(trace) => {
-                found_this_slot += 1;
-                let path = extract_path(harness, &trace);
-                let signature: Signature = harness
-                    .pls
-                    .ids()
-                    .map(|pl| {
-                        let m = harness.monitors(pl);
-                        let last = trace.len() - 1;
-                        (
-                            trace.value(last, m.visited) != 0,
-                            trace.value(last, m.multi) != 0,
-                            trace.value(last, m.noncons) != 0,
-                        )
-                    })
-                    .collect();
-                // Block this signature at the final frame, under this
-                // opcode's activation guard.
-                let clause: Vec<sat::Lit> = sig_bits
-                    .iter()
-                    .zip(signature.iter().flat_map(|&(a, b2, c)| [a, b2, c]))
-                    .map(|(&sig, val)| {
-                        let lit = checker.final_frame_lit(sig);
-                        if val {
-                            !lit
-                        } else {
-                            lit
-                        }
-                    })
-                    .collect();
-                checker.add_blocking_clause_scoped(op_assume, &clause);
-                shapes.entry(signature).or_insert(path);
-            }
-            Outcome::Unreachable => break,
-            Outcome::Undetermined(_) => {
-                complete = false;
-                break;
-            }
-        }
-    }
+    let complete = checker.enumerate(
+        harness.iuv_done,
+        &assumes,
+        &bits,
+        Some(op_assume),
+        cfg.max_shapes,
+        |trace| {
+            let bit = |sig| trace.value(trace.len() - 1, sig) != 0;
+            let signature = bits.chunks(3).map(|m| (bit(m[0]), bit(m[1]), bit(m[2])));
+            shapes
+                .entry(signature.collect())
+                .or_insert_with(|| extract_path(harness, trace));
+        },
+    );
     SlotSynthesis {
         shapes,
         complete,
@@ -573,15 +536,7 @@ pub fn dom_excl_relations(design: &Design, opcode: Opcode, cfg: &SynthConfig) ->
         .map(|&(_, s)| s)
         .chain(harness.assumes.iter().copied())
         .collect();
-    let elab = std::sync::Arc::new(mc::Elab::new(&netlist));
-    let coi = std::sync::Arc::new(mc::CoiSlice::compute(&netlist, &targets));
-    let mut checker = Checker::with_coi(
-        &netlist,
-        cfg.mc_config(),
-        &design.annotations.arch_state(),
-        elab,
-        Some(coi),
-    );
+    let mut checker = sliced_checker(&netlist, &targets, design, cfg);
     let mut dominates = Vec::new();
     for ((i, j), sig) in dom_sigs {
         if checker.check_cover(sig, &harness.assumes).is_unreachable() {
@@ -625,34 +580,15 @@ pub fn enumerate_revisit_counts(
     let done = b.wire(harness.iuv_done);
     let nonzero = b.red_or(maxrun);
     let interesting = b.and(done, nonzero);
-    b.name(interesting, "revisit_cover");
+    let cover = b.name(interesting, "revisit_cover").id;
     let netlist = b.finish().expect("revisit monitored netlist");
-    let cover = netlist.find("revisit_cover").expect("named");
-    let maxrun_sig = netlist.find("plrun").expect("named");
     let mut checker =
         Checker::with_free_regs(&netlist, cfg.mc_config(), &design.annotations.arch_state());
+    // Each witness's final run length, blocked in turn; at most 33.
     let mut counts = BTreeSet::new();
-    while let Outcome::Reachable(trace) = checker.check_cover(cover, &harness.assumes) {
-        let v = trace.value(trace.len() - 1, maxrun_sig);
-        counts.insert(v);
-        // Block this run-length value at the final frame.
-        let clause: Vec<sat::Lit> = (0..width)
-            .map(|bit| {
-                // Reconstruct per-bit literals via a slice-free path:
-                // the counter is a register; block on its bits.
-                let lit = checker.final_frame_bit(maxrun_sig, bit);
-                if (v >> bit) & 1 == 1 {
-                    !lit
-                } else {
-                    lit
-                }
-            })
-            .collect();
-        checker.add_blocking_clause(&clause);
-        if counts.len() > 32 {
-            break;
-        }
-    }
+    checker.enumerate(cover, &harness.assumes, &[maxrun.id], None, 33, |trace| {
+        counts.insert(trace.value(trace.len() - 1, maxrun.id));
+    });
     counts.into_iter().collect()
 }
 

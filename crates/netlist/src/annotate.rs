@@ -35,6 +35,11 @@ pub struct NamedState {
     pub state: FsmState,
 }
 
+/// The most valuations [`UFsm::candidate_states`] enumerates for a µFSM
+/// that declares no states; [`Annotations::validate`] rejects a larger
+/// undeclared state space.
+const MAX_ENUMERATED_STATES: u64 = 4096;
+
 /// A micro-op FSM: the ⟨iir, vars⟩ tuple of §III-C, with the IIR constrained
 /// to be a program-counter register (PCR) as §V-A requires.
 #[derive(Clone, Debug)]
@@ -65,18 +70,18 @@ impl UFsm {
     ///
     /// # Panics
     /// Panics if the product enumeration would exceed 4096 states; designs
-    /// with large counters must declare their states explicitly.
+    /// with large counters must declare their states explicitly
+    /// ([`Annotations::validate`] rejects them).
     pub fn candidate_states(&self, nl: &Netlist) -> Vec<NamedState> {
         if let Some(states) = &self.states {
             return states.clone();
         }
-        let widths: Vec<u8> = self.vars.iter().map(|&v| nl.width(v)).collect();
-        let total: u128 = widths.iter().map(|&w| 1u128 << w).product();
         assert!(
-            total <= 4096,
+            self.state_bits(nl) <= MAX_ENUMERATED_STATES.ilog2(),
             "µFSM {} state space too large to enumerate; declare states",
             self.name
         );
+        let widths: Vec<u8> = self.vars.iter().map(|&v| nl.width(v)).collect();
         let mut out = Vec::new();
         let mut cur = vec![0u64; widths.len()];
         loop {
@@ -103,6 +108,12 @@ impl UFsm {
                 i += 1;
             }
         }
+    }
+
+    /// The total width of the state vars: their valuations number
+    /// `2^state_bits`.
+    fn state_bits(&self, nl: &Netlist) -> u32 {
+        self.vars.iter().map(|&v| u32::from(nl.width(v))).sum()
     }
 }
 
@@ -223,6 +234,13 @@ impl Annotations {
                         return Err(format!("ufsm {}: state {} arity mismatch", f.name, s.name));
                     }
                 }
+            } else if f.state_bits(nl) > MAX_ENUMERATED_STATES.ilog2() {
+                return Err(format!(
+                    "ufsm {}: its vars span 2^{} valuations, more than the \
+                     {MAX_ENUMERATED_STATES} that can be enumerated; declare its states",
+                    f.name,
+                    f.state_bits(nl)
+                ));
             }
         }
         for &r in self
@@ -324,6 +342,27 @@ mod tests {
         let states = ann.ufsms[0].candidate_states(&nl);
         assert_eq!(states.len(), 1);
         assert_eq!(states[0].name, "busy");
+    }
+
+    #[test]
+    fn validate_rejects_an_undeclared_state_space_over_the_cap() {
+        let (nl, mut ann) = tiny_annotated();
+        // 8 + 2 bits: 1024 valuations still enumerate.
+        ann.ufsms[0].vars.insert(0, ann.ifr);
+        ann.ufsms[0].idle = vec![FsmState(vec![0, 0])];
+        ann.validate(&nl).unwrap();
+        assert_eq!(ann.ufsms[0].candidate_states(&nl).len(), 1023);
+        // + 4 bits: 2^14 valuations do not.
+        ann.ufsms[0].vars.push(ann.fetch_pc);
+        ann.ufsms[0].idle = vec![FsmState(vec![0, 0, 0])];
+        let err = ann.validate(&nl).unwrap_err();
+        assert!(err.contains("2^14 valuations"), "{err}");
+        // Declared states are never enumerated, so any width is fine.
+        ann.ufsms[0].states = Some(vec![NamedState {
+            name: "busy".into(),
+            state: FsmState(vec![1, 1, 1]),
+        }]);
+        ann.validate(&nl).unwrap();
     }
 
     #[test]

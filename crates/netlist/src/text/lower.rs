@@ -154,6 +154,8 @@ enum Port<'m> {
 }
 
 struct Lowerer<'m, 'r> {
+    /// The source text, for quoting a number as written.
+    src: &'m str,
     nl: Netlist,
     spans: Vec<Option<Span>>,
     /// The one symbol table: name → its node, whose width is the name's.
@@ -183,14 +185,21 @@ impl<'m> Lowerer<'m, '_> {
         self.nl.width_of(self.id(n))
     }
 
+    /// The source text under `span`: a number as written, even when it
+    /// does not fit in 64 bits.
+    fn written(&self, span: Span) -> &'m str {
+        &self.src[span.lo as usize..span.hi as usize]
+    }
+
     fn check_width(&mut self, w: &Spanned<u64>) -> Option<u8> {
         match u8::try_from(w.node) {
             Ok(width @ 1..=64) => Some(width),
             _ => {
+                let written = self.written(w.span);
                 self.report.push(
                     error(
                         "E006",
-                        format!("width w{} is outside the supported range", w.node),
+                        format!("width {written} is outside the supported range"),
                     )
                     .with_primary(w.span, "widths must be between w1 and w64"),
                 );
@@ -377,7 +386,7 @@ impl<'m> Lowerer<'m, '_> {
                             "E010",
                             format!(
                                 "memory length {} is not a power of two in 1..={MAX_MEM_LEN}",
-                                len.node
+                                self.written(len.span)
                             ),
                         )
                         .with_primary(len.span, "unsupported memory length"),
@@ -819,8 +828,9 @@ impl<'m> Lowerer<'m, '_> {
 }
 
 /// Checks and lowers a resolved module (see the module docs).
-pub(super) fn run(m: &Module, report: &mut Report) -> Option<LoweredModule> {
+pub(super) fn run(m: &Module, src: &str, report: &mut Report) -> Option<LoweredModule> {
     let mut lw = Lowerer {
+        src,
         nl: Netlist::new(),
         spans: Vec::new(),
         syms: HashMap::new(),

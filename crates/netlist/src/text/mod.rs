@@ -60,7 +60,7 @@ pub fn compile(src: &str, file_name: &str) -> CompileResult {
     let ast = parser::parse(&toks, &mut report);
     let module = ast.and_then(|m| {
         resolve::run(&m, &mut report);
-        lower::run(&m, &mut report)
+        lower::run(&m, src, &mut report)
     });
     CompileResult {
         module,

@@ -51,6 +51,10 @@ pub fn parse(tokens: &[Token], report: &mut Report) -> Option<Module> {
         harness: None,
     };
     p.block("module block", |p| p.statement(&mut m))?;
+    while p.eat(&TokKind::Newline).is_some() {}
+    if p.peek().kind != TokKind::Eof {
+        p.unexpected("end of file", "a file holds one module");
+    }
     Some(m)
 }
 

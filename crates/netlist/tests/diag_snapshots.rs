@@ -47,7 +47,7 @@ fn corpus_matches_expected_output() {
         .filter(|p| p.extension().is_some_and(|e| e == "nl"))
         .collect();
     cases.sort();
-    assert!(cases.len() >= 26, "snapshot corpus shrank: {}", cases.len());
+    assert!(cases.len() >= 29, "snapshot corpus shrank: {}", cases.len());
     let mut failures = Vec::new();
     for case in &cases {
         let got = snapshot(case);

@@ -651,7 +651,7 @@ fn execute(
         }
         Op::Check => {
             let source = req.source.as_deref().expect("prepared");
-            let result = netlist::text::check(source, "<serve>");
+            let (_, result) = uarch::frontend::check(source, "<serve>");
             let code = result.report.exit_code(false);
             let payload = Json::obj([
                 ("op", Json::str("check")),

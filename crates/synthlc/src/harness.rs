@@ -4,6 +4,9 @@
 //! taint-introduction binding, and decision-taint covers per transponder
 //! decision.
 //!
+//! The trackers follow the IUV harness's rule ([`mupath::Tracker`]); this
+//! module adds only its own monitors, and names no signal to find it.
+//!
 //! One harness (and one incremental model checker) serves *every*
 //! (transmitter-opcode, operand, decision) query for a given
 //! (transponder, slot arrangement): the per-query differences are all
@@ -12,7 +15,7 @@
 
 use ift::{instrument, IftOptions, Instrumented};
 use isa::Opcode;
-use mupath::PlClasses;
+use mupath::{fetch_counter, for_each_pl, no_control_flow, opcode_field, PlClasses, Tracker};
 use netlist::{Builder, Netlist, SignalId, Wire};
 use std::collections::BTreeSet;
 use uarch::Design;
@@ -63,11 +66,14 @@ impl std::fmt::Display for TxKind {
     }
 }
 
-/// Monitors for one tracked dynamic instruction.
+/// Monitors for one tracked dynamic instruction: the shared tracker plus
+/// the leak harness's own occupancy, completion and issue monitors.
 #[derive(Clone, Debug)]
 pub struct Tracked {
-    /// Sticky: the instruction has been fetched.
-    pub seen: SignalId,
+    /// The fetch-slot tracker (fire, sticky seen bit, captured PC).
+    pub tracker: Tracker,
+    /// Assume: no later fetch reuses the instruction's PC.
+    pub no_refetch: SignalId,
     /// Per-PL occupancy bits (indexed like the design's PL table).
     pub visit_now: Vec<SignalId>,
     /// The instruction occupies some PL this cycle.
@@ -141,67 +147,32 @@ pub struct LeakHarnessConfig {
     pub no_cf_context: bool,
 }
 
+/// Tracks the instruction of the `slot`-th fetch event with the leak
+/// harness's monitors.
 fn track(
     b: &mut Builder,
     design: &Design,
+    count: Wire,
     slot: usize,
-    prefix: &str,
-    cnt: Wire,
-    pls: &PlTable,
+    prefix: &'static str,
 ) -> Tracked {
-    let fetch_fire = b.wire(design.fetch_fire);
-    let pc = b.wire(design.pc);
-    let issue_fire = b.wire(design.issue_fire);
-    let ann = &design.annotations;
-
-    let at_slot = b.eq_const(cnt, slot as u64);
-    let fire = b.and(fetch_fire, at_slot);
-    let fire = b.name(fire, &format!("{prefix}_fire"));
-    let seen = b.reg(&format!("{prefix}_seen"), 1, 0);
-    let seen_next = b.or(seen, fire);
-    b.set_next(seen, seen_next).expect("fresh monitor reg");
-    let ipc = b.reg(&format!("{prefix}_pc"), pc.width, 0);
-    let ipc_next = b.mux(fire, pc, ipc);
-    b.set_next(ipc, ipc_next).expect("fresh monitor reg");
-    // No later fetch may reuse this PC.
-    let refetch = {
-        let same = b.eq(pc, ipc);
-        let f = b.and(fetch_fire, seen);
-        b.and(f, same)
-    };
-    let no_refetch = b.not(refetch);
-    b.name(no_refetch, &format!("{prefix}_no_refetch"));
-
+    let tracker = Tracker::new(b, design, count, slot, prefix);
+    let no_refetch = tracker.no_refetch(b, design);
     let mut visit_now = Vec::new();
     let mut any_now = b.zero();
-    let mut any_visited_w = b.zero();
-    for ufsm in &ann.ufsms {
-        let pcr = b.wire(ufsm.pcr);
-        let pcr_match = b.eq(pcr, ipc);
-        for st in ufsm.candidate_states(&design.netlist) {
-            let mut state_match = b.one();
-            for (vi, &var) in ufsm.vars.iter().enumerate() {
-                let vw = b.wire(var);
-                let m = b.eq_const(vw, st.state.0[vi]);
-                state_match = b.and(state_match, m);
-            }
-            let occ = b.and(state_match, pcr_match);
-            let vn = b.and(occ, seen);
-            let vn = b.name(vn, &format!("{prefix}_vis_{}", st.name));
-            visit_now.push(vn.id);
-            any_now = b.or(any_now, vn);
-            let sticky = sva::sticky(b, vn, &format!("{prefix}_visited_{}", st.name));
-            any_visited_w = b.or(any_visited_w, sticky);
-        }
-    }
-    debug_assert_eq!(visit_now.len(), pls.len());
+    let mut any_visited = b.zero();
+    for_each_pl(b, design, Some(&tracker), |b, pl, vn| {
+        visit_now.push(vn.id);
+        any_now = b.or(any_now, vn);
+        let sticky = sva::sticky(b, vn, &format!("{prefix}_visited_{pl}"));
+        any_visited = b.or(any_visited, sticky);
+    });
     let inflight = b.name(any_now, &format!("{prefix}_inflight"));
-    let done = {
-        let quiet = b.not(any_now);
-        let sv = b.and(seen, any_visited_w);
-        let d = b.and(sv, quiet);
-        b.name(d, &format!("{prefix}_done"))
-    };
+    let done = tracker.finished(b, any_now, any_visited);
+    let done = b.name(done, &format!("{prefix}_done"));
+    let Tracker { fire, seen, .. } = tracker;
+    let pc = b.wire(design.pc);
+    let issue_fire = b.wire(design.issue_fire);
     let issue_pc = b.wire(design.issue_pc);
     let issue_valid = b.wire(design.issue_valid);
     // `seen` is a register; on request-driven DUVs (the cache) the issue
@@ -209,7 +180,7 @@ fn track(
     // as "seen". On the cache, the tracked id equals the txid counter at
     // the fire cycle, making `same_pc` hold there.
     let seen_now = b.or(seen, fire);
-    let same_pc = b.eq(issue_pc, ipc);
+    let same_pc = b.eq(issue_pc, tracker.pc);
     let same_pc_now = {
         // At the fire cycle the id register has not latched yet; compare
         // against the live counter instead.
@@ -229,13 +200,40 @@ fn track(
     };
     let stage_now = b.name(staged, &format!("{prefix}_stage_now"));
     Tracked {
-        seen: seen.id,
+        tracker,
+        no_refetch: no_refetch.id,
         visit_now,
         inflight: inflight.id,
         done: done.id,
         issue_now: issue_now.id,
         stage_now: stage_now.id,
     }
+}
+
+/// The opcode bindings of the tracker that fires on `fire`: per opcode, the
+/// assume that the instruction fetched then has that opcode.
+fn bind_opcodes(
+    b: &mut Builder,
+    design: &Design,
+    opfield: Wire,
+    fire: Wire,
+    ops: &[Opcode],
+    role: char,
+) -> Vec<(Opcode, SignalId)> {
+    ops.iter()
+        .map(|&op| {
+            let m = b.eq_const(opfield, design.type_encoding(op));
+            let nf = b.not(fire);
+            let ok = b.or(nf, m);
+            (op, b.name(ok, &format!("assume_{role}_is_{op}")).id)
+        })
+        .collect()
+}
+
+/// The binding of `op` in a tracker's opcode bindings.
+fn prepared(bindings: &[(Opcode, SignalId)], op: Opcode, role: &str) -> SignalId {
+    let found = bindings.iter().find(|&&(o, _)| o == op);
+    found.map_or_else(|| panic!("{role} opcode {op} not prepared"), |&(_, s)| s)
 }
 
 /// Where the leak harness introduces taint — the one rule its taint
@@ -308,83 +306,47 @@ pub fn build_leak_harness(design: &Design, cfg: &LeakHarnessConfig) -> LeakHarne
         pls,
         classes: class_table,
         class_of: class_of_pl,
+        ufsm_of,
         ..
     } = PlClasses::of(design);
 
-    // Shared fetch counter.
-    let fetch_fire = b.wire(design.fetch_fire);
-    let cnt = b.reg("fetch_count", 3, 0);
-    let one3 = b.constant(1, 3);
-    let cnt_max = b.eq_const(cnt, 7);
-    let bumped = b.add(cnt, one3);
-    let held = b.mux(cnt_max, cnt, bumped);
-    let cnt_next = b.mux(fetch_fire, held, cnt);
-    b.set_next(cnt, cnt_next).expect("fresh monitor reg");
-
+    let count = fetch_counter(&mut b, design);
     let intrinsic = cfg.slot_p == cfg.slot_t;
-    let ip = track(&mut b, design, cfg.slot_p, "ip", cnt, &pls);
+    let ip = track(&mut b, design, count, cfg.slot_p, "ip");
     let it = if intrinsic {
         ip.clone()
     } else {
-        track(&mut b, design, cfg.slot_t, "it", cnt, &pls)
+        track(&mut b, design, count, cfg.slot_t, "it")
     };
 
-    let mut base_assumes: Vec<SignalId> = Vec::new();
-    base_assumes.push(b.wire_named("ip_no_refetch").id);
+    let mut base_assumes = vec![ip.no_refetch];
     if !intrinsic {
-        base_assumes.push(b.wire_named("it_no_refetch").id);
+        base_assumes.push(it.no_refetch);
     }
+    let (ip_fire, it_fire) = (ip.tracker.fire, it.tracker.fire);
     if cfg.no_cf_context {
-        let in_instr = b.wire(design.fetch_instr_input);
-        let tf = design.type_field;
-        let opfield = b.slice(in_instr, tf.hi, tf.lo);
-        let is_cf = if design.type_values.is_empty() {
-            let c23 = b.constant(Opcode::Beq.bits() as u64, opfield.width);
-            b.ule(c23, opfield)
-        } else {
-            b.zero()
-        };
-        let ip_fire = b.wire_named("ip_fire");
-        let tracked_fire = if intrinsic {
-            ip_fire
-        } else {
-            let itf = b.wire_named("it_fire");
-            b.or(ip_fire, itf)
-        };
-        let untracked = {
+        let opfield = opcode_field(&mut b, design);
+        let ok = no_control_flow(&mut b, design, opfield, |b| {
+            let tracked_fire = if intrinsic {
+                ip_fire
+            } else {
+                b.or(ip_fire, it_fire)
+            };
+            let fetch_fire = b.wire(design.fetch_fire);
             let nt = b.not(tracked_fire);
             b.and(fetch_fire, nt)
-        };
-        let bad = b.and(untracked, is_cf);
-        let ok = b.not(bad);
-        let ok = b.name(ok, "assume_ctx_no_cf");
+        });
         base_assumes.push(ok.id);
     }
 
     // Opcode bindings (selected per query).
-    let in_instr = b.wire(design.fetch_instr_input);
-    let tf = design.type_field;
-    let opfield = b.slice(in_instr, tf.hi, tf.lo);
-    let mut opcode_assume_p = Vec::new();
-    let ip_fire = b.wire_named("ip_fire");
-    for &op in &cfg.p_opcodes {
-        let m = b.eq_const(opfield, design.type_encoding(op));
-        let nf = b.not(ip_fire);
-        let ok = b.or(nf, m);
-        let ok = b.name(ok, &format!("assume_p_is_{op}"));
-        opcode_assume_p.push((op, ok.id));
-    }
-    let mut opcode_assume_t = Vec::new();
-    if !intrinsic {
-        let it_fire = b.wire_named("it_fire");
-        for &op in &cfg.t_opcodes {
-            let m = b.eq_const(opfield, design.type_encoding(op));
-            let nf = b.not(it_fire);
-            let ok = b.or(nf, m);
-            let ok = b.name(ok, &format!("assume_t_is_{op}"));
-            opcode_assume_t.push((op, ok.id));
-        }
-    }
+    let opfield = opcode_field(&mut b, design);
+    let opcode_assume_p = bind_opcodes(&mut b, design, opfield, ip_fire, &cfg.p_opcodes, 'p');
+    let opcode_assume_t = if intrinsic {
+        Vec::new()
+    } else {
+        bind_opcodes(&mut b, design, opfield, it_fire, &cfg.t_opcodes, 't')
+    };
 
     // Taint introduction binding.
     let bind = |b: &mut Builder, en: Wire, to: Wire| -> Wire {
@@ -475,23 +437,21 @@ pub fn build_leak_harness(design: &Design, cfg: &LeakHarnessConfig) -> LeakHarne
         b.name(ok, "assume_flush_at_demat")
     };
 
-    // Class-level transponder occupancy + taint bits.
-    // Per-PL µFSM taint bit.
-    let mut pl_fsm_taint: Vec<Wire> = Vec::new();
-    for ufsm in &ann.ufsms {
-        let mut t = b.zero();
-        for &var in &ufsm.vars {
-            let tv = b.wire(inst.taint_of(var));
-            let any = b.red_or(tv);
-            t = b.or(t, any);
-        }
-        let tp = b.wire(inst.taint_of(ufsm.pcr));
-        let anyp = b.red_or(tp);
-        t = b.or(t, anyp);
-        for _ in ufsm.candidate_states(&design.netlist) {
-            pl_fsm_taint.push(t);
-        }
-    }
+    // Class-level transponder occupancy + taint bits, from each µFSM's
+    // taint bit: some state var or its PCR is tainted.
+    let ufsm_taint: Vec<Wire> = ann
+        .ufsms
+        .iter()
+        .map(|ufsm| {
+            let mut t = b.zero();
+            for &reg in ufsm.vars.iter().chain([&ufsm.pcr]) {
+                let tv = b.wire(inst.taint_of(reg));
+                let any = b.red_or(tv);
+                t = b.or(t, any);
+            }
+            t
+        })
+        .collect();
     let mut class_now = Vec::new();
     let mut class_tainted = Vec::new();
     for cid in class_table.ids() {
@@ -501,7 +461,7 @@ pub fn build_leak_harness(design: &Design, cfg: &LeakHarnessConfig) -> LeakHarne
             if class_of_pl[pl.index()] == cid {
                 let vn = b.wire(ip.visit_now[pl.index()]);
                 now = b.or(now, vn);
-                let ft = pl_fsm_taint[pl.index()];
+                let ft = ufsm_taint[ufsm_of[pl.index()]];
                 let both = b.and(vn, ft);
                 tainted = b.or(tainted, both);
             }
@@ -570,11 +530,7 @@ impl LeakHarness {
     /// # Panics
     /// Panics if the opcode was not listed in the harness config.
     pub fn p_opcode_assume(&self, op: Opcode) -> SignalId {
-        self.opcode_assume_p
-            .iter()
-            .find(|(o, _)| *o == op)
-            .map(|(_, s)| *s)
-            .unwrap_or_else(|| panic!("transponder opcode {op} not prepared"))
+        prepared(&self.opcode_assume_p, op, "transponder")
     }
 
     /// The opcode-binding assume for the transmitter (intrinsic harnesses
@@ -586,11 +542,7 @@ impl LeakHarness {
         if self.intrinsic {
             return self.p_opcode_assume(op);
         }
-        self.opcode_assume_t
-            .iter()
-            .find(|(o, _)| *o == op)
-            .map(|(_, s)| *s)
-            .unwrap_or_else(|| panic!("transmitter opcode {op} not prepared"))
+        prepared(&self.opcode_assume_t, op, "transmitter")
     }
 
     /// The taint-operand binding assume.

@@ -123,17 +123,34 @@ pub fn design_from_module(module: &LoweredModule, report: &mut Report) -> Option
     })
 }
 
-/// Compiles netlist text all the way to a [`Design`]: frontend pipeline,
-/// `L001`–`L009` lints, then harness conversion. The design is `None`
-/// whenever the combined report has errors.
-pub fn parse_design(src: &str, file_name: &str) -> (Option<Design>, CompileResult) {
+/// Checks netlist text the way every front end does (the CLI's and the
+/// daemon's `check`, and [`parse_design`]): the frontend pipeline and
+/// `L001`–`L009` lints ([`text::check`]), then, for an error-free module
+/// with a `harness` block, its conversion into a [`Design`], which reports
+/// `E013` on an unknown ISA mnemonic. The design is `Some` exactly when
+/// that conversion ran and succeeded.
+pub fn check(src: &str, file_name: &str) -> (Option<Design>, CompileResult) {
     let mut result = text::check(src, file_name);
     let design = match &result.module {
-        Some(module) if !result.report.has_errors() => {
+        Some(module) if module.harness.is_some() && !result.report.has_errors() => {
             design_from_module(module, &mut result.report)
         }
         _ => None,
     };
+    (design, result)
+}
+
+/// Compiles netlist text all the way to a [`Design`]: [`check`], plus the
+/// `E013` that an otherwise error-free module without `annotations` and
+/// `harness` blocks gets. The design is `None` whenever the combined
+/// report has errors.
+pub fn parse_design(src: &str, file_name: &str) -> (Option<Design>, CompileResult) {
+    let (design, mut result) = check(src, file_name);
+    if let (None, Some(module)) = (&design, &result.module) {
+        if !result.report.has_errors() {
+            design_from_module(module, &mut result.report);
+        }
+    }
     (design, result)
 }
 

@@ -271,7 +271,8 @@ echo "== serve-smoke (daemon: retry a worker panic, cache hit, drain) =="
 #   2. an identical resubmission must be a cache hit (no re-solve);
 #   3. `stats` must show retried >= 1 and cache_hits >= 1;
 #   4. the same job naming examples/minicache.nl must be a store hit too;
-#   5. a client `shutdown` must drain the queue and exit the daemon 0.
+#   5. a client `shutdown` must drain the queue and exit the daemon 0;
+#   6. a fault-free daemon's `check` must exit as the CLI's does.
 SERVE_JOURNAL=$(mktemp -t synthlc-serve-smoke.XXXXXX)
 SERVE_LOG=$(mktemp -t synthlc-serve-log.XXXXXX)
 trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$RETRY_OUT" "$EDIT_JOURNAL" "$EDIT_NL" "$SERVE_JOURNAL" "$SERVE_LOG"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
@@ -339,7 +340,47 @@ if [ "$SERVE_EXIT" != 0 ]; then
   cat "$SERVE_LOG" >&2
   exit 1
 fi
-echo "serve-smoke OK (panic retried to exit 0, cache hits by name and by file, graceful drain)"
+# Leg 5: the daemon's `check` is the CLI's (uarch::frontend::check). On a
+# fault-free daemon, `client check --source-file` must exit as
+# `synthlc-cli check` does for every example and for a harnessed module
+# naming an unknown ISA mnemonic, which both must reject (E013, exit 1).
+CHECK_LOG=$(mktemp -t synthlc-check-log.XXXXXX)
+BAD_ISA_NL=$(mktemp -t synthlc-bad-isa-XXXXXX.nl)
+trap 'rm -f "$JOURNAL" "$LEAK_JOURNAL" "$LEAK_ERR" "$RETRY_OUT" "$EDIT_JOURNAL" "$EDIT_NL" "$SERVE_JOURNAL" "$SERVE_LOG" "$CHECK_LOG" "$BAD_ISA_NL"; kill "${SERVE_PID:-}" "${CHECK_PID:-}" 2>/dev/null || true' EXIT
+sed 's/isa nop/isa frobnicate nop/' examples/tinycore.nl > "$BAD_ISA_NL"
+cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  serve --port 0 --workers 1 > "$CHECK_LOG" &
+CHECK_PID=$!
+CHECK_ADDR=""
+for _ in $(seq 1 100); do
+  CHECK_ADDR=$(sed -n 's/^listening on //p' "$CHECK_LOG")
+  [ -n "$CHECK_ADDR" ] && break
+  sleep 0.2
+done
+if [ -z "$CHECK_ADDR" ]; then
+  echo "serve-smoke: check daemon never printed its address" >&2
+  exit 1
+fi
+for NL in examples/*.nl "$BAD_ISA_NL"; do
+  CLI_EXIT=0
+  cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+    check "$NL" >/dev/null 2>&1 || CLI_EXIT=$?
+  DAEMON_EXIT=0
+  cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+    client "$CHECK_ADDR" check --source-file "$NL" >/dev/null || DAEMON_EXIT=$?
+  if [ "$CLI_EXIT" != "$DAEMON_EXIT" ]; then
+    echo "serve-smoke: check $NL exits $CLI_EXIT, the daemon's $DAEMON_EXIT" >&2
+    exit 1
+  fi
+done
+if [ "$CLI_EXIT" != 1 ]; then
+  echo "serve-smoke: an unknown ISA mnemonic must fail check, got exit $CLI_EXIT" >&2
+  exit 1
+fi
+cargo run -q --release "${OFFLINE[@]}" --bin synthlc-cli -- \
+  client "$CHECK_ADDR" shutdown > /dev/null
+wait "$CHECK_PID"
+echo "serve-smoke OK (panic retried to exit 0, cache hits by name and by file, graceful drain, check exits as the CLI's)"
 
 echo "== sat-regression (DIMACS corpus, one-shot and pooled) =="
 # Every corpus file encodes its brute-force-verified status in its name;

@@ -348,16 +348,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     }
     let path = path.ok_or("`check` needs a .nl file path")?;
     let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    let mut result = netlist::text::check(&src, &path);
-    // Modules that declare a harness must also convert into a full
-    // `Design` (resolving ISA mnemonics against the `isa` crate).
-    if let Some(module) = &result.module {
-        if !result.report.has_errors() && module.harness.is_some() {
-            let mut extra = netlist::diag::Report::default();
-            uarch::frontend::design_from_module(module, &mut extra);
-            result.report.extend(extra);
-        }
-    }
+    let (_, result) = uarch::frontend::check(&src, &path);
     if json {
         print!("{}", result.report.to_json_lines(Some(&result.source)));
     } else if !result.report.is_clean() {

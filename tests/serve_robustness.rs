@@ -442,6 +442,46 @@ fn store_keys_follow_source_bytes() {
     std::fs::remove_file(commented).ok();
 }
 
+/// The daemon's `check` is the CLI's: an untrusted µFSM whose undeclared
+/// state space is too large to enumerate is an `E012` verdict, not a
+/// worker panic on every attempt, and a harnessed module must convert into
+/// a design, so an unknown ISA mnemonic is `E013`.
+#[test]
+fn check_answers_as_the_cli_does_without_a_worker_panic() {
+    let tinycore = include_str!("../examples/tinycore.nl");
+    let wide = tinycore.replace(
+        "vars wb_valid\n      idle (0)\n      state WB = (1)",
+        "vars ifr\n      idle (0)",
+    );
+    let frob = tinycore.replace("isa nop", "isa frobnicate nop");
+    assert!(wide != tinycore && frob != tinycore, "the edits must apply");
+    let cases = [
+        ("wide", &wide[..], 1),
+        ("frob", &frob[..], 1),
+        ("ok", tinycore, 0),
+    ];
+    let reqs: Vec<Request> = cases
+        .iter()
+        .map(|&(id, src, _)| check_req(id, src))
+        .collect();
+    let (dones, notes) = run_jobs(one_worker(FaultPlan::disabled(), 2), None, &reqs);
+    for (id, src, exit) in cases {
+        // What `synthlc-cli check` reports for the same text.
+        let (_, cli) = uarch::frontend::check(src, "x.nl");
+        assert_eq!(u64::from(cli.report.exit_code(false)), exit, "{id}");
+        let summary = cli.report.summary();
+        let want = format!(r#"{{"op":"check","summary":"{summary}","exit":{exit}}}"#);
+        assert_eq!(dones[id].render_compact(), want, "{id}");
+    }
+    assert!(
+        notes
+            .values()
+            .flatten()
+            .all(|n| !n.contains("worker panic")),
+        "{notes:?}"
+    );
+}
+
 /// Keying a job without its design must not let a `.nl` design run an
 /// instruction it does not implement: the store misses, the design loads,
 /// and the job gets an `error` naming the design.

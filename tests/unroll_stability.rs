@@ -167,11 +167,11 @@ fn clause_stream_digest(clauses: &[Vec<sat::Lit>]) -> u64 {
     h
 }
 
-/// One golden line: `label init vars clauses digest` for a six-frame
+/// One golden line: `label init vars clauses digest` for a `frames`-frame
 /// unrolling, clause logging on from the first frame.
-fn clause_stream_line(label: &str, mut u: Unrolling<'_>, init: InitMode) -> String {
+fn clause_stream_line(label: &str, mut u: Unrolling<'_>, init: InitMode, frames: usize) -> String {
     u.gate().solver().set_clause_log(true);
-    u.extend_to(6);
+    u.extend_to(frames);
     let vars = u.gate().num_vars();
     let log = u.gate().solver_ref().logged_clauses();
     format!(
@@ -197,7 +197,7 @@ fn clause_streams_match_goldens() {
     let mut lines = Vec::new();
     for (name, nl) in in_tree_netlists() {
         for init in [InitMode::Reset, InitMode::Free] {
-            lines.push(clause_stream_line(name, Unrolling::new(&nl, init), init));
+            lines.push(clause_stream_line(name, Unrolling::new(&nl, init), init, 6));
         }
     }
     let cache = uarch::cache::build_cache();
@@ -214,11 +214,18 @@ fn clause_streams_match_goldens() {
         "minicache+coi(resp_fire_reg)",
         sliced,
         InitMode::Reset,
+        6,
     ));
-    let table = lines.join("\n") + "\n";
+    assert_golden("clause_streams.txt", lines, "the unroller's clause stream");
+}
 
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/clause_streams.txt");
+/// Compares `lines` with `tests/golden/{file}`, first rewriting the file
+/// when `SYNTHLC_BLESS=1`.
+fn assert_golden(file: &str, lines: Vec<String>, what: &str) {
+    let table = lines.join("\n") + "\n";
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
     if std::env::var_os("SYNTHLC_BLESS").is_some_and(|v| v == "1") {
         std::fs::write(&path, &table).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
@@ -228,8 +235,70 @@ fn clause_streams_match_goldens() {
             path.display()
         )
     });
-    assert_eq!(
-        table, golden,
-        "the unroller's clause stream drifted from tests/golden/clause_streams.txt"
+    assert_eq!(table, golden, "{what} drifted from tests/golden/{file}");
+}
+
+/// One harness golden line: the node count, an FNV-1a digest of every
+/// node's operation and width in id order (names excluded, so renaming a
+/// monitor moves nothing), and the clause stream of a 4-frame `Reset`
+/// unrolling.
+fn harness_line(label: &str, nl: &Netlist) -> String {
+    let mut h = netlist::Fnv::new();
+    for i in 0..nl.len() {
+        let node = nl.node(SignalId(i as u32));
+        h.bytes(format!("{:?}/{}", node.op, node.width).as_bytes());
+    }
+    let stream = clause_stream_line(
+        label,
+        Unrolling::new(nl, InitMode::Reset),
+        InitMode::Reset,
+        4,
     );
+    format!("{stream} nodes={} ops={:016x}", nl.len(), h.finish())
+}
+
+/// Every built-in design's IUV harness (its whole ISA at fetch slots 0 and
+/// 1, under each context mode) and leak harness (slot pairings (0,0),
+/// (1,0) and (0,1), with and without the no-control-flow context rule) is
+/// pinned to `tests/golden/harness_streams.txt`. The harness builders'
+/// node order fixes CNF variable numbering, which steers every solver
+/// counter and witness, so a refactor of the monitors must keep this file
+/// byte-identical. Regenerate only for an intentional harness change, as
+/// for the clause-stream golden.
+#[test]
+fn harness_streams_match_goldens() {
+    use mupath::ContextMode;
+    let mut lines = Vec::new();
+    for &(name, build) in uarch::DESIGNS {
+        let design = build();
+        for slot in [0, 1] {
+            for context in [
+                ContextMode::Any,
+                ContextMode::NoControlFlow,
+                ContextMode::Solo,
+            ] {
+                let h = mupath::build_harness_multi(&design, &design.isa, slot, context);
+                let label = format!("{name}/iuv/slot{slot}/{context:?}");
+                lines.push(harness_line(&label, &h.netlist));
+            }
+        }
+        for (slot_p, slot_t) in [(0, 0), (1, 0), (0, 1)] {
+            for no_cf_context in [false, true] {
+                let h = synthlc::build_leak_harness(
+                    &design,
+                    &synthlc::LeakHarnessConfig {
+                        slot_p,
+                        slot_t,
+                        p_opcodes: design.isa.clone(),
+                        t_opcodes: design.isa.clone(),
+                        no_cf_context,
+                    },
+                );
+                let label = format!("{name}/leak/p{slot_p}t{slot_t}/nocf={no_cf_context}");
+                lines.push(harness_line(&label, &h.netlist));
+            }
+        }
+    }
+    assert_eq!(lines.len(), 72);
+    assert_golden("harness_streams.txt", lines, "a harness netlist");
 }
